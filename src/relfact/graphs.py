@@ -163,12 +163,7 @@ def contract(g: StochasticGraph, edge_id: int) -> StochasticGraph:
 
 def delete(g: StochasticGraph, edge_id: int) -> StochasticGraph:
     """g without one edge; nodes and terminals untouched."""
-    g.edge(edge_id)
-    return StochasticGraph(
-        nodes=g.nodes,
-        edges=tuple(f for f in g.edges if f.id != edge_id),
-        terminals=g.terminals,
-    )
+    return delete_many(g, (edge_id,))
 
 
 def delete_many(g: StochasticGraph, edge_ids: Iterable[int]) -> StochasticGraph:
@@ -239,84 +234,78 @@ def identify_nodes(g: StochasticGraph, boundary: Iterable[str], a: Partition) ->
     )
 
 
-def _biconnected_blocks(g: StochasticGraph) -> tuple[list[set[int]], set[str]]:
-    """Edge sets of the biconnected blocks (loops excluded) and the cut nodes.
+def _biconnected_blocks(adj: Mapping, root) -> tuple[list[tuple[set[int], set]], set, set]:
+    """Blocks and cut nodes of the component of root.
 
-    Multigraph-aware: traversal is tracked per edge id, so a parallel edge to
-    the DFS parent counts as a cycle, not a revisit.
+    adj maps every node to its (edge id, neighbour) pairs, loops left out.
+    Returns each biconnected block as (edge ids, nodes), the cut nodes, and
+    the nodes reached from root.  Multigraph-aware: traversal is tracked per
+    edge id, so a parallel edge to the DFS parent counts as a cycle, not a
+    revisit.  The DFS keeps its frames on an explicit stack, so the depth of
+    the graph is not limited by the interpreter's recursion limit.
     """
-    adj: dict[str, list[tuple[int, str]]] = defaultdict(list)
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        adj[e.u].append((e.id, e.v))
-        adj[e.v].append((e.id, e.u))
-
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
+    disc = {root: 0}
+    low = {root: 0}
     used: set[int] = set()
-    stack: list[int] = []
-    blocks: list[set[int]] = []
-    cut: set[str] = set()
-    clock = [0]
-
-    def dfs(u: str, parent_eid: int | None) -> None:
-        disc[u] = low[u] = clock[0]
-        clock[0] += 1
-        children = 0
-        for eid, w in adj[u]:
+    pending: list[tuple[int, object, object]] = []  # edges not yet in a block
+    blocks: list[tuple[set[int], set]] = []
+    cut: set = set()
+    root_children = 0
+    frames = [(root, None, iter(adj[root]))]  # (node, edge from its parent, edges left)
+    while frames:
+        u, parent_eid, rest = frames[-1]
+        for eid, w in rest:
             if eid in used:
                 continue
             used.add(eid)
-            stack.append(eid)
-            if w not in disc:
-                children += 1
-                dfs(w, eid)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    if parent_eid is not None or children > 1:
-                        cut.add(u)
-                    comp = set()
-                    while True:
-                        x = stack.pop()
-                        comp.add(x)
-                        if x == eid:
-                            break
-                    blocks.append(comp)
-            else:
+            pending.append((eid, u, w))
+            if w in disc:
                 low[u] = min(low[u], disc[w])
+            else:
+                disc[w] = low[w] = len(disc)
+                frames.append((w, eid, iter(adj[w])))
+                break
+        else:
+            frames.pop()
+            if not frames:
+                break
+            p = frames[-1][0]
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:
+                if p == root:
+                    root_children += 1
+                if p != root or root_children > 1:
+                    cut.add(p)
+                block_edges: set[int] = set()
+                block_nodes: set = set()
+                while True:
+                    eid, a, b = pending.pop()
+                    block_edges.add(eid)
+                    block_nodes.update((a, b))
+                    if eid == parent_eid:
+                        break
+                blocks.append((block_edges, block_nodes))
+    return blocks, cut, set(disc)
 
-    for v in sorted(adj):
-        if v not in disc:
-            dfs(v, None)
-    return blocks, cut
 
+def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
+    """Edge ids that some simple path between two terminals crosses, or None
+    when the terminals are not all connected.
 
-def irrelevant_edges(g: StochasticGraph) -> set[int]:
-    """Edges that no minimal terminal-linking state uses.
-
-    Characterization: loops are always irrelevant, and a non-loop edge is
-    relevant exactly when its biconnected block sits on a block-cut-tree
-    path between two terminal locations (so some simple terminal-to-terminal
-    path crosses it).  When the terminals are not even connected with every
-    edge operative the reliability is 0 and every edge is vacuously
-    irrelevant, so the whole edge set comes back.
+    adj maps every node to its (edge id, neighbour) pairs, loops left out;
+    nodes may be any mutually comparable values.  At least two terminals.
+    A non-loop edge is relevant exactly when its biconnected block sits on a
+    block-cut-tree path between two terminal locations.
     """
-    if len(g.terminals) <= 1:
-        return set(g.edge_ids)
-    if not is_k_connected(g):
-        return set(g.edge_ids)
+    terminals = set(terminals)
+    blocks, cut, reached = _biconnected_blocks(adj, min(terminals))
+    if not terminals <= reached:
+        return None
 
-    blocks, cut = _biconnected_blocks(g)
-    edge_by_id = {e.id: e for e in g.edges}
-    block_vertices = [
-        {v for eid in blk for v in edge_by_id[eid].endpoints()} for blk in blocks
-    ]
-
-    # block-cut forest: block nodes ("b", i) joined to their cut vertices ("c", v)
+    # block-cut tree: block nodes ("b", i) joined to their cut vertices ("c", v)
     tree: dict[tuple, set[tuple]] = defaultdict(set)
-    home: dict[str, tuple] = {}
-    for i, verts in enumerate(block_vertices):
+    home: dict = {}
+    for i, (_, verts) in enumerate(blocks):
         bnode = ("b", i)
         tree.setdefault(bnode, set())
         for v in verts:
@@ -326,7 +315,7 @@ def irrelevant_edges(g: StochasticGraph) -> set[int]:
                 tree[cnode].add(bnode)
             else:
                 home[v] = bnode
-    locations = {("c", t) if t in cut else home[t] for t in g.terminals}
+    locations = {("c", t) if t in cut else home[t] for t in terminals}
 
     # Steiner subtree spanning the terminal locations: strip non-terminal leaves
     alive = set(tree)
@@ -344,9 +333,31 @@ def irrelevant_edges(g: StochasticGraph) -> set[int]:
                     frontier.append(y)
 
     relevant: set[int] = set()
-    for i, blk in enumerate(blocks):
+    for i, (blk, _) in enumerate(blocks):
         if ("b", i) in alive:
             relevant |= blk
+    return relevant
+
+
+def irrelevant_edges(g: StochasticGraph) -> set[int]:
+    """Edges that no minimal terminal-linking state uses.
+
+    Loops are always irrelevant, and a non-loop edge is relevant exactly
+    when some simple terminal-to-terminal path crosses it (see
+    relevant_edges).  When the terminals are not even connected with every
+    edge operative the reliability is 0 and every edge is vacuously
+    irrelevant, so the whole edge set comes back.
+    """
+    if len(g.terminals) <= 1:
+        return set(g.edge_ids)
+    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in g.nodes}
+    for e in g.edges:
+        if not e.is_loop:
+            adj[e.u].append((e.id, e.v))
+            adj[e.v].append((e.id, e.u))
+    relevant = relevant_edges(adj, g.terminals)
+    if relevant is None:
+        return set(g.edge_ids)
     return set(g.edge_ids) - relevant
 
 

@@ -10,12 +10,17 @@ exact pipeline.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
 from .graphs import CutDecomposition, Edge, StochasticGraph
 from .linalg import InvariantFactors
 from .conmatrix import ConnectivityBundle
+
+
+# CPython's default limit on the digits of an int converted to or from str
+_DEFAULT_DIGIT_LIMIT = 4300
 
 
 class FormatError(ValueError):
@@ -27,7 +32,29 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _decimal_scale(s: str) -> int:
+    """k such that a decimal string is its digits over 10**k ("2.5e-3" -> 4);
+    0 for anything else."""
+    if "/" in s:
+        return 0
+    mantissa, marker, exponent = s.strip().lower().partition("e")
+    try:
+        shift = int(exponent) if marker else 0
+    except ValueError:  # malformed, or itself too long: Fraction() says so
+        return 0
+    return sum(ch.isdigit() for ch in mantissa.partition(".")[2]) - shift
+
+
 def fraction_from_str(s: str) -> Fraction:
+    # Fraction() builds 10**k before anything else can object, and a value
+    # that needs more digits than the int/str limit cannot be printed:
+    # reject such a k while it is still only a string.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
+    scale = _decimal_scale(s)
+    if abs(scale) >= limit:
+        raise FormatError(
+            f"bad rational {s!r}: 10**{abs(scale)} exceeds the {limit}-digit integer limit"
+        )
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -52,7 +79,8 @@ def _require(obj: dict, key: str, kind: type) -> Any:
     if key not in obj:
         raise FormatError(f"missing key {key!r}")
     val = obj[key]
-    if not isinstance(val, kind):
+    # bool is a subclass of int, but true/false is not a number on the wire
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise FormatError(f"key {key!r} must be {kind.__name__}, got {type(val).__name__}")
     return val
 

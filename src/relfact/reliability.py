@@ -1,10 +1,10 @@
 """Exact reliability computation by independent routes.
 
 Routes: full state enumeration (the oracle), contraction/deletion factoring
-with irrelevant-edge pruning, the joint boundary-state sum, and the bilinear
-cut factorization through the inverse connectivity matrix.  All routes work
-in exact rational arithmetic and must agree bit for bit; the test suite
-leans on that equality everywhere.
+with series/parallel reductions and irrelevant-block pruning, the joint
+boundary-state sum, and the bilinear cut factorization through the inverse
+connectivity matrix.  All routes work in exact rational arithmetic and must
+agree bit for bit; the test suite leans on that equality everywhere.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from .graphs import (
     Edge,
     Hypothesis2Error,
     StochasticGraph,
-    contract,
-    delete,
-    delete_many,
     identify_nodes,
-    irrelevant_edges,
     is_k_connected,
+    relevant_edges,
     validate_decomposition,
 )
 from .partitions import Partition, coherent_order, is_connected_pair
@@ -101,33 +98,179 @@ def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Frac
     return total
 
 
-def _pivot_edge(g: StochasticGraph) -> Edge:
-    """Deterministic factoring pivot: relevant edges only remain at call
-    sites; prefer one touching a terminal, ties by smallest id."""
-    touching = [e for e in g.edges if e.u in g.terminals or e.v in g.terminals]
-    pool = touching if touching else list(g.edges)
-    return min(pool, key=lambda e: e.id)
+class _Subproblem:
+    """One factoring subproblem on integer nodes, reduced in place.
+
+    edges maps an edge id to (u, v, p); adj maps every node to its incident
+    edges as {edge id: neighbour}.  Every reduction keeps
+    weight * R(edges, terms) equal to the subproblem's share of the answer.
+    """
+
+    def __init__(self, weight: Fraction, edges: dict, terms: set[int]) -> None:
+        self.weight = weight
+        self.edges = edges
+        self.terms = terms
+        self.adj: dict[int, dict[int, int]] = {t: {} for t in terms}
+        for eid, (u, v, _) in edges.items():
+            self.adj.setdefault(u, {})[eid] = v
+            self.adj.setdefault(v, {})[eid] = u
+
+    def _drop(self, eid: int) -> tuple[int, int]:
+        u, v, _ = self.edges.pop(eid)
+        del self.adj[u][eid]
+        if v != u:
+            del self.adj[v][eid]
+        return u, v
+
+    def _contract(self, keep: int, gone: int) -> None:
+        """Merge node gone into keep; edges between them disappear."""
+        adj, edges = self.adj, self.edges
+        for eid, w in adj.pop(gone).items():
+            if w == gone or w == keep:
+                adj[keep].pop(eid, None)
+                del edges[eid]
+                continue
+            edges[eid] = (keep, w, edges[eid][2])
+            adj[w][eid] = keep
+            adj[keep][eid] = w
+        if gone in self.terms:
+            self.terms.discard(gone)
+            self.terms.add(keep)
+
+    def _reduce_locally(self, work: list[int]) -> bool:
+        """Series/parallel/degree reductions to a fixpoint, starting from the
+        nodes in work; False when some terminal is cut off from the rest."""
+        adj, edges, terms = self.adj, self.edges, self.terms
+        queued = set(work)
+
+        def push(y: int) -> None:
+            if y not in queued:
+                queued.add(y)
+                work.append(y)
+
+        while work:
+            if len(terms) < 2:
+                return True
+            x = work.pop()
+            queued.discard(x)
+            inc = adj.get(x)
+            if inc is None:
+                continue
+            by_neighbour: dict[int, int] = {}
+            for eid, y in list(inc.items()):
+                if eid not in inc:
+                    continue
+                p = edges[eid][2]
+                if y == x or p == 0:
+                    self._drop(eid)
+                    push(y)
+                elif p == 1:
+                    self._contract(x, y)
+                    push(x)
+                    break
+                elif y in by_neighbour:
+                    # parallel edges: one edge that works when either does
+                    f = by_neighbour[y]
+                    q = edges[f][2]
+                    keep, gone = min(eid, f), max(eid, f)
+                    self._drop(gone)
+                    edges[keep] = (x, y, 1 - (1 - p) * (1 - q))
+                    by_neighbour[y] = keep
+                    push(y)
+                else:
+                    by_neighbour[y] = eid
+            else:
+                degree = len(inc)
+                if x in terms:
+                    if degree == 0:
+                        return False
+                    if degree == 1:
+                        # a pendant terminal links up only through its edge
+                        ((eid, y),) = inc.items()
+                        self.weight *= edges[eid][2]
+                        self._drop(eid)
+                        del adj[x]
+                        terms.discard(x)
+                        terms.add(y)
+                        push(y)
+                elif degree <= 1:
+                    for eid, y in list(inc.items()):
+                        self._drop(eid)
+                        push(y)
+                    del adj[x]
+                elif degree == 2:
+                    # two edges in series through a non-terminal node
+                    (e, a), (f, b) = inc.items()
+                    p = edges[e][2] * edges[f][2]
+                    self._drop(e)
+                    self._drop(f)
+                    del adj[x]
+                    keep = min(e, f)
+                    edges[keep] = (a, b, p)
+                    adj[a][keep] = b
+                    adj[b][keep] = a
+                    push(a)
+                    push(b)
+        return True
+
+    def reduce(self) -> bool:
+        """Local reductions and irrelevant-block pruning to a fixpoint; False
+        when the terminals cannot be linked."""
+        work = list(self.adj)
+        while True:
+            if not self._reduce_locally(work):
+                return False
+            if len(self.terms) < 2:
+                return True
+            relevant = relevant_edges(
+                {x: inc.items() for x, inc in self.adj.items()}, self.terms
+            )
+            if relevant is None:
+                return False
+            junk = [eid for eid in self.edges if eid not in relevant]
+            if not junk:
+                return True
+            for eid in junk:
+                work.extend(self._drop(eid))
 
 
 def reliability_factoring(g: StochasticGraph) -> Fraction:
-    """Contraction/deletion recursion with irrelevant-edge pruning.
+    """Contraction/deletion factoring with exact reductions before every branch.
 
-    Base cases: terminals disconnected in the fully operative graph (0) and
-    at most one terminal left (1).  Agrees exactly with enumeration wherever
-    both run.
+    g is converted once to integer nodes and (u, v, p) edges keyed by edge
+    id.  Subproblems (weight, edges, terminals) wait on an explicit stack,
+    so the depth of a graph never meets the interpreter's recursion limit.
+    Before it branches, each subproblem is reduced to a fixpoint by a
+    worklist of exact rules: loops and p = 0 edges are deleted, p = 1 edges
+    contracted, parallel edges merged (1 - (1-p)(1-q)), non-terminal
+    degree-2 nodes spliced out (p * q), non-terminal degree-1 nodes dropped,
+    a degree-1 terminal folded into its neighbour (weight * p) while two or
+    more terminals remain, and blocks off every terminal-to-terminal path
+    pruned (see graphs.relevant_edges).  The pivot is an edge touching a
+    terminal with the smallest id; a merged edge keeps the smaller of its
+    ids.  Agrees exactly with enumeration wherever both run.
     """
-    if not is_k_connected(g):
-        return Fraction(0)
     if len(g.terminals) <= 1:
         return Fraction(1)
-    junk = irrelevant_edges(g)
-    if junk:
-        g = delete_many(g, junk)
-    e = _pivot_edge(g)
-    p = e.prob
-    return p * reliability_factoring(contract(g, e.id)) + (1 - p) * reliability_factoring(
-        delete(g, e.id)
-    )
+    index = {v: i for i, v in enumerate(sorted(g.nodes))}
+    edges = {e.id: (index[e.u], index[e.v], e.prob) for e in g.edges}
+    stack = [(Fraction(1), edges, {index[t] for t in g.terminals})]
+    total = Fraction(0)
+    while stack:
+        sub = _Subproblem(*stack.pop())
+        if not sub.reduce():
+            continue
+        if len(sub.terms) < 2:
+            total += sub.weight
+            continue
+        pivot = min(eid for t in sub.terms for eid in sub.adj[t])
+        u, v, p = sub.edges[pivot]
+        works = dict(sub.edges)
+        works[pivot] = (u, v, Fraction(1))  # contracted by the p = 1 rule
+        del sub.edges[pivot]
+        stack.append((sub.weight * (1 - p), sub.edges, sub.terms))
+        stack.append((sub.weight * p, works, set(sub.terms)))
+    return total
 
 
 @dataclass(frozen=True)

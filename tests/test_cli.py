@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,6 +93,48 @@ class TestReliabilityCommand:
         proc = run_cli("reliability", "--input", path, "--route", "bruteforce", env=env)
         assert proc.returncode == 3
         assert "enumeration bound" in proc.stderr
+
+
+    @pytest.mark.parametrize("length", [1500, 5000])
+    def test_long_path_factoring(self, tmp_path, length):
+        probs = [Fraction(i % 3 + 1, i % 3 + 2) for i in range(length - 1)]
+        names = [f"v{i}" for i in range(length)]
+        g = StochasticGraph(
+            nodes=frozenset(names),
+            edges=tuple(Edge(i + 1, names[i], names[i + 1], p) for i, p in enumerate(probs)),
+            terminals=frozenset({names[0], names[-1]}),
+        )
+        path = write_graph(tmp_path / "path.json", g)
+        proc = run_cli("reliability", "--input", path, "--route", "factoring", "--output", "json")
+        assert proc.returncode == 0
+        assert re.fullmatch(r"timing_ms=[0-9.]+\n", proc.stderr)
+        assert json.loads(proc.stdout)["reliability"] == jsonio.fraction_to_str(math.prod(probs))
+
+    def test_boolean_edge_id_exit_2(self, tmp_path):
+        doc = {
+            "nodes": ["a", "b"],
+            "edges": [{"id": True, "u": "a", "v": "b", "p": "1/2"}],
+            "terminals": ["a", "b"],
+        }
+        path = tmp_path / "bool_id.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("reliability", "--input", str(path))
+        assert proc.returncode == 2
+        assert "'id'" in proc.stderr
+
+    @pytest.mark.parametrize("prob", ["1e-100000", "1e-999999999"])
+    def test_huge_decimal_exponent_exit_2(self, tmp_path, prob):
+        doc = {
+            "nodes": ["a", "b"],
+            "edges": [{"id": 1, "u": "a", "v": "b", "p": prob}],
+            "terminals": ["a", "b"],
+        }
+        path = tmp_path / "huge_exponent.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("reliability", "--input", str(path))
+        assert proc.returncode == 2
+        assert prob in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestFactorCommand:

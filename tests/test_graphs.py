@@ -286,6 +286,14 @@ class TestIrrelevantEdges:
                 assert reliability_bruteforce(delete(g, e)) == r
 
 
+    def test_long_path_has_no_depth_limit(self):
+        n = 5000
+        g = graph([(i, f"v{i - 1}", f"v{i}") for i in range(1, n)], {"v0", f"v{n - 1}"})
+        assert irrelevant_edges(g) == set()
+        g = StochasticGraph(nodes=g.nodes, edges=g.edges, terminals=frozenset({"v0", "v2500"}))
+        assert irrelevant_edges(g) == set(range(2501, n))
+
+
 class TestDecomposition:
     def test_two_triangles_sharing_a_node(self):
         g1 = graph([(1, "a", "b"), (2, "b", "k"), (3, "a", "k")], {"k", "a"})

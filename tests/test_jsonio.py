@@ -30,6 +30,20 @@ class TestRationals:
             jsonio.prob_from_json("p")
 
 
+    def test_decimal_scale_bounded_by_int_digit_limit(self):
+        assert jsonio.prob_from_json("1e-4299") == Fraction(1, 10**4299)
+        assert jsonio.prob_from_json("2.5e-3") == Fraction(1, 400)
+        for text in ("1e-4300", "0.01e-4299", "1e5000"):
+            with pytest.raises(jsonio.FormatError, match="integer limit"):
+                jsonio.prob_from_json(text)
+
+    def test_boolean_edge_id_rejected(self):
+        doc = jsonio.graph_to_obj(bridge_graph())
+        doc["edges"][0]["id"] = True
+        with pytest.raises(jsonio.FormatError):
+            jsonio.graph_from_obj(doc)
+
+
 class TestGraphDocuments:
     def test_roundtrip(self):
         g = bridge_graph()

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from relfact.conmatrix import invert_connectivity_matrix
@@ -119,6 +121,61 @@ class TestFactoring:
                 terminals=g.terminals,
             )
             assert reliability_factoring(bumped) >= reliability_factoring(g)
+
+
+PROBABILITIES = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 7)]
+)
+
+
+@st.composite
+def reducible_multigraphs(draw):
+    """Multigraphs of at most 12 edges that exercise every reduction: loops,
+    parallel edges, p in {0, 1}, pendant terminals, terminals of degree 2,
+    and non-terminal blocks hanging off a cut vertex."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 5)))]
+    node = st.sampled_from(nodes)
+    ends = draw(st.lists(st.tuples(node, node), max_size=6))
+    terminals = set(draw(st.lists(node, min_size=1, max_size=len(nodes))))
+    if ends and draw(st.booleans()):
+        ends.append(draw(st.sampled_from(ends)))  # a parallel edge
+    if draw(st.booleans()):
+        ends.append((draw(node),) * 2)  # a loop
+    if draw(st.booleans()):  # a pendant terminal
+        ends.append((draw(node), "pend"))
+        terminals.add("pend")
+    if draw(st.booleans()):  # a terminal in series between two nodes
+        ends += [(draw(node), "mid"), ("mid", draw(node))]
+        terminals.add("mid")
+    if draw(st.booleans()):  # a non-terminal triangle off a cut vertex
+        cut = draw(node)
+        ends += [(cut, "x"), ("x", "y"), ("y", cut)]
+    ends = ends[:12]
+    used = {v for uv in ends for v in uv} | set(nodes)
+    edges = tuple(Edge(i + 1, u, v, draw(PROBABILITIES)) for i, (u, v) in enumerate(ends))
+    return StochasticGraph(
+        nodes=frozenset(used), edges=edges, terminals=frozenset(terminals & used)
+    )
+
+
+class TestFactoringKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(g=reducible_multigraphs())
+    def test_matches_enumeration(self, g):
+        assert reliability_factoring(g) == reliability_bruteforce(g)
+
+    def test_twenty_bead_necklace(self):
+        # beads of two parallel edges in series: R = prod 1 - (1-p)(1-q)
+        beads = [(Fraction(1, i + 2), Fraction(i + 1, i + 3)) for i in range(20)]
+        names = [f"v{i}" for i in range(21)]
+        edges = []
+        for i, (p, q) in enumerate(beads):
+            edges.append(Edge(2 * i + 1, names[i], names[i + 1], p))
+            edges.append(Edge(2 * i + 2, names[i], names[i + 1], q))
+        g = StochasticGraph(
+            nodes=frozenset(names), edges=tuple(edges), terminals=frozenset({names[0], names[-1]})
+        )
+        assert reliability_factoring(g) == math.prod(1 - (1 - p) * (1 - q) for p, q in beads)
 
 
 class TestPolynomial:
