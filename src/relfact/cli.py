@@ -77,12 +77,14 @@ def _jobs_count(spec: str) -> int:
 def _load_json(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise jsonio.FormatError(f"cannot read {path}: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or a number past the int/str digit limit
         raise jsonio.FormatError(f"{path}: malformed JSON: {exc}")
+    except RecursionError:
+        raise jsonio.FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:

@@ -3,18 +3,21 @@
 Z(q, G) collects state probabilities weighted by q raised to the number of
 connected components of the operative subgraph (isolated vertices count).
 Its linear coefficient in q is exactly the all-terminal reliability, which
-carries the cut factorization over to the q -> 0 derivative.
+carries the cut factorization over to the q -> 0 derivative.  Z is summed
+over reliability's state walk, and the derivative is factored through
+reliability's cut-factorization combine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .conmatrix import ConnectivityBundle, invert_connectivity_matrix
+from .conmatrix import ConnectivityBundle
 from .graphs import CutDecomposition, StochasticGraph, UnionFind, identify_nodes, validate_decomposition
-from .partitions import Partition, coherent_order
-from .reliability import DEFAULT_ENUMERATION_BOUND, EnumerationBoundError, ordered_parallel_map
+from .partitions import Partition
+from .reliability import _cut_factorization, _state_walk
 
 
 class DisconnectedGraphError(ValueError):
@@ -55,41 +58,15 @@ def _underlying_connected(g: StochasticGraph) -> bool:
 
 
 def partition_function(g: StochasticGraph, bound: int | None = None) -> ClusterPolynomial:
-    """Exact cluster-count weights from full state enumeration."""
+    """Exact cluster-count weights from the state enumeration walk."""
     if not _underlying_connected(g):
         raise DisconnectedGraphError("underlying graph is not connected")
-    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    m = len(g.edges)
-    if m > limit:
-        raise EnumerationBoundError(f"{m} edges exceed the enumeration bound {limit}")
-    nodes = sorted(g.nodes)
-    node_ix = {v: i for i, v in enumerate(nodes)}
-    pairs = [(node_ix[e.u], node_ix[e.v]) for e in g.edges]
-    probs = [e.prob for e in g.edges]
+    index, states = _state_walk(g, bound)
     acc: dict[int, Fraction] = {}
-
-    def walk(i: int, active: list[tuple[int, int]], weight: Fraction) -> None:
-        if weight == 0:
-            return
-        if i == m:
-            parent = list(range(len(nodes)))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for u, v in active:
-                parent[find(u)] = find(v)
-            k = sum(1 for x in range(len(nodes)) if find(x) == x)
-            acc[k] = acc.get(k, Fraction(0)) + weight
-            return
-        walk(i + 1, active + [pairs[i]], weight * probs[i])
-        walk(i + 1, active, weight * (1 - probs[i]))
-
-    walk(0, [], Fraction(1))
-    return ClusterPolynomial(node_count=len(nodes), coeffs=acc)
+    for w, _, labels in states:
+        k = len(set(labels))
+        acc[k] = acc.get(k, Fraction(0)) + w
+    return ClusterPolynomial(node_count=len(index), coeffs=acc)
 
 
 def dq_at_zero(z: ClusterPolynomial) -> Fraction:
@@ -98,8 +75,10 @@ def dq_at_zero(z: ClusterPolynomial) -> Fraction:
     return z.coeffs.get(1, Fraction(0))
 
 
-def _side_w1_task(task: tuple[StochasticGraph, tuple[str, ...], Partition, int | None]) -> Fraction:
-    g, boundary, a, bound = task
+def _conditioned_dq(
+    g: StochasticGraph, boundary: tuple[str, ...], a: Partition, bound: int | None = None
+) -> Fraction:
+    """dq_at_zero of one side after identifying its boundary through a."""
     return dq_at_zero(partition_function(identify_nodes(g, boundary, a), bound))
 
 
@@ -110,7 +89,8 @@ def factorized_dq(
     jobs: int = 1,
     bound: int | None = None,
 ) -> Fraction:
-    """The q -> 0 derivative of Z for the union, assembled from the sides.
+    """The q -> 0 derivative of Z for the union, assembled from the sides
+    through the same combine as the reliability (_cut_factorization).
 
     Requires the all-terminal case (every node of the union is a terminal)
     and connected identified sides; equals dq_at_zero of the union exactly.
@@ -118,24 +98,4 @@ def factorized_dq(
     union = validate_decomposition(d)
     if union.terminals != union.nodes:
         raise ValueError("the factorized derivative needs every node terminal")
-    n = d.n
-    if bundle is None:
-        bundle = invert_connectivity_matrix(coherent_order(n, variant))
-    if bundle.n != n:
-        raise ValueError(f"bundle is for boundary size {bundle.n}, decomposition has {n}")
-    states = bundle.order.states
-    tasks = [(d.g1, d.boundary, a, bound) for a in states] + [
-        (d.g2, d.boundary, a, bound) for a in states
-    ]
-    vals = ordered_parallel_map(_side_w1_task, tasks, jobs)
-    w1 = vals[: len(states)]
-    w2 = vals[len(states) :]
-    b = bundle.A_inv
-    total = Fraction(0)
-    for i in range(len(states)):
-        if w1[i] == 0:
-            continue
-        for j in range(len(states)):
-            if w2[j]:
-                total += b[i][j] * w1[i] * w2[j]
-    return total
+    return _cut_factorization(d, variant, bundle, jobs, partial(_conditioned_dq, bound=bound)).value

@@ -21,15 +21,29 @@ from .conmatrix import ConnectivityBundle
 
 # CPython's default limit on the digits of an int converted to or from str
 _DEFAULT_DIGIT_LIMIT = 4300
+# a power of ten below the smallest limit CPython accepts (640 digits)
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
 
 
 class FormatError(ValueError):
     """Structurally malformed document (distinct from semantic graph errors)."""
 
 
+def _int_to_str(k: int) -> str:
+    """str(k) for an int of any length: converted in pieces of 600 digits,
+    each under the int/str digit limit, which stays as it is."""
+    sign, k = ("-", -k) if k < 0 else ("", k)
+    pieces = []
+    while k >= _PIECE:
+        k, low = divmod(k, _PIECE)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    return sign + str(k) + "".join(reversed(pieces))
+
+
 def fraction_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def _decimal_scale(s: str) -> int:
@@ -46,9 +60,9 @@ def _decimal_scale(s: str) -> int:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    # Fraction() builds 10**k before anything else can object, and a value
-    # that needs more digits than the int/str limit cannot be printed:
-    # reject such a k while it is still only a string.
+    # Fraction() builds 10**k before anything else can object, and a huge k
+    # would allocate without bound: reject a k past the int/str digit limit
+    # while it is still only a string.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
     scale = _decimal_scale(s)
     if abs(scale) >= limit:

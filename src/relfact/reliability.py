@@ -5,6 +5,12 @@ with series/parallel reductions and irrelevant-block pruning, the joint
 boundary-state sum, and the bilinear cut factorization through the inverse
 connectivity matrix.  All routes work in exact rational arithmetic and must
 agree bit for bit; the test suite leans on that equality everywhere.
+
+Every 2^m route (reliability_bruteforce, state_distribution,
+reliability_polynomial here and cluster.partition_function) is a short
+accumulator over one state walk, _state_walk, which owns the enumeration
+bound.  Every quantity that factors over a cut (factorization_detail here
+and cluster.factorized_dq) goes through one combine, _cut_factorization.
 """
 
 from __future__ import annotations
@@ -33,69 +39,58 @@ DEFAULT_ENUMERATION_BOUND = 24
 
 
 class EnumerationBoundError(ValueError):
-    """Too many edges for state enumeration; use the factoring route."""
+    """Too many edges for state enumeration under the current bound."""
 
 
-def _check_bound(g: StochasticGraph, bound: int | None) -> int:
+def _state_walk(g: StochasticGraph, bound: int | None, weighted: bool = True):
+    """The enumeration kernel behind every 2^m route.
+
+    Checks the bound, indexes the nodes of g in sorted order, and returns
+    that index with an iterator over the edge states as (weight, operative
+    edge count, labels): labels[i] names the component of node i among the
+    operative edges.  Labels are carried down the walk, relabelled once per
+    union, so no leaf rebuilds its components.  States of weight zero add
+    nothing to any sum and are skipped; with weighted=False every weight is
+    1 and every one of the 2^m states is visited.
+    """
     limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
     if len(g.edges) > limit:
         raise EnumerationBoundError(
             f"{len(g.edges)} edges exceed the enumeration bound {limit}; "
-            "use the factoring route instead"
+            "raise it with --bound or RELFACT_BOUND"
         )
-    return limit
+    index = {v: i for i, v in enumerate(sorted(g.nodes))}
+    edges = [
+        (index[e.u], index[e.v], e.prob, 1 - e.prob) if weighted else (index[e.u], index[e.v], 1, 1)
+        for e in g.edges
+    ]
 
+    def walk():
+        stack = [(0, Fraction(1) if weighted else 1, 0, tuple(range(len(index))))]
+        while stack:
+            i, weight, ones, labels = stack.pop()
+            if i == len(edges):
+                yield weight, ones, labels
+                continue
+            u, v, p, q = edges[i]
+            if q:
+                stack.append((i + 1, weight * q, ones, labels))
+            if p:
+                keep, gone = labels[u], labels[v]
+                if keep != gone:
+                    labels = tuple(keep if x == gone else x for x in labels)
+                stack.append((i + 1, weight * p, ones + 1, labels))
 
-def _indexed(g: StochasticGraph):
-    node_ix = {v: i for i, v in enumerate(sorted(g.nodes))}
-    pairs = [(node_ix[e.u], node_ix[e.v]) for e in g.edges]
-    probs = [e.prob for e in g.edges]
-    return node_ix, pairs, probs
-
-
-def _roots_connected(count: int, active: list[tuple[int, int]], targets: list[int]) -> bool:
-    parent = list(range(count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in active:
-        parent[find(u)] = find(v)
-    first = find(targets[0])
-    return all(find(t) == first for t in targets[1:])
+    return index, walk()
 
 
 def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Fraction:
-    """Sum of state probabilities over every terminal-linking state.
-
-    Walks the full state tree; branches of probability zero are skipped,
-    which changes nothing in the sum.
-    """
-    _check_bound(g, bound)
+    """Sum of state probabilities over every terminal-linking state."""
+    index, states = _state_walk(g, bound)
     if len(g.terminals) <= 1:
         return Fraction(1)
-    node_ix, pairs, probs = _indexed(g)
-    targets = [node_ix[t] for t in sorted(g.terminals)]
-    m = len(pairs)
-    total = Fraction(0)
-
-    def walk(i: int, active: list[tuple[int, int]], weight: Fraction) -> None:
-        nonlocal total
-        if weight == 0:
-            return
-        if i == m:
-            if _roots_connected(len(node_ix), active, targets):
-                total += weight
-            return
-        p = probs[i]
-        walk(i + 1, active + [pairs[i]], weight * p)
-        walk(i + 1, active, weight * (1 - p))
-
-    walk(0, [], Fraction(1))
-    return total
+    targets = [index[t] for t in g.terminals]
+    return sum((w for w, _, labels in states if len({labels[t] for t in targets}) == 1), Fraction(0))
 
 
 class _Subproblem:
@@ -316,18 +311,19 @@ class ReliabilityPolynomial:
 
 
 def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> ReliabilityPolynomial:
-    """Count terminal-linking states by operative edge count."""
-    _check_bound(g, bound)
-    node_ix, pairs, _ = _indexed(g)
-    m = len(pairs)
-    counts = [0] * (m + 1)
+    """Count terminal-linking states by operative edge count.
+
+    The counts ignore the edge probabilities: the walk runs unweighted, so
+    states with a p = 0 or p = 1 edge are counted like any other."""
+    index, states = _state_walk(g, bound, weighted=False)
+    m = len(g.edges)
     if len(g.terminals) <= 1:
         return ReliabilityPolynomial(tuple(comb(m, i) for i in range(m + 1)))
-    targets = [node_ix[t] for t in sorted(g.terminals)]
-    for mask in range(1 << m):
-        active = [pairs[i] for i in range(m) if mask >> i & 1]
-        if _roots_connected(len(node_ix), active, targets):
-            counts[mask.bit_count()] += 1
+    targets = [index[t] for t in g.terminals]
+    counts = [0] * (m + 1)
+    for _, ones, labels in states:
+        if len({labels[t] for t in targets}) == 1:
+            counts[ones] += 1
     return ReliabilityPolynomial(tuple(counts))
 
 
@@ -361,38 +357,19 @@ def state_distribution(
     for b in boundary:
         if b not in g.nodes:
             raise ValueError(f"boundary node {b!r} not in graph")
-    _check_bound(g, bound)
-    node_ix, pairs, probs = _indexed(g)
-    bix = [node_ix[b] for b in boundary]
-    n = len(boundary)
-    m = len(pairs)
+    index, states = _state_walk(g, bound)
+    bix = [index[b] for b in boundary]
+    parts: dict[tuple[int, ...], Partition] = {}
     acc: dict[Partition, Fraction] = {}
-
-    def walk(i: int, active: list[tuple[int, int]], weight: Fraction) -> None:
-        if weight == 0:
-            return
-        if i == m:
-            parent = list(range(len(node_ix)))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for u, v in active:
-                parent[find(u)] = find(v)
-            groups: dict[int, list[int]] = {}
-            for label in range(1, n + 1):
-                groups.setdefault(find(bix[label - 1]), []).append(label)
-            part = Partition(tuple(tuple(grp) for grp in groups.values()))
-            acc[part] = acc.get(part, Fraction(0)) + weight
-            return
-        p = probs[i]
-        walk(i + 1, active + [pairs[i]], weight * p)
-        walk(i + 1, active, weight * (1 - p))
-
-    walk(0, [], Fraction(1))
+    for w, _, labels in states:
+        key = tuple(labels[b] for b in bix)
+        if key not in parts:
+            blocks: dict[int, list[int]] = {}
+            for label, x in enumerate(key, 1):
+                blocks.setdefault(x, []).append(label)
+            parts[key] = Partition(tuple(map(tuple, blocks.values())))
+        part = parts[key]
+        acc[part] = acc.get(part, Fraction(0)) + w
     return StateDistribution(boundary=boundary, probs=acc)
 
 
@@ -421,11 +398,6 @@ def conditioned_reliability(
     return reliability_factoring(identify_nodes(g, tuple(boundary), a))
 
 
-def _conditioned_task(task: tuple[StochasticGraph, tuple[str, ...], Partition]) -> Fraction:
-    g, boundary, a = task
-    return conditioned_reliability(g, boundary, a)
-
-
 def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
     """Deterministic map: results come back in task order regardless of the
     worker count, so parallel and sequential runs are bitwise identical."""
@@ -450,39 +422,56 @@ class FactorizationResult:
         )
 
 
-def factorization_detail(
-    d: CutDecomposition,
-    variant: str = "canonical",
-    bundle: ConnectivityBundle | None = None,
-    jobs: int = 1,
-) -> FactorizationResult:
-    """Cut factorization with the per-partition side reliabilities exposed.
+def _side_task(task) -> Fraction:
+    solve, g, boundary, a = task
+    return solve(g, boundary, a)
 
-    The 2 * Bell(n) one-side problems are independent and evaluated through
-    the deterministic parallel map; the bilinear combination runs in fixed
-    index order.
+
+def _cut_factorization(
+    d: CutDecomposition,
+    variant: str,
+    bundle: ConnectivityBundle | None,
+    jobs: int,
+    solve,
+) -> FactorizationResult:
+    """The factorization combine, shared by every quantity that factors.
+
+    solve(g, boundary, a) is one side's value after its boundary is
+    identified through a.  The 2 * Bell(n) side solves are independent and
+    run through the deterministic parallel map; the bilinear combination
+    sum_ij A_inv[i][j] * r1[i] * r2[j] runs in fixed index order.  solve
+    must be picklable (a module-level function or a partial of one) when
+    jobs > 1.
     """
-    validate_decomposition(d)
     n = d.n
     if bundle is None:
         bundle = invert_connectivity_matrix(coherent_order(n, variant))
     if bundle.n != n:
         raise ValueError(f"bundle is for boundary size {bundle.n}, decomposition has {n}")
     states = bundle.order.states
-    tasks = [(d.g1, d.boundary, a) for a in states] + [(d.g2, d.boundary, a) for a in states]
-    vals = ordered_parallel_map(_conditioned_task, tasks, jobs)
+    tasks = [(solve, g, d.boundary, a) for g in (d.g1, d.g2) for a in states]
+    vals = ordered_parallel_map(_side_task, tasks, jobs)
     r1 = tuple(vals[: len(states)])
     r2 = tuple(vals[len(states) :])
-    b = bundle.A_inv
     value = Fraction(0)
-    for i in range(len(states)):
-        if r1[i] == 0:
-            continue
-        row = b[i]
-        for j in range(len(states)):
-            if r2[j]:
-                value += row[j] * r1[i] * r2[j]
+    for row, x in zip(bundle.A_inv, r1):
+        if x:
+            for b, y in zip(row, r2):
+                if y:
+                    value += b * x * y
     return FactorizationResult(bundle=bundle, side1=r1, side2=r2, value=value)
+
+
+def factorization_detail(
+    d: CutDecomposition,
+    variant: str = "canonical",
+    bundle: ConnectivityBundle | None = None,
+    jobs: int = 1,
+) -> FactorizationResult:
+    """Cut factorization with the per-partition side reliabilities exposed;
+    each side is solved by conditioned_reliability (see _cut_factorization)."""
+    validate_decomposition(d)
+    return _cut_factorization(d, variant, bundle, jobs, conditioned_reliability)
 
 
 def factorized_reliability(

@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from relfact import jsonio
+from relfact import cli, jsonio
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus
 from relfact.graphs import Edge, StochasticGraph
 
@@ -110,6 +117,41 @@ class TestReliabilityCommand:
         assert re.fullmatch(r"timing_ms=[0-9.]+\n", proc.stderr)
         assert json.loads(proc.stdout)["reliability"] == jsonio.fraction_to_str(math.prod(probs))
 
+    def test_answer_longer_than_int_str_limit(self, tmp_path):
+        # 9**4999 has 4770 digits, more than the interpreter's default
+        # int/str limit of 4300
+        names = [f"v{i}" for i in range(5000)]
+        g = StochasticGraph(
+            nodes=frozenset(names),
+            edges=tuple(Edge(i + 1, names[i], names[i + 1], Fraction(1, 9)) for i in range(4999)),
+            terminals=frozenset({names[0], names[-1]}),
+        )
+        path = write_graph(tmp_path / "path.json", g)
+        proc = run_cli("reliability", "--input", path, "--route", "factoring", "--output", "json")
+        assert proc.returncode == 0
+        num, den = json.loads(proc.stdout)["reliability"].split("/")
+        value = 0
+        for i in range(0, len(den), 1000):  # int(den) would meet the limit
+            value = value * 10 ** len(den[i : i + 1000]) + int(den[i : i + 1000])
+        assert (num, value) == ("1", 9**4999)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[" * 100000, "nested too deeply"),
+            (b"\xff\xfe{}", "cannot read"),
+            (b'{"nodes": ' + b"1" * 5000 + b"}", "malformed JSON"),
+        ],
+        ids=["deep", "not-utf8", "long-int"],
+    )
+    def test_undecodable_input_exit_2(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        proc = run_cli("reliability", "--input", str(path))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_boolean_edge_id_exit_2(self, tmp_path):
         doc = {
             "nodes": ["a", "b"],
@@ -134,6 +176,36 @@ class TestReliabilityCommand:
         proc = run_cli("reliability", "--input", str(path))
         assert proc.returncode == 2
         assert prob in proc.stderr
+        assert proc.stdout == ""
+
+
+def all_terminal_bridge():
+    g = bridge_graph()
+    return StochasticGraph(nodes=g.nodes, edges=g.edges, terminals=g.nodes)
+
+
+class TestEnumerationBound:
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (("reliability", "--route", "bruteforce"), "graph"),
+            (("polynomial",), "graph"),
+            (("rcm",), "graph"),
+            (("distribution",), "decomposition"),
+            (("factor", "--route", "joint", "--verify"), "decomposition"),
+        ],
+        ids=["bruteforce", "polynomial", "rcm", "distribution", "joint"],
+    )
+    def test_every_enumeration_route_names_the_bound(self, tmp_path, argv, doc):
+        if doc == "graph":
+            path = write_graph(tmp_path / "g.json", all_terminal_bridge())
+        else:
+            path = write_decomposition(tmp_path / "d.json", bridge_decomposition())
+        proc = run_cli(*argv, "--input", path, "--bound", "2")
+        assert proc.returncode == 3
+        assert "enumeration bound 2" in proc.stderr
+        assert "--bound" in proc.stderr and "RELFACT_BOUND" in proc.stderr
+        assert "factoring" not in proc.stderr
         assert proc.stdout == ""
 
 
@@ -270,3 +342,89 @@ class TestDeterminism:
         a = run_cli("factor", "--input", path, "--output", "json")
         b = run_cli("factor", "--input", path, "--output", "json")
         assert a.stdout == b.stdout
+
+
+# -- fuzzing the CLI in-process -------------------------------------------------
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+PROBS = st.sampled_from(["1/2", "2/3", "0.9", "1e-3", "0", "1", 0, 1, "3/2", "-1/3", "1/0", "x", 2])
+
+
+def spots(doc, where=()):
+    """The path to every value inside a JSON document, the root included."""
+    yield where
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from spots(value, (*where, key))
+
+
+def damage(doc, where, junk, drop):
+    """A copy of doc with the value at where replaced by junk, or its key
+    dropped when drop is set and the value sits in an object."""
+    if not where:
+        return junk
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if drop and isinstance(parent, dict):
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = junk
+    return doc
+
+
+def damaged(doc):
+    """doc as it is, or with one value of the wrong type or one key missing."""
+    return st.one_of(
+        st.just(doc),
+        st.builds(damage, st.just(doc), st.sampled_from(list(spots(doc))), JUNK, st.booleans()),
+    )
+
+
+def graph_docs(names, ids):
+    """Graph documents on the boundary nodes a, b plus some of names; edge
+    ids may repeat, endpoints and terminals may lie outside the nodes."""
+    with_ab = st.lists(names, max_size=3).map(lambda xs: ["a", "b", *xs])
+    edge = st.fixed_dictionaries({"id": ids, "u": names, "v": names, "p": PROBS})
+    return st.fixed_dictionaries(
+        {"nodes": with_ab, "edges": st.lists(edge, max_size=8), "terminals": with_ab}
+    )
+
+
+SIDE1 = graph_docs(st.sampled_from(["a", "b", "x", "y"]), st.integers(1, 4))
+SIDE2 = graph_docs(st.sampled_from(["a", "b", "y", "z"]), st.integers(3, 6))
+BOUNDARIES = st.sampled_from([["a", "b"]] * 6 + [["a"], ["b", "a"], ["a", "a"], [], ["a", "b", "a"]])
+DECOMPOSITIONS = st.fixed_dictionaries({"g1": SIDE1, "g2": SIDE2, "boundary": BOUNDARIES})
+COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(cli.GRAPH_ROUTES).map(lambda r: ("reliability", "--route", r)), SIDE1),
+    st.tuples(st.sampled_from(cli.FACTOR_ROUTES).map(lambda r: ("factor", "--route", r)), DECOMPOSITIONS),
+    st.tuples(st.just(("distribution",)), DECOMPOSITIONS),
+    st.tuples(st.sampled_from([("rcm",), ("polynomial",)]), SIDE1),
+)
+
+
+class TestCliFuzz:
+    """Every generated document ends in a documented exit code; no
+    exception escapes cli.main."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=COMMANDS.flatmap(lambda c: st.tuples(st.just(c[0]), damaged(c[1]))),
+           output=st.sampled_from(["json", "text"]))
+    def test_documented_exit_codes(self, command, output):
+        args, doc = command
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            argv = [*args, "--input", str(path), "--output", output]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        assert code in (0, 2, 3, 4)

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from relfact.cluster import DisconnectedGraphError, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus, random_probability
 from relfact.graphs import (
     CutDecomposition,
     Edge,
     StochasticGraph,
+    UnionFind,
     contract,
     delete,
+    is_k_pathset,
     validate_decomposition,
 )
 from relfact.partitions import Partition, all_partitions, coherent_order, join
@@ -176,6 +179,83 @@ class TestFactoringKernel:
             nodes=frozenset(names), edges=tuple(edges), terminals=frozenset({names[0], names[-1]})
         )
         assert reliability_factoring(g) == math.prod(1 - (1 - p) * (1 - q) for p, q in beads)
+
+
+@st.composite
+def enumeration_graphs(draw):
+    """Multigraphs of at most 10 edges with loops, parallel edges, p in
+    {0, 1}, isolated nodes and 0-3 terminals, plus a boundary of 1-3 nodes."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    node = st.sampled_from(nodes)
+    ends = draw(st.lists(st.tuples(node, node), max_size=10))
+    if ends and len(ends) < 10 and draw(st.booleans()):
+        ends.append(draw(st.sampled_from(ends)))  # a parallel edge
+    edges = tuple(Edge(i + 1, u, v, draw(PROBABILITIES)) for i, (u, v) in enumerate(ends))
+    terminals = draw(st.sets(node, max_size=min(3, len(nodes))))
+    boundary = draw(st.lists(node, min_size=1, max_size=3, unique=True))
+    return StochasticGraph(frozenset(nodes), edges, frozenset(terminals)), boundary
+
+
+def edge_states(g):
+    """Every edge state of g as (state, probability, operative edge count,
+    union-find of the operative edges), one mask at a time."""
+    for mask in range(1 << len(g.edges)):
+        state = {e.id: mask >> i & 1 for i, e in enumerate(g.edges)}
+        weight = math.prod(e.prob if state[e.id] else 1 - e.prob for e in g.edges)
+        uf = UnionFind(g.nodes)
+        for e in g.edges:
+            if state[e.id]:
+                uf.union(e.u, e.v)
+        yield state, weight, mask.bit_count(), uf
+
+
+class TestEnumerationRoutes:
+    """The four enumeration routes against a per-mask reference built only
+    on graphs.is_k_pathset and graphs.UnionFind."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=enumeration_graphs())
+    def test_routes_match_per_mask_reference(self, case):
+        g, boundary = case
+        m = len(g.edges)
+        reliability = Fraction(0)
+        counts = [0] * (m + 1)
+        dist: dict[Partition, Fraction] = {}
+        clusters: dict[int, Fraction] = {}
+        for state, weight, ones, uf in edge_states(g):
+            if is_k_pathset(g, state):
+                reliability += weight
+                counts[ones] += 1
+            if weight:
+                groups: dict[str, list[int]] = {}
+                for label, b in enumerate(boundary, 1):
+                    groups.setdefault(uf.find(b), []).append(label)
+                part = Partition(tuple(map(tuple, groups.values())))
+                dist[part] = dist.get(part, Fraction(0)) + weight
+                k = uf.component_count()
+                clusters[k] = clusters.get(k, Fraction(0)) + weight
+        assert reliability_bruteforce(g) == reliability
+        assert reliability_polynomial(g).coefficients == tuple(counts)
+        assert state_distribution(g, boundary).probs == dist
+        underlying = UnionFind(g.nodes)
+        for e in g.edges:
+            underlying.union(e.u, e.v)
+        if underlying.component_count() == 1:
+            assert partition_function(g).coeffs == clusters
+        else:
+            with pytest.raises(DisconnectedGraphError):
+                partition_function(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=enumeration_graphs())
+    def test_polynomial_ignores_probabilities(self, case):
+        # a kernel that skipped zero-weight branches would drop the states
+        # with a p = 0 edge up or a p = 1 edge down
+        g, _ = case
+        half = StochasticGraph(
+            g.nodes, tuple(Edge(e.id, e.u, e.v, H) for e in g.edges), g.terminals
+        )
+        assert reliability_polynomial(g) == reliability_polynomial(half)
 
 
 class TestPolynomial:
