@@ -36,7 +36,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--check-inverse", action="store_true",
-                        help="also build B*C*D and verify it against elimination")
+                        help="also build the inverse and verify it against elimination")
     args = parser.parse_args()
 
     print(f"{'n':>2} {'states':>6} {'det':>22} {'orbit product':>16} {'torsion'}")

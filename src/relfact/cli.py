@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 malformed input (bad JSON, bad document shape, or
-an out-of-range n), 3 semantic validation failure, 4 cross-route
-verification mismatch (which would indicate an implementation bug).
+Exit codes: 0 success, 2 malformed input (bad JSON, bad document shape, an
+out-of-range n, or a bad --jobs, --bound or RELFACT_BOUND), 3 semantic
+validation failure, 4 cross-route verification mismatch (which would
+indicate an implementation bug).
 
 stdout is byte-identical across runs and across --jobs settings for the
 same input; timing goes to stderr so it cannot perturb that contract.
@@ -22,7 +23,7 @@ from pathlib import Path
 from . import cluster, conmatrix, jsonio, reliability
 from .graphs import GraphError, Hypothesis2Error, validate_decomposition
 from .linalg import fraction_free_determinant, smith_normal_form
-from .partitions import MAX_GROUND_SET, ORDER_VARIANTS, coherent_order
+from .partitions import ORDER_VARIANTS, coherent_order
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -52,14 +53,26 @@ class RunConfig:
             raise ValueError("parallelism must be at least 1")
 
 
-def _default_bound() -> int:
+def _bound_value(spec: str) -> int:
+    try:
+        bound = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {spec!r}")
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {bound}")
+    return bound
+
+
+def _default_bound(parser: argparse.ArgumentParser) -> int:
+    """The enumeration bound when --bound is absent: RELFACT_BOUND, else the
+    package default.  A bad value exits 2 through parser.error."""
     env = os.environ.get("RELFACT_BOUND")
     if env is None:
         return reliability.DEFAULT_ENUMERATION_BOUND
     try:
-        return int(env)
-    except ValueError:
-        raise SystemExit(f"RELFACT_BOUND must be an integer, got {env!r}")
+        return _bound_value(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"RELFACT_BOUND {exc}")
 
 
 def _jobs_count(spec: str) -> int:
@@ -186,8 +199,8 @@ def cmd_factor(cfg: RunConfig) -> int:
 
 
 def cmd_conmatrix(cfg: RunConfig) -> int:
-    if not 1 <= cfg.n <= MAX_GROUND_SET:
-        print(f"n must be in 1..{MAX_GROUND_SET}, got {cfg.n}", file=sys.stderr)
+    if not 1 <= cfg.n <= conmatrix.MAX_BUNDLE_GROUND_SET:
+        print(f"n must be in 1..{conmatrix.MAX_BUNDLE_GROUND_SET}, got {cfg.n}", file=sys.stderr)
         return EXIT_FORMAT
     order = coherent_order(cfg.n, cfg.order_variant)
     bundle = conmatrix.invert_connectivity_matrix(order)
@@ -336,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="input file (or directory for verify)")
         p.add_argument("--order", choices=ORDER_VARIANTS, default="canonical")
         p.add_argument("--jobs", type=_jobs_count, default=1, metavar="N|auto")
-        p.add_argument("--bound", type=int, default=_default_bound(), metavar="E")
+        p.add_argument("--bound", type=_bound_value, metavar="E")
         p.add_argument("--output", choices=("json", "text"), default="text")
 
     p = sub.add_parser("reliability", help="exact reliability of a graph")
@@ -382,7 +395,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    cfg = config_from_args(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.bound is None:
+        args.bound = _default_bound(parser)
+    cfg = config_from_args(args)
     started = time.perf_counter()
     try:
         code = COMMANDS[cfg.subcommand](cfg)

@@ -1,8 +1,10 @@
 """Exact matrix routines: fraction-free determinant, rational Gauss-Jordan
 inversion, and Smith normal form over the integers.
 
-Everything operates on plain lists of lists holding ints or Fractions; the
-sizes in this package (at most Bell(5) = 52) make dense arithmetic cheap.
+Everything operates on plain lists of lists holding ints or Fractions.  The
+package calls these on connectivity matrices of up to Bell(6) = 203 states:
+determinant and Smith form in integers, and the rational elimination only as
+an independent cross-check of the inverse built in conmatrix.
 """
 
 from __future__ import annotations

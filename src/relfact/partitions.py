@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-MAX_GROUND_SET = 8  # Bell(8) = 4140; larger boundaries make the matrices impractical
+# Bell(8) = 4140 states.  The distribution and joint routes reach this size;
+# the connectivity inverse stops at conmatrix.MAX_BUNDLE_GROUND_SET.
+MAX_GROUND_SET = 8
 
 ORDER_VARIANTS = ("canonical", "reversed-levels")
 

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -208,6 +209,29 @@ class TestEnumerationBound:
         assert "factoring" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_bad_bound_flag_exit_2(self, series_pair, value):
+        proc = run_cli("reliability", "--input", series_pair, "--bound", value)
+        assert proc.returncode == 2
+        assert "argument --bound" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x", ""])
+    def test_bad_bound_env_exit_2(self, series_pair, value):
+        env = dict(os.environ, RELFACT_BOUND=value)
+        proc = run_cli("reliability", "--input", series_pair, env=env)
+        assert proc.returncode == 2
+        assert "RELFACT_BOUND must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_bound_flag_overrides_env(self, series_pair):
+        env = dict(os.environ, RELFACT_BOUND="x")
+        proc = run_cli("reliability", "--input", series_pair, "--bound", "5", env=env)
+        assert proc.returncode == 0
+        assert "reliability = 1/4" in proc.stdout
+
 
 class TestFactorCommand:
     def test_bridge_value_and_matrix_echo(self, tmp_path):
@@ -249,6 +273,26 @@ class TestFactorCommand:
         path.write_text(json.dumps(broken))
         proc = run_cli("factor", "--input", str(path))
         assert proc.returncode == 3
+
+    def test_seven_node_boundary(self, tmp_path):
+        # past the connectivity-inverse limit the factorized route refuses;
+        # the joint route builds no inverse and still answers
+        b = [f"b{i}" for i in range(1, 8)]
+        doc = {
+            "g1": {"nodes": b, "terminals": b, "edges": [
+                {"id": i, "u": b[i - 1], "v": b[i], "p": "1/2"} for i in range(1, 7)]},
+            "g2": {"nodes": b + ["h"], "terminals": b, "edges": [
+                {"id": 6 + i, "u": "h", "v": b[i - 1], "p": "1/2"} for i in range(1, 8)]},
+            "boundary": b,
+        }
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("factor", "--input", str(path), "--route", "factorized")
+        assert proc.returncode == 3
+        assert "at most 6 nodes" in proc.stderr and proc.stdout == ""
+        proc = run_cli("factor", "--input", str(path), "--route", "joint", "--verify")
+        assert proc.returncode == 0
+        assert "reliability = 1913/8192" in proc.stdout
 
 
 class TestConmatrixCommand:

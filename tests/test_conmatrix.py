@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_matrices as ref
+from relfact import cli, conmatrix
 from relfact.conmatrix import (
     bundle_inverse_crosscheck,
     cocovers,
@@ -22,7 +24,13 @@ from relfact.conmatrix import (
     pi_vector,
     xi_vector,
 )
-from relfact.linalg import rational_inverse_oracle, smith_normal_form, abelian_signature
+from relfact.linalg import (
+    abelian_signature,
+    is_symmetric,
+    mat_mul,
+    rational_inverse_oracle,
+    smith_normal_form,
+)
 from relfact.partitions import (
     Partition,
     all_partitions,
@@ -248,6 +256,58 @@ class TestBundle:
         b = invert_connectivity_matrix(coherent_order(n))
         assert bundle_inverse_crosscheck(b)
         assert b.A_inv == rational_inverse_oracle(b.A)
+
+    @pytest.mark.parametrize("variant", ["canonical", "reversed-levels"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_dense_triangular_product(self, n, variant):
+        # reference route: the dense rational product B * C * D
+        b = invert_connectivity_matrix(coherent_order(n, variant))
+        assert b.A_inv == mat_mul(mat_mul(b.B, b.C), b.D)
+        assert all(isinstance(x, Fraction) for row in b.A_inv for x in row)
+
+    @pytest.mark.parametrize("which", ["pi_vector", "xi_vector"])
+    def test_corrupted_factor_raises(self, monkeypatch, which):
+        real = getattr(conmatrix, which)
+        keep = {Partition.top(3)}  # dropping alpha would trip a different check
+        dropped = []
+
+        def one_term_short(a):
+            v = real(a)
+            if not dropped:
+                extra = sorted((s for s in v if s != a and s not in keep), key=str)
+                if extra:
+                    dropped.append(extra[0])
+                    del v[extra[0]]
+            return v
+
+        monkeypatch.setattr(conmatrix, which, one_term_short)
+        with pytest.raises(RuntimeError, match="failed to invert"):
+            invert_connectivity_matrix(coherent_order(3))
+        assert dropped
+
+    def test_n6_builds_symmetric(self):
+        b = invert_connectivity_matrix(coherent_order(6))
+        assert len(b.A_inv) == bell_number(6)
+        assert is_symmetric(b.A_inv)
+        assert all((x * math.factorial(5)).denominator == 1 for row in b.A_inv for x in row)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_too_large_rejected_up_front(self, n):
+        assert n > conmatrix.MAX_BUNDLE_GROUND_SET
+        with pytest.raises(ValueError, match="at most 6 nodes"):
+            invert_connectivity_matrix(coherent_order(n))
+
+
+class TestConmatrixCli:
+    def test_n6_json(self, capsys):
+        assert cli.main(["conmatrix", "--n", "6", "--output", "json"]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["A_inv"]) == bell_number(6)
+
+    @pytest.mark.parametrize("n", ["7", "8"])
+    def test_past_bundle_limit_exit_2(self, capsys, n):
+        assert cli.main(["conmatrix", "--n", n]) == 2
+        assert "n must be in 1..6" in capsys.readouterr().err
 
 
 class TestDeterminant:
