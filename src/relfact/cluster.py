@@ -4,8 +4,9 @@ Z(q, G) collects state probabilities weighted by q raised to the number of
 connected components of the operative subgraph (isolated vertices count).
 Its linear coefficient in q is exactly the all-terminal reliability, which
 carries the cut factorization over to the q -> 0 derivative.  Z is summed
-over reliability's state walk, and the derivative is factored through
-reliability's cut-factorization combine.
+over reliability's state walk as integer numerators per cluster count and
+divided by the walk's common denominator once, at the end; the derivative is
+factored through reliability's cut-factorization combine.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 
 from .conmatrix import ConnectivityBundle
-from .graphs import CutDecomposition, StochasticGraph, UnionFind, identify_nodes, validate_decomposition
+from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes, validate_decomposition
 from .partitions import Partition
 from .reliability import _cut_factorization, _state_walk
 
@@ -48,25 +49,17 @@ class ClusterPolynomial:
         return sum((w * q**k for k, w in self.coeffs.items()), Fraction(0))
 
 
-def _underlying_connected(g: StochasticGraph) -> bool:
-    if not g.nodes:
-        return True
-    uf = UnionFind(g.nodes)
-    for e in g.edges:
-        uf.union(e.u, e.v)
-    return uf.component_count() == 1
-
-
 def partition_function(g: StochasticGraph, bound: int | None = None) -> ClusterPolynomial:
     """Exact cluster-count weights from the state enumeration walk."""
-    if not _underlying_connected(g):
+    if components(g).component_count() > 1:
         raise DisconnectedGraphError("underlying graph is not connected")
-    index, states = _state_walk(g, bound)
-    acc: dict[int, Fraction] = {}
+    index, denom, states = _state_walk(g, bound)
+    acc: dict[int, int] = {}
     for w, _, labels in states:
         k = len(set(labels))
-        acc[k] = acc.get(k, Fraction(0)) + w
-    return ClusterPolynomial(node_count=len(index), coeffs=acc)
+        acc[k] = acc.get(k, 0) + w
+    coeffs = {k: Fraction(w, denom) for k, w in acc.items()}
+    return ClusterPolynomial(node_count=len(index), coeffs=coeffs)
 
 
 def dq_at_zero(z: ClusterPolynomial) -> Fraction:

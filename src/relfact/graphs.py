@@ -142,6 +142,14 @@ class UnionFind:
         return sum(1 for x in self.parent if self.parent[x] == x)
 
 
+def components(g: StochasticGraph, edges: Iterable[Edge] | None = None) -> UnionFind:
+    """The components of g's nodes joined by edges (every edge of g by default)."""
+    uf = UnionFind(g.nodes)
+    for e in g.edges if edges is None else edges:
+        uf.union(e.u, e.v)
+    return uf
+
+
 def contract(g: StochasticGraph, edge_id: int) -> StochasticGraph:
     """Quotient of g by one edge: endpoints merge, the edge disappears,
     every other edge is re-targeted (parallels become loops and stay)."""
@@ -184,10 +192,7 @@ def is_k_pathset(g: StochasticGraph, state: Mapping[int, int]) -> bool:
         raise GraphError("state domain must equal the graph's edge-id set")
     if len(g.terminals) <= 1:
         return True
-    uf = UnionFind(g.nodes)
-    for e in g.edges:
-        if state[e.id]:
-            uf.union(e.u, e.v)
+    uf = components(g, (e for e in g.edges if state[e.id]))
     root = None
     for t in g.terminals:
         r = uf.find(t)
@@ -397,9 +402,7 @@ def validate_decomposition(d: CutDecomposition) -> StochasticGraph:
                 f"missing from the terminals of {side}"
             )
     union = union_graph(d.g1, d.g2)
-    uf = UnionFind(union.nodes)
-    for e in union.edges:
-        uf.union(e.u, e.v)
+    uf = components(union)
     boundary_roots = {uf.find(b) for b in bset}
     stranded = sorted(t for t in union.terminals if uf.find(t) not in boundary_roots)
     if stranded:

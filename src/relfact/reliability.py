@@ -9,14 +9,16 @@ agree bit for bit; the test suite leans on that equality everywhere.
 Every 2^m route (reliability_bruteforce, state_distribution,
 reliability_polynomial here and cluster.partition_function) is a short
 accumulator over one state walk, _state_walk, which owns the enumeration
-bound.  Every quantity that factors over a cut (factorization_detail here
-and cluster.factorized_dq) goes through one combine, _cut_factorization.
+bound.  The walk runs in integers over one common denominator, the product
+of the edge denominators; each route sums integer numerators and builds its
+Fractions once, at the end.  Every quantity that factors over a cut
+(factorization_detail here and cluster.factorized_dq) goes through one
+combine, _cut_factorization.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -46,12 +48,17 @@ def _state_walk(g: StochasticGraph, bound: int | None, weighted: bool = True):
     """The enumeration kernel behind every 2^m route.
 
     Checks the bound, indexes the nodes of g in sorted order, and returns
-    that index with an iterator over the edge states as (weight, operative
-    edge count, labels): labels[i] names the component of node i among the
-    operative edges.  Labels are carried down the walk, relabelled once per
-    union, so no leaf rebuilds its components.  States of weight zero add
+    that index, a common denominator D and an iterator over the edge states
+    as (weight, operative edge count, labels): labels[i] names the component
+    of node i among the operative edges.  The walk runs in integers: with
+    edge probabilities p_i = a_i/d_i, every state's probability is
+    prod(a_i or d_i - a_i) / D with the same D = prod d_i, so a state's
+    weight is that integer numerator and a consumer sums plain ints and
+    divides by D once, at the end.  Labels are carried down the walk,
+    relabelled once per union, so no leaf rebuilds its components.  States
+    of weight zero (an edge with a_i = 0 up or d_i - a_i = 0 down) add
     nothing to any sum and are skipped; with weighted=False every weight is
-    1 and every one of the 2^m states is visited.
+    1, D = 1 and every one of the 2^m states is visited.
     """
     limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
     if len(g.edges) > limit:
@@ -60,37 +67,42 @@ def _state_walk(g: StochasticGraph, bound: int | None, weighted: bool = True):
             "raise it with --bound or RELFACT_BOUND"
         )
     index = {v: i for i, v in enumerate(sorted(g.nodes))}
-    edges = [
-        (index[e.u], index[e.v], e.prob, 1 - e.prob) if weighted else (index[e.u], index[e.v], 1, 1)
-        for e in g.edges
-    ]
+    denom = 1
+    edges = []
+    for e in g.edges:
+        if weighted:
+            a, d = e.prob.numerator, e.prob.denominator
+            denom *= d
+            edges.append((index[e.u], index[e.v], a, d - a))
+        else:
+            edges.append((index[e.u], index[e.v], 1, 1))
 
     def walk():
-        stack = [(0, Fraction(1) if weighted else 1, 0, tuple(range(len(index))))]
+        stack = [(0, 1, 0, tuple(range(len(index))))]
         while stack:
             i, weight, ones, labels = stack.pop()
             if i == len(edges):
                 yield weight, ones, labels
                 continue
-            u, v, p, q = edges[i]
-            if q:
-                stack.append((i + 1, weight * q, ones, labels))
-            if p:
+            u, v, up, down = edges[i]
+            if down:
+                stack.append((i + 1, weight * down, ones, labels))
+            if up:
                 keep, gone = labels[u], labels[v]
                 if keep != gone:
                     labels = tuple(keep if x == gone else x for x in labels)
-                stack.append((i + 1, weight * p, ones + 1, labels))
+                stack.append((i + 1, weight * up, ones + 1, labels))
 
-    return index, walk()
+    return index, denom, walk()
 
 
 def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Fraction:
     """Sum of state probabilities over every terminal-linking state."""
-    index, states = _state_walk(g, bound)
+    index, denom, states = _state_walk(g, bound)
     if len(g.terminals) <= 1:
         return Fraction(1)
     targets = [index[t] for t in g.terminals]
-    return sum((w for w, _, labels in states if len({labels[t] for t in targets}) == 1), Fraction(0))
+    return Fraction(sum(w for w, _, labels in states if len({labels[t] for t in targets}) == 1), denom)
 
 
 class _Subproblem:
@@ -315,7 +327,7 @@ def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> Reli
 
     The counts ignore the edge probabilities: the walk runs unweighted, so
     states with a p = 0 or p = 1 edge are counted like any other."""
-    index, states = _state_walk(g, bound, weighted=False)
+    index, _, states = _state_walk(g, bound, weighted=False)
     m = len(g.edges)
     if len(g.terminals) <= 1:
         return ReliabilityPolynomial(tuple(comb(m, i) for i in range(m + 1)))
@@ -357,10 +369,10 @@ def state_distribution(
     for b in boundary:
         if b not in g.nodes:
             raise ValueError(f"boundary node {b!r} not in graph")
-    index, states = _state_walk(g, bound)
+    index, denom, states = _state_walk(g, bound)
     bix = [index[b] for b in boundary]
     parts: dict[tuple[int, ...], Partition] = {}
-    acc: dict[Partition, Fraction] = {}
+    acc: dict[Partition, int] = {}
     for w, _, labels in states:
         key = tuple(labels[b] for b in bix)
         if key not in parts:
@@ -369,8 +381,9 @@ def state_distribution(
                 blocks.setdefault(x, []).append(label)
             parts[key] = Partition(tuple(map(tuple, blocks.values())))
         part = parts[key]
-        acc[part] = acc.get(part, Fraction(0)) + w
-    return StateDistribution(boundary=boundary, probs=acc)
+        acc[part] = acc.get(part, 0) + w
+    probs = {part: Fraction(w, denom) for part, w in acc.items()}
+    return StateDistribution(boundary=boundary, probs=probs)
 
 
 def joint_reliability(d1: StateDistribution, d2: StateDistribution) -> Fraction:
@@ -402,6 +415,10 @@ def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
     """Deterministic map: results come back in task order regardless of the
     worker count, so parallel and sequential runs are bitwise identical."""
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool pulls in multiprocessing, which a
+        # single-process run never needs to load
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -371,6 +371,24 @@ class TestVerifyCommand:
         assert run_cli("verify", "--input", str(empty)).returncode == 2
 
 
+class TestStartup:
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported only when --jobs > 1 needs it; the package
+        # itself still loads every module eagerly
+        code = (
+            "import relfact.cli, sys, json; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('relfact', 'concurrent', 'multiprocessing'))))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert "concurrent.futures" not in loaded
+        assert "multiprocessing" not in loaded
+        modules = ("cli", "cluster", "conmatrix", "graphs", "jsonio", "linalg", "partitions", "reliability")
+        assert {f"relfact.{m}" for m in modules} <= set(loaded)
+
+
 class TestDeterminism:
     def test_jobs_do_not_change_bytes(self, tmp_path):
         path = write_decomposition(tmp_path / "bridge.json", bridge_decomposition())
@@ -456,9 +474,42 @@ COMMANDS = st.one_of(
 )
 
 
+def _not_six(text):
+    try:
+        return int(text) != 6
+    except ValueError:
+        return True
+
+
+# conmatrix --n values: junk text, out-of-range and valid sizes; 6 is left
+# out because its connectivity bundle alone takes over a second
+SIZES = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.integers(7, 10**30).map(str),
+    st.text(max_size=3).filter(_not_six),
+    st.sampled_from(["1.5", "5e0", "0x3", " 3", "+2", "\u0663"]),
+)
+ORDERS = st.one_of(st.sampled_from(["canonical", "reversed-levels"]), st.text(max_size=4))
+
+
+def main_exit_code(argv):
+    """cli.main's exit code with its output swallowed; argparse's SystemExit
+    for a bad option value counts as the code it carries."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
 class TestCliFuzz:
-    """Every generated document ends in a documented exit code; no
-    exception escapes cli.main."""
+    """Every generated document or option value ends in a documented exit
+    code; no exception escapes cli.main.
+
+    Everything runs in-process at the default --jobs 1: a --jobs value above
+    1 starts a process pool, one process start per case, which this many
+    examples cannot afford.
+    """
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(command=COMMANDS.flatmap(lambda c: st.tuples(st.just(c[0]), damaged(c[1]))),
@@ -468,7 +519,19 @@ class TestCliFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "doc.json"
             path.write_text(json.dumps(doc))
-            argv = [*args, "--input", str(path), "--output", output]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
+            code = main_exit_code([*args, "--input", str(path), "--output", output])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=DECOMPOSITIONS.flatmap(damaged), output=st.sampled_from(["json", "text"]))
+    def test_verify_one_damaged_file(self, doc, output):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "doc.json").write_text(json.dumps(doc))
+            code = main_exit_code(["verify", "--input", tmp, "--output", output])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=SIZES, order=ORDERS, output=st.sampled_from(["json", "text"]))
+    def test_conmatrix_damaged_options(self, n, order, output):
+        code = main_exit_code(["conmatrix", f"--n={n}", f"--order={order}", "--output", output])
         assert code in (0, 2, 3, 4)

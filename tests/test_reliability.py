@@ -126,8 +126,20 @@ class TestFactoring:
             assert reliability_factoring(bumped) >= reliability_factoring(g)
 
 
+# besides 0, 1 and small fractions: a prime denominator, a denominator far
+# past one machine word once a few edges are multiplied, and a power of two
 PROBABILITIES = st.sampled_from(
-    [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 7)]
+    [
+        Fraction(0),
+        Fraction(1),
+        Fraction(1, 2),
+        Fraction(1, 3),
+        Fraction(3, 4),
+        Fraction(2, 7),
+        Fraction(1, 97),
+        Fraction(10**12 - 1, 10**12),
+        Fraction(5, 2**40),
+    ]
 )
 
 
@@ -213,10 +225,8 @@ class TestEnumerationRoutes:
     """The four enumeration routes against a per-mask reference built only
     on graphs.is_k_pathset and graphs.UnionFind."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(case=enumeration_graphs())
-    def test_routes_match_per_mask_reference(self, case):
-        g, boundary = case
+    @staticmethod
+    def check_against_reference(g, boundary):
         m = len(g.edges)
         reliability = Fraction(0)
         counts = [0] * (m + 1)
@@ -245,6 +255,25 @@ class TestEnumerationRoutes:
         else:
             with pytest.raises(DisconnectedGraphError):
                 partition_function(g)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=enumeration_graphs())
+    def test_routes_match_per_mask_reference(self, case):
+        self.check_against_reference(*case)
+
+    def test_distinct_prime_denominators(self):
+        # ten edges whose denominators share no factor: the walk's common
+        # denominator is their product, and every route must reduce it away
+        primes = (2, 3, 5, 7, 11, 13, 97, 65537, 2**31 - 1, 2**61 - 1)
+        ends = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c"),
+                ("b", "d"), ("d", "e"), ("e", "a"), ("c", "e"), ("b", "b")]
+        edges = tuple(
+            Edge(i + 1, u, v, Fraction(d // (i + 2), d))
+            for i, ((u, v), d) in enumerate(zip(ends, primes))
+        )
+        g = StochasticGraph(frozenset("abcde"), edges, frozenset({"a", "c", "e"}))
+        self.check_against_reference(g, ["a", "d", "e"])
+        assert reliability_bruteforce(g).denominator > 1
 
     @settings(max_examples=60, deadline=None)
     @given(case=enumeration_graphs())
