@@ -5,8 +5,11 @@ Writes the bridge decomposition plus seeded random decompositions for each
 boundary size, including an all-terminal batch so the verify harness also
 exercises the random-cluster identities.
 
+The defaults (seed 2027, two fixtures per boundary size, sizes 1..3)
+reproduce the committed fixtures/ directory byte for byte.
+
 Usage:
-  python3 scripts/make_fixtures.py --out fixtures --seed 2027 --per-n 3
+  python3 scripts/make_fixtures.py --out fixtures
 """
 
 import argparse
@@ -23,7 +26,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="fixtures", help="output directory")
     parser.add_argument("--seed", type=int, default=2027)
-    parser.add_argument("--per-n", type=int, default=3, help="fixtures per boundary size")
+    parser.add_argument("--per-n", type=int, default=2, help="fixtures per boundary size")
     parser.add_argument("--max-n", type=int, default=3)
     args = parser.parse_args()
 

@@ -19,10 +19,7 @@ from .graphs import (
     CutDecomposition,
     Edge,
     StochasticGraph,
-    contract,
-    delete,
     identify_nodes,
-    irrelevant_edges,
     is_k_connected,
     is_k_pathset,
     validate_decomposition,

@@ -16,12 +16,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import cluster, conmatrix, jsonio, reliability
-from .graphs import GraphError, Hypothesis2Error, validate_decomposition
+from .graphs import GraphError, Hypothesis2Error, is_k_connected, validate_decomposition
 from .linalg import fraction_free_determinant, smith_normal_form
 from .partitions import ORDER_VARIANTS, coherent_order
 
@@ -32,25 +31,6 @@ EXIT_VERIFY = 4
 
 GRAPH_ROUTES = ("bruteforce", "factoring")
 FACTOR_ROUTES = ("factorized", "joint", "n2")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    input_path: str | None
-    order_variant: str
-    parallelism: int
-    enumeration_bound: int
-    output: str
-    route: str | None = None
-    n: int | None = None
-    verify: bool = False
-
-    def __post_init__(self) -> None:
-        if self.enumeration_bound < 1:
-            raise ValueError("enumeration bound must be at least 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
 
 
 def _bound_value(spec: str) -> int:
@@ -100,8 +80,8 @@ def _load_json(path: str):
         raise jsonio.FormatError(f"{path}: JSON nested too deeply") from None
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.output == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.output == "json":
         sys.stdout.write(jsonio.dumps_canonical(payload))
     else:
         for line in text_lines:
@@ -112,25 +92,25 @@ def _frac(x: Fraction) -> str:
     return jsonio.fraction_to_str(x)
 
 
-def cmd_reliability(cfg: RunConfig) -> int:
-    g = jsonio.graph_from_obj(_load_json(cfg.input_path))
-    if cfg.route == "bruteforce":
-        value = reliability.reliability_bruteforce(g, bound=cfg.enumeration_bound)
+def cmd_reliability(args: argparse.Namespace) -> int:
+    g = jsonio.graph_from_obj(_load_json(args.input))
+    if args.route == "bruteforce":
+        value = reliability.reliability_bruteforce(g, bound=args.bound)
     else:
         value = reliability.reliability_factoring(g)
-    if value == 0 and not reliability.is_k_connected(g):
+    if value == 0 and not is_k_connected(g):
         print(
             "warning: some terminal reaches no other terminal; reliability is 0",
             file=sys.stderr,
         )
-    payload = {"reliability": _frac(value), "route": cfg.route}
-    _emit(cfg, payload, [f"reliability = {_frac(value)}", f"route = {cfg.route}"])
+    payload = {"reliability": _frac(value), "route": args.route}
+    _emit(args, payload, [f"reliability = {_frac(value)}", f"route = {args.route}"])
     return EXIT_OK
 
 
-def cmd_factor(cfg: RunConfig) -> int:
-    d = jsonio.decomposition_from_obj(_load_json(cfg.input_path))
-    route = cfg.route
+def cmd_factor(args: argparse.Namespace) -> int:
+    d = jsonio.decomposition_from_obj(_load_json(args.input))
+    route = args.route
     payload: dict = {"route": route, "n": d.n}
     lines: list[str] = []
     try:
@@ -139,12 +119,10 @@ def cmd_factor(cfg: RunConfig) -> int:
         # unreachable terminals: reliability is 0, not an input error
         print(f"warning: {exc}", file=sys.stderr)
         payload["reliability"] = _frac(Fraction(0))
-        _emit(cfg, payload, [f"reliability = {_frac(Fraction(0))}"])
+        _emit(args, payload, [f"reliability = {_frac(Fraction(0))}"])
         return EXIT_OK
     if route == "factorized":
-        detail = reliability.factorization_detail(
-            d, variant=cfg.order_variant, jobs=cfg.parallelism
-        )
+        detail = reliability.factorization_detail(d, variant=args.order, jobs=args.jobs)
         value = detail.value
         side1, side2 = detail.side_reliabilities()
         payload["reliability"] = _frac(value)
@@ -154,7 +132,7 @@ def cmd_factor(cfg: RunConfig) -> int:
         }
         payload["b_matrix"] = [[_frac(x) for x in row] for row in detail.bundle.A_inv]
         lines.append(f"reliability = {_frac(value)}")
-        lines.append(f"n = {d.n}  order = {cfg.order_variant}")
+        lines.append(f"n = {d.n}  order = {args.order}")
         lines.append("b matrix (inverse connectivity matrix):")
         for row in detail.bundle.A_inv:
             lines.append("  " + "  ".join(_frac(x) for x in row))
@@ -169,8 +147,8 @@ def cmd_factor(cfg: RunConfig) -> int:
             raise GraphError(
                 f"the joint route needs every terminal on the boundary; {off_cut} are not"
             )
-        d1 = reliability.state_distribution(d.g1, d.boundary, bound=cfg.enumeration_bound)
-        d2 = reliability.state_distribution(d.g2, d.boundary, bound=cfg.enumeration_bound)
+        d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
+        d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
         value = reliability.joint_reliability(d1, d2)
         payload["reliability"] = _frac(value)
         payload["side_distributions"] = {
@@ -183,8 +161,8 @@ def cmd_factor(cfg: RunConfig) -> int:
         payload["reliability"] = _frac(value)
         lines.append(f"reliability = {_frac(value)}")
 
-    if cfg.verify:
-        oracle = reliability.reliability_bruteforce(union, bound=cfg.enumeration_bound)
+    if args.verify:
+        oracle = reliability.reliability_bruteforce(union, bound=args.bound)
         payload["verified_against"] = _frac(oracle)
         if oracle != value:
             print(
@@ -194,34 +172,34 @@ def cmd_factor(cfg: RunConfig) -> int:
             )
             return EXIT_VERIFY
         lines.append(f"verified against enumeration: {_frac(oracle)}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_conmatrix(cfg: RunConfig) -> int:
-    if not 1 <= cfg.n <= conmatrix.MAX_BUNDLE_GROUND_SET:
-        print(f"n must be in 1..{conmatrix.MAX_BUNDLE_GROUND_SET}, got {cfg.n}", file=sys.stderr)
+def cmd_conmatrix(args: argparse.Namespace) -> int:
+    if not 1 <= args.n <= conmatrix.MAX_BUNDLE_GROUND_SET:
+        print(f"n must be in 1..{conmatrix.MAX_BUNDLE_GROUND_SET}, got {args.n}", file=sys.stderr)
         return EXIT_FORMAT
-    order = coherent_order(cfg.n, cfg.order_variant)
+    order = coherent_order(args.n, args.order)
     bundle = conmatrix.invert_connectivity_matrix(order)
     det = fraction_free_determinant(bundle.A)
     factors = smith_normal_form(bundle.A)
     payload = jsonio.conmatrix_to_obj(bundle, det, factors)
     lines = [
-        f"n = {cfg.n}  states = {len(order.states)}  order = {cfg.order_variant}",
+        f"n = {args.n}  states = {len(order.states)}  order = {args.order}",
         "order: " + " ".join(str(p) for p in order.states),
         f"det = {det}",
         "invariant factors: " + " ".join(str(x) for x in factors.snf_diagonal),
         "torsion prime powers (p, k, multiplicity): "
         + " ".join(str(t) for t in factors.torsion_prime_powers),
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_polynomial(cfg: RunConfig) -> int:
-    g = jsonio.graph_from_obj(_load_json(cfg.input_path))
-    poly = reliability.reliability_polynomial(g, bound=cfg.enumeration_bound)
+def cmd_polynomial(args: argparse.Namespace) -> int:
+    g = jsonio.graph_from_obj(_load_json(args.input))
+    poly = reliability.reliability_polynomial(g, bound=args.bound)
     payload = {
         "edge_count": poly.edge_count,
         "coefficients": list(poly.coefficients),
@@ -232,15 +210,15 @@ def cmd_polynomial(cfg: RunConfig) -> int:
         "pathset counts by operative edges: " + " ".join(str(c) for c in poly.coefficients),
         "monomial coefficients: " + " ".join(str(c) for c in poly.monomial_coefficients()),
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_distribution(cfg: RunConfig) -> int:
-    d = jsonio.decomposition_from_obj(_load_json(cfg.input_path))
+def cmd_distribution(args: argparse.Namespace) -> int:
+    d = jsonio.decomposition_from_obj(_load_json(args.input))
     validate_decomposition(d)
-    d1 = reliability.state_distribution(d.g1, d.boundary, bound=cfg.enumeration_bound)
-    d2 = reliability.state_distribution(d.g2, d.boundary, bound=cfg.enumeration_bound)
+    d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
+    d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
     payload = {
         "n": d.n,
         "g1": {str(p): _frac(v) for p, v in d1.probs.items()},
@@ -252,13 +230,13 @@ def cmd_distribution(cfg: RunConfig) -> int:
             f"{p} -> {_frac(v)}" for p, v in sorted(dist.probs.items(), key=lambda kv: str(kv[0]))
         )
         lines.append(f"{name}: {parts}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_rcm(cfg: RunConfig) -> int:
-    g = jsonio.graph_from_obj(_load_json(cfg.input_path))
-    z = cluster.partition_function(g, bound=cfg.enumeration_bound)
+def cmd_rcm(args: argparse.Namespace) -> int:
+    g = jsonio.graph_from_obj(_load_json(args.input))
+    z = cluster.partition_function(g, bound=args.bound)
     w1 = cluster.dq_at_zero(z)
     payload = {
         "Z": {str(k): _frac(w) for k, w in sorted(z.coeffs.items())},
@@ -268,7 +246,7 @@ def cmd_rcm(cfg: RunConfig) -> int:
     for k, w in sorted(z.coeffs.items()):
         lines.append(f"  q^{k}: {_frac(w)}")
     lines.append(f"dZ/dq at q=0: {_frac(w1)}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -280,8 +258,10 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
     if factored != brute:
         failures.append("factoring != enumeration")
     for variant in ORDER_VARIANTS:
-        fact = reliability.factorized_reliability(d, variant=variant, jobs=jobs)
-        if fact != brute:
+        detail = reliability.factorization_detail(d, variant=variant, jobs=jobs)
+        if variant == "canonical":
+            canonical = detail.bundle  # reused by the cluster derivative below
+        if detail.value != brute:
             failures.append(f"factorized[{variant}] != enumeration")
     if union.terminals <= set(d.boundary):
         # the boundary-state sum equals the reliability only when every
@@ -296,13 +276,13 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
         w1 = cluster.dq_at_zero(cluster.partition_function(union, bound=bound))
         if w1 != brute:
             failures.append("cluster-model q-linear weight != enumeration")
-        if cluster.factorized_dq(d, jobs=jobs, bound=bound) != w1:
+        if cluster.factorized_dq(d, bundle=canonical, jobs=jobs, bound=bound) != w1:
             failures.append("factorized cluster derivative != direct")
     return (not failures, failures, brute)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    root = Path(cfg.input_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    root = Path(args.input)
     files = sorted(root.glob("*.json")) if root.is_dir() else [root]
     if not files:
         print(f"no fixtures found under {root}", file=sys.stderr)
@@ -311,7 +291,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_ok = True
     for path in files:
         d = jsonio.decomposition_from_obj(_load_json(str(path)))
-        ok, failures, value = _verify_one(d, cfg.enumeration_bound, cfg.parallelism)
+        ok, failures, value = _verify_one(d, args.bound, args.jobs)
         all_ok &= ok
         results.append(
             {"file": path.name, "ok": ok, "reliability": _frac(value), "failures": failures}
@@ -322,7 +302,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         status = "OK" if r["ok"] else "FAIL " + "; ".join(r["failures"])
         lines.append(f"{r['file']}: {status} (R = {r['reliability']})")
     lines.append("all routes agree" if all_ok else "MISMATCHES FOUND")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -380,29 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        order_variant=args.order,
-        parallelism=args.jobs,
-        enumeration_bound=args.bound,
-        output=args.output,
-        route=getattr(args, "route", None),
-        n=getattr(args, "n", None),
-        verify=getattr(args, "verify", False),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.bound is None:
         args.bound = _default_bound(parser)
-    cfg = config_from_args(args)
     started = time.perf_counter()
     try:
-        code = COMMANDS[cfg.subcommand](cfg)
+        code = COMMANDS[args.subcommand](args)
     except jsonio.FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code = EXIT_FORMAT

@@ -8,7 +8,8 @@ partition algebra: pi expands a state through alternating joins over the
 block-crossing pairs, xi through alternating meets over one-block splits.
 Both are triangular with unit diagonal in any coherent order, and
 A^-1 = B * C * D with C diagonal, holding the reciprocals of the
-connectivity numbers alpha.  Every |alpha| = (blocks - 1)! divides
+connectivity numbers alpha.  A bundle stores alpha, one number per state,
+and builds C only when it is read.  Every |alpha| = (blocks - 1)! divides
 L = (n - 1)!, so L * A^-1 is the integer matrix sum_k (L / alpha_k) *
 B[:, k] * D[k, :], summed over the nonzeros of pi and xi alone.  The build
 checks A * (L * A^-1) = L * I and symmetry in integers before it returns.
@@ -22,13 +23,7 @@ from itertools import combinations
 from math import factorial
 from operator import add
 
-from .linalg import (
-    InvariantFactors,
-    fraction_free_determinant,
-    is_symmetric,
-    rational_inverse_oracle,
-    smith_normal_form,
-)
+from .linalg import fraction_free_determinant, is_symmetric
 from .partitions import (
     CoherentOrder,
     Partition,
@@ -55,24 +50,12 @@ def crossing_pairs(a: Partition) -> list[tuple[int, int]]:
     return [(i, j) for i, j in combinations(range(1, a.n + 1), 2) if owner[i] != owner[j]]
 
 
-def join_action(p: Partition, vec: AlgebraVector) -> AlgebraVector:
-    """Multiply a sparse algebra vector by a basis state in the join algebra."""
+def lattice_action(op, p: Partition, vec: AlgebraVector) -> AlgebraVector:
+    """Multiply a sparse algebra vector by a basis state in the algebra of
+    the lattice operation op (join or meet)."""
     out: AlgebraVector = {}
     for s, c in vec.items():
-        t = join(p, s)
-        c2 = out.get(t, 0) + c
-        if c2:
-            out[t] = c2
-        elif t in out:
-            del out[t]
-    return out
-
-
-def meet_action(p: Partition, vec: AlgebraVector) -> AlgebraVector:
-    """Multiply a sparse algebra vector by a basis state in the meet algebra."""
-    out: AlgebraVector = {}
-    for s, c in vec.items():
-        t = meet(p, s)
+        t = op(p, s)
         c2 = out.get(t, 0) + c
         if c2:
             out[t] = c2
@@ -105,7 +88,7 @@ def pi_vector(a: Partition) -> AlgebraVector:
     vec: AlgebraVector = {a: 1}
     n = a.n
     for i, j in crossing_pairs(a):
-        vec = _vec_sub(vec, join_action(pair_partition(n, i, j), vec))
+        vec = _vec_sub(vec, lattice_action(join, pair_partition(n, i, j), vec))
     return vec
 
 
@@ -145,7 +128,7 @@ def xi_vector(a: Partition) -> AlgebraVector:
     """
     vec: AlgebraVector = {a: 1}
     for c in cocovers(a):
-        vec = _vec_sub(vec, meet_action(c, vec))
+        vec = _vec_sub(vec, lattice_action(meet, c, vec))
     return vec
 
 
@@ -166,18 +149,29 @@ def connectivity_matrix(order: CoherentOrder) -> list[list[int]]:
 @dataclass(frozen=True)
 class ConnectivityBundle:
     """The connectivity matrix of one coherent order with its exact inverse
-    and the triangular factors it came from."""
+    and the factors it came from: B, D and the connectivity numbers alpha,
+    one per state."""
 
     order: CoherentOrder
     A: list[list[int]]
     B: list[list[int]]
-    C: list[list[Fraction]]
+    alpha: tuple[int, ...]
     D: list[list[int]]
     A_inv: list[list[Fraction]]
 
     @property
     def n(self) -> int:
         return self.order.n
+
+    @property
+    def C(self) -> list[list[Fraction]]:
+        """The diagonal factor of A_inv = B * C * D, holding 1 / alpha;
+        built on every read."""
+        m = len(self.alpha)
+        out = [[Fraction(0)] * m for _ in range(m)]
+        for k, a in enumerate(self.alpha):
+            out[k][k] = Fraction(1, a)
+        return out
 
 
 # n = 6 (Bell(6) = 203 states) builds in about a second; at n = 7 (877 states)
@@ -188,9 +182,9 @@ MAX_BUNDLE_GROUND_SET = 6
 def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
     """Assemble A and its exact inverse over the given coherent order.
 
-    B holds the pi expansions column by column, D the xi expansions, and C
-    is diagonal with the reciprocals of the connectivity numbers alpha.
-    With L = (n - 1)!, each w_k = L / alpha_k is an integer, so the inverse
+    B holds the pi expansions column by column, D the xi expansions, and
+    alpha the connectivity numbers, the coefficient of the one-block state
+    in each pi expansion.  With L = (n - 1)!, each w_k = L / alpha_k is an integer, so the inverse
     is A_inv = M / L for the integer matrix M = sum_k w_k * B[:, k] * D[k, :],
     accumulated over the nonzeros of B and D only.  Before anything is
     returned, M is checked in integers: A * M must equal L * I (each entry a
@@ -209,7 +203,7 @@ def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
     A = connectivity_matrix(order)
     B = [[0] * m for _ in range(m)]
     D = [[0] * m for _ in range(m)]
-    C = [[Fraction(0)] * m for _ in range(m)]
+    alphas = []
     L = factorial(n - 1)
     top = Partition.top(n)
     pi_cols: list[tuple[int, list[tuple[int, int]]]] = []  # (w_k, nonzeros of B[:, k])
@@ -224,7 +218,7 @@ def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
         alpha = pv.get(top, 0)
         if alpha == 0 or L % alpha:
             raise RuntimeError(f"connectivity number {alpha} of {a} does not divide {L}")
-        C[j][j] = Fraction(1, alpha)
+        alphas.append(alpha)
         pi_cols.append((L // alpha, col))
         for s, c in xi_vector(a).items():
             k = order.position(s)
@@ -248,21 +242,10 @@ def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
     if not is_symmetric(M):
         raise RuntimeError("inverse of the connectivity matrix must be symmetric")
     A_inv = [[Fraction(x, L) for x in row] for row in M]
-    return ConnectivityBundle(order=order, A=A, B=B, C=C, D=D, A_inv=A_inv)
+    return ConnectivityBundle(order=order, A=A, B=B, alpha=tuple(alphas), D=D, A_inv=A_inv)
 
 
 def connectivity_matrix_det(n: int) -> int:
     """Determinant of the connectivity matrix, by exact fraction-free
     elimination on the canonical order."""
     return fraction_free_determinant(connectivity_matrix(coherent_order(n)))
-
-
-def connectivity_invariant_factors(n: int) -> InvariantFactors:
-    """Smith normal form invariants of the connectivity matrix."""
-    return smith_normal_form(connectivity_matrix(coherent_order(n)))
-
-
-def bundle_inverse_crosscheck(bundle: ConnectivityBundle) -> bool:
-    """True iff the triangular-product inverse matches independent rational
-    elimination entry for entry."""
-    return bundle.A_inv == rational_inverse_oracle(bundle.A)

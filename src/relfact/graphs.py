@@ -1,10 +1,11 @@
 """Stochastic multigraphs with exact rational edge probabilities.
 
 Graphs are immutable values; every operation returns a new graph.  Parallel
-edges and self-loops are first class: contraction creates them and only the
-irrelevant-edge pruning removes them.  Node identifiers are strings; merged
-nodes take a canonical identifier joining the sorted original names with
-"+", so the provenance of a quotient stays readable.
+edges and self-loops are first class: identifying boundary nodes creates
+them and keeps them, and only the factoring kernel, on its own integer copy
+of a graph, reduces them away.  Node identifiers are strings; merged nodes
+take a canonical identifier joining the sorted original names with "+", so
+the provenance of a quotient stays readable.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ class StochasticGraph:
     def edge_ids(self) -> frozenset[int]:
         return frozenset(e.id for e in self.edges)
 
-    def edge(self, edge_id: int) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise GraphError(f"unknown edge id {edge_id}")
-
 
 @dataclass(frozen=True)
 class CutDecomposition:
@@ -120,9 +115,6 @@ class UnionFind:
     def __init__(self, items: Iterable = ()) -> None:
         self.parent = {x: x for x in items}
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
     def find(self, x):
         p = self.parent
         while p[x] != x:
@@ -135,9 +127,6 @@ class UnionFind:
         if rx != ry:
             self.parent[rx] = ry
 
-    def same(self, x, y) -> bool:
-        return self.find(x) == self.find(y)
-
     def component_count(self) -> int:
         return sum(1 for x in self.parent if self.parent[x] == x)
 
@@ -148,42 +137,6 @@ def components(g: StochasticGraph, edges: Iterable[Edge] | None = None) -> Union
     for e in g.edges if edges is None else edges:
         uf.union(e.u, e.v)
     return uf
-
-
-def contract(g: StochasticGraph, edge_id: int) -> StochasticGraph:
-    """Quotient of g by one edge: endpoints merge, the edge disappears,
-    every other edge is re-targeted (parallels become loops and stay)."""
-    e = g.edge(edge_id)
-    merged = merged_node_id((e.u, e.v))
-    old = {e.u, e.v}
-    if merged in g.nodes and merged not in old:
-        raise GraphError(f"merged identifier {merged!r} collides with an existing node")
-
-    def q(x: str) -> str:
-        return merged if x in old else x
-
-    return StochasticGraph(
-        nodes=frozenset(q(x) for x in g.nodes),
-        edges=tuple(Edge(f.id, q(f.u), q(f.v), f.prob) for f in g.edges if f.id != edge_id),
-        terminals=frozenset(q(t) for t in g.terminals),
-    )
-
-
-def delete(g: StochasticGraph, edge_id: int) -> StochasticGraph:
-    """g without one edge; nodes and terminals untouched."""
-    return delete_many(g, (edge_id,))
-
-
-def delete_many(g: StochasticGraph, edge_ids: Iterable[int]) -> StochasticGraph:
-    drop = set(edge_ids)
-    unknown = drop - set(g.edge_ids)
-    if unknown:
-        raise GraphError(f"unknown edge ids {sorted(unknown)}")
-    return StochasticGraph(
-        nodes=g.nodes,
-        edges=tuple(f for f in g.edges if f.id not in drop),
-        terminals=g.terminals,
-    )
 
 
 def is_k_pathset(g: StochasticGraph, state: Mapping[int, int]) -> bool:
@@ -342,28 +295,6 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
         if ("b", i) in alive:
             relevant |= blk
     return relevant
-
-
-def irrelevant_edges(g: StochasticGraph) -> set[int]:
-    """Edges that no minimal terminal-linking state uses.
-
-    Loops are always irrelevant, and a non-loop edge is relevant exactly
-    when some simple terminal-to-terminal path crosses it (see
-    relevant_edges).  When the terminals are not even connected with every
-    edge operative the reliability is 0 and every edge is vacuously
-    irrelevant, so the whole edge set comes back.
-    """
-    if len(g.terminals) <= 1:
-        return set(g.edge_ids)
-    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in g.nodes}
-    for e in g.edges:
-        if not e.is_loop:
-            adj[e.u].append((e.id, e.v))
-            adj[e.v].append((e.id, e.u))
-    relevant = relevant_edges(adj, g.terminals)
-    if relevant is None:
-        return set(g.edge_ids)
-    return set(g.edge_ids) - relevant
 
 
 def union_graph(g1: StochasticGraph, g2: StochasticGraph) -> StochasticGraph:

@@ -19,22 +19,6 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = sum(a[i][k] * b[k][j] for k in range(inner))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def is_symmetric(m: Sequence[Sequence]) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
@@ -75,7 +59,7 @@ def rational_inverse_oracle(m: Sequence[Sequence]) -> list[list[Fraction]]:
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     a = [[Fraction(x) for x in row] for row in m]
-    inv = identity_matrix(n)
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if a[i][col] != 0), None)
         if pivot_row is None:

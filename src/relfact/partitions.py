@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Bell(8) = 4140 states.  The distribution and joint routes reach this size;
 # the connectivity inverse stops at conmatrix.MAX_BUNDLE_GROUND_SET.
@@ -71,11 +71,14 @@ class Partition:
         """Multiset of block sizes, descending; a complete relabeling invariant."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
+    @classmethod
+    def from_labels(cls, labels: Iterable) -> "Partition":
+        """The partition of {1..n}, for n labels, in which i and j share a
+        block exactly when the i-th and the j-th label are equal."""
+        blocks: dict = {}
+        for x, label in enumerate(labels, 1):
+            blocks.setdefault(label, []).append(x)
+        return cls(tuple(map(tuple, blocks.values())))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -124,44 +127,40 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(blocks) for blocks in extend(n))
 
 
+def _labels(p: Partition) -> list[int]:
+    """labels[x-1] is the index of the block of p holding x."""
+    labels = [0] * p.n
+    for k, blk in enumerate(p.blocks):
+        for x in blk:
+            labels[x - 1] = k
+    return labels
+
+
 def join(a: Partition, b: Partition) -> Partition:
-    """Finest partition coarser than both: transitive closure of merged blocks."""
+    """Finest partition coarser than both: a's block labels, merged along
+    every block of b."""
     _require_same_ground(a, b)
-    parent = list(range(a.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for blocks in (a.blocks, b.blocks):
-        for blk in blocks:
-            for x in blk[1:]:
-                parent[find(x)] = find(blk[0])
-    groups: dict[int, list[int]] = {}
-    for x in range(1, a.n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return Partition(tuple(tuple(g) for g in groups.values()))
+    labels = _labels(a)
+    for blk in b.blocks:
+        merged = {labels[x - 1] for x in blk}
+        if len(merged) > 1:
+            keep = labels[blk[0] - 1]
+            labels = [keep if x in merged else x for x in labels]
+    return Partition.from_labels(labels)
 
 
 def meet(a: Partition, b: Partition) -> Partition:
-    """Coarsest partition refining both: blockwise intersections."""
+    """Coarsest partition refining both: two elements share a block exactly
+    when they share one in a and one in b."""
     _require_same_ground(a, b)
-    blocks = []
-    for ba in a.blocks:
-        for bb in b.blocks:
-            common = tuple(x for x in ba if x in bb)
-            if common:
-                blocks.append(common)
-    return Partition(tuple(blocks))
+    return Partition.from_labels(zip(_labels(a), _labels(b)))
 
 
 def refines(a: Partition, b: Partition) -> bool:
     """True iff every block of a lies inside a block of b (a <= b)."""
     _require_same_ground(a, b)
-    owner = {x: i for i, blk in enumerate(b.blocks) for x in blk}
-    return all(len({owner[x] for x in blk}) == 1 for blk in a.blocks)
+    owner = _labels(b)
+    return all(len({owner[x - 1] for x in blk}) == 1 for blk in a.blocks)
 
 
 def is_connected_pair(a: Partition, b: Partition) -> bool:

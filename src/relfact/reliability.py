@@ -31,7 +31,6 @@ from .graphs import (
     Hypothesis2Error,
     StochasticGraph,
     identify_nodes,
-    is_k_connected,
     relevant_edges,
     validate_decomposition,
 )
@@ -375,12 +374,9 @@ def state_distribution(
     acc: dict[Partition, int] = {}
     for w, _, labels in states:
         key = tuple(labels[b] for b in bix)
-        if key not in parts:
-            blocks: dict[int, list[int]] = {}
-            for label, x in enumerate(key, 1):
-                blocks.setdefault(x, []).append(label)
-            parts[key] = Partition(tuple(map(tuple, blocks.values())))
-        part = parts[key]
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = Partition.from_labels(key)
         acc[part] = acc.get(part, 0) + w
     probs = {part: Fraction(w, denom) for part, w in acc.items()}
     return StateDistribution(boundary=boundary, probs=probs)

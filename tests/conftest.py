@@ -19,6 +19,28 @@ def random_graph(rng: random.Random, max_nodes: int = 6, max_edges: int = 9) -> 
     return StochasticGraph(nodes=frozenset(nodes), edges=edges, terminals=frozenset(terminals))
 
 
+def with_prob(g: StochasticGraph, edge_id: int, p) -> StochasticGraph:
+    """g with the probability of one edge set to p."""
+    edges = tuple(Edge(e.id, e.u, e.v, p) if e.id == edge_id else e for e in g.edges)
+    return StochasticGraph(nodes=g.nodes, edges=edges, terminals=g.terminals)
+
+
+def adjacency(g: StochasticGraph) -> dict[str, list[tuple[int, str]]]:
+    """g's nodes mapped to their (edge id, neighbour) pairs, loops left out:
+    the input of graphs.relevant_edges."""
+    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in g.nodes}
+    for e in g.edges:
+        if not e.is_loop:
+            adj[e.u].append((e.id, e.v))
+            adj[e.v].append((e.id, e.u))
+    return adj
+
+
+def mat_mul(a, b) -> list[list]:
+    """Dense matrix product of two lists of lists, a test reference."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -15,9 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relfact import cli, jsonio
+from relfact import cli, jsonio, reliability
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus
 from relfact.graphs import Edge, StochasticGraph
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run_cli(*argv, env=None):
@@ -365,6 +368,20 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert "all routes agree" in proc.stdout
 
+    def test_all_terminal_file_builds_each_bundle_once(self, monkeypatch, capsys):
+        # the cluster derivative reuses the canonical bundle of the factorized route
+        built = []
+        real = reliability.invert_connectivity_matrix
+
+        def counting(order):
+            built.append((order.n, order.variant))
+            return real(order)
+
+        monkeypatch.setattr(reliability, "invert_connectivity_matrix", counting)
+        assert cli.main(["verify", "--input", str(FIXTURES / "allterm3_0.json")]) == 0
+        assert "all routes agree" in capsys.readouterr().out
+        assert built == [(3, "canonical"), (3, "reversed-levels")]
+
     def test_empty_directory_exit_2(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -394,10 +411,10 @@ class TestDeterminism:
         path = write_decomposition(tmp_path / "bridge.json", bridge_decomposition())
         runs = [
             run_cli("factor", "--input", path, "--output", "json", "--jobs", jobs)
-            for jobs in ("1", "auto")
+            for jobs in ("1", "2", "auto")
         ]
-        assert runs[0].stdout == runs[1].stdout
-        assert runs[0].returncode == runs[1].returncode == 0
+        assert all(r.stdout == runs[0].stdout for r in runs)
+        assert all(r.returncode == 0 for r in runs)
 
     def test_repeat_runs_identical(self, tmp_path):
         path = write_decomposition(tmp_path / "bridge.json", bridge_decomposition())

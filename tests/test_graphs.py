@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import adjacency, random_graph, with_prob
 from relfact.corpus import bridge_graph, bridge_decomposition
 from relfact.graphs import (
     CutDecomposition,
@@ -14,13 +14,11 @@ from relfact.graphs import (
     Hypothesis1Error,
     Hypothesis2Error,
     StochasticGraph,
-    contract,
-    delete,
     identify_nodes,
-    irrelevant_edges,
     is_k_connected,
     is_k_pathset,
     merged_node_id,
+    relevant_edges,
     union_graph,
     validate_decomposition,
 )
@@ -91,56 +89,31 @@ class TestConstruction:
 
 
 class TestContractDelete:
+    """Contracting an edge e is identify_nodes through the one-block
+    partition of e's endpoints, which keeps e as a loop; for the reliability
+    it is the same as setting p_e = 1, and deleting e the same as p_e = 0."""
+
     def test_contract_path(self):
         g = graph([(1, "a", "b"), (2, "b", "c")], {"a", "c"})
-        gc = contract(g, 1)
+        gc = identify_nodes(g, ("a", "b"), Partition.top(2))
         assert gc.nodes == {"a+b", "c"}
-        assert [e.id for e in gc.edges] == [2]
         assert gc.terminals == {"a+b", "c"}
+        assert [(e.id, e.u, e.v) for e in gc.edges] == [(1, "a+b", "a+b"), (2, "a+b", "c")]
 
     def test_contract_parallel_makes_loop(self):
         g = graph([(1, "a", "b"), (2, "a", "b")], {"a", "b"})
-        gc = contract(g, 1)
+        gc = identify_nodes(g, ("a", "b"), Partition.top(2))
         assert gc.nodes == {"a+b"}
-        (loop,) = gc.edges
-        assert loop.is_loop and loop.id == 2
-
-    def test_contract_unknown_edge(self):
-        g = graph([(1, "a", "b")], {"a"})
-        with pytest.raises(GraphError):
-            contract(g, 9)
-
-    def test_delete_single_edge(self):
-        g = graph([(1, "a", "b")], {"a", "b"})
-        gd = delete(g, 1)
-        assert gd.edges == ()
-        assert gd.nodes == {"a", "b"}
-
-    def test_delete_triangle_edge(self):
-        g = graph([(1, "a", "b"), (2, "b", "c"), (3, "a", "c")], {"a", "b", "c"})
-        gd = delete(g, 3)
-        assert {e.id for e in gd.edges} == {1, 2}
-
-    def test_delete_unknown_edge(self):
-        g = graph([(1, "a", "b")], {"a"})
-        with pytest.raises(GraphError):
-            delete(g, 2)
-
-    def test_edge_counts(self, rng):
-        for _ in range(30):
-            g = random_graph(rng)
-            e = rng.choice(g.edges).id
-            assert len(contract(g, e).edges) == len(g.edges) - 1
-            assert len(delete(g, e).edges) == len(g.edges) - 1
+        assert all(e.is_loop for e in gc.edges)
 
     def test_bridge_contract_delete_identity(self):
-        # p * R(G.e) + (1-p) * R(G-e) must reproduce R(G) on the bridge
+        # p * R(G | p_e = 1) + (1-p) * R(G | p_e = 0) must reproduce R(G) on the bridge
         g = bridge_graph()
         r = reliability_bruteforce(g)
         for e in g.edges:
-            assert e.prob * reliability_bruteforce(contract(g, e.id)) + (
+            assert e.prob * reliability_bruteforce(with_prob(g, e.id, 1)) + (
                 1 - e.prob
-            ) * reliability_bruteforce(delete(g, e.id)) == r
+            ) * reliability_bruteforce(with_prob(g, e.id, 0)) == r
 
     def test_factor_identity_every_edge(self, rng):
         for _ in range(30):
@@ -148,8 +121,8 @@ class TestContractDelete:
             r = reliability_bruteforce(g)
             for e in g.edges:
                 assert (
-                    e.prob * reliability_bruteforce(contract(g, e.id))
-                    + (1 - e.prob) * reliability_bruteforce(delete(g, e.id))
+                    e.prob * reliability_bruteforce(with_prob(g, e.id, 1))
+                    + (1 - e.prob) * reliability_bruteforce(with_prob(g, e.id, 0))
                     == r
                 )
 
@@ -162,8 +135,8 @@ class TestContractDelete:
             r = reliability_bruteforce(g)
             for e in g.edges:
                 assert (
-                    e.prob * reliability_bruteforce(contract(g, e.id))
-                    + (1 - e.prob) * reliability_bruteforce(delete(g, e.id))
+                    e.prob * reliability_bruteforce(with_prob(g, e.id, 1))
+                    + (1 - e.prob) * reliability_bruteforce(with_prob(g, e.id, 0))
                     == r
                 )
 
@@ -174,7 +147,7 @@ class TestContractDelete:
             terminals=frozenset({"a"}),
         )
         with pytest.raises(GraphError):
-            contract(g, 1)
+            identify_nodes(g, ("a", "b"), Partition.top(2))
 
 
 class TestPathsets:
@@ -240,58 +213,66 @@ class TestIdentifyNodes:
 
 
 class TestIrrelevantEdges:
+    """graphs.relevant_edges, the pruning rule of the factoring kernel: an
+    edge is irrelevant when no minimal terminal-linking state uses it."""
+
     def test_self_loop_irrelevant(self):
         g = StochasticGraph(
             nodes=frozenset({"a", "b"}),
             edges=(Edge(1, "a", "b", H), Edge(2, "a", "a", H)),
             terminals=frozenset({"a", "b"}),
         )
-        assert irrelevant_edges(g) == {2}
+        assert relevant_edges(adjacency(g), g.terminals) == {1}
 
     def test_pendant_to_non_terminal(self):
         g = graph([(1, "a", "b"), (2, "b", "c"), (3, "c", "d")], {"a", "c"})
-        assert irrelevant_edges(g) == {3}
+        assert relevant_edges(adjacency(g), g.terminals) == {1, 2}
 
     def test_bridge_all_terminals(self):
         g = bridge_graph()
         g = StochasticGraph(nodes=g.nodes, edges=g.edges, terminals=g.nodes)
-        assert irrelevant_edges(g) == set()
-        assert irrelevant_edges(g) == set(g.edge_ids) - minpath_relevant_edges(g)
+        assert relevant_edges(adjacency(g), g.terminals) == set(g.edge_ids)
+        assert minpath_relevant_edges(g) == set(g.edge_ids)
 
     def test_disconnected_terminals_all_irrelevant(self):
         g = graph([(1, "a", "b")], {"a", "c"}, extra_nodes=("c",))
-        assert irrelevant_edges(g) == {1}
+        assert relevant_edges(adjacency(g), g.terminals) is None
+        assert minpath_relevant_edges(g) == set()
         assert not is_k_connected(g)
+
+    @staticmethod
+    def check_against_minpath_oracle(g):
+        expected = minpath_relevant_edges(g)
+        if len(g.terminals) < 2:  # nothing to link: no edge is relevant
+            assert expected == set(), g
+        elif is_k_connected(g):
+            assert relevant_edges(adjacency(g), g.terminals) == expected, g
+        else:
+            assert relevant_edges(adjacency(g), g.terminals) is None, g
+            assert expected == set(), g
 
     def test_matches_minpath_oracle(self, rng):
         for _ in range(120):
-            g = random_graph(rng, max_nodes=6, max_edges=8)
-            expected = set(g.edge_ids) - minpath_relevant_edges(g)
-            assert irrelevant_edges(g) == expected, g
+            self.check_against_minpath_oracle(random_graph(rng, max_nodes=6, max_edges=8))
 
     def test_matches_minpath_oracle_ten_edges(self, rng):
         for _ in range(20):
-            g = random_graph(rng, max_nodes=7, max_edges=10)
-            expected = set(g.edge_ids) - minpath_relevant_edges(g)
-            assert irrelevant_edges(g) == expected, g
+            self.check_against_minpath_oracle(random_graph(rng, max_nodes=7, max_edges=10))
 
     def test_pruning_preserves_reliability(self, rng):
         for _ in range(40):
             g = random_graph(rng, max_edges=8)
-            junk = irrelevant_edges(g)
-            if not is_k_connected(g):
+            if len(g.terminals) < 2 or not is_k_connected(g):
                 continue
             r = reliability_bruteforce(g)
-            for e in junk:
-                assert reliability_bruteforce(delete(g, e)) == r
-
+            for e in set(g.edge_ids) - relevant_edges(adjacency(g), g.terminals):
+                assert reliability_bruteforce(with_prob(g, e, 0)) == r
 
     def test_long_path_has_no_depth_limit(self):
         n = 5000
         g = graph([(i, f"v{i - 1}", f"v{i}") for i in range(1, n)], {"v0", f"v{n - 1}"})
-        assert irrelevant_edges(g) == set()
-        g = StochasticGraph(nodes=g.nodes, edges=g.edges, terminals=frozenset({"v0", "v2500"}))
-        assert irrelevant_edges(g) == set(range(2501, n))
+        assert relevant_edges(adjacency(g), g.terminals) == set(g.edge_ids)
+        assert relevant_edges(adjacency(g), {"v0", "v2500"}) == set(range(1, 2501))
 
 
 class TestDecomposition:

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mat_mul
 from relfact.linalg import (
     SingularMatrixError,
     abelian_signature,
     fraction_free_determinant,
-    identity_matrix,
-    mat_mul,
     rational_inverse_oracle,
     smith_normal_form,
 )
+
+
+def identity_matrix(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def leibniz_det(m):

@@ -23,6 +23,37 @@ def P(text):
     return Partition.parse(text)
 
 
+def union_find_join(a, b):
+    """Reference join: transitive closure of both block sets by union-find."""
+    parent = list(range(a.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for blocks in (a.blocks, b.blocks):
+        for blk in blocks:
+            for x in blk[1:]:
+                parent[find(x)] = find(blk[0])
+    groups = {}
+    for x in range(1, a.n + 1):
+        groups.setdefault(find(x), []).append(x)
+    return Partition(tuple(tuple(g) for g in groups.values()))
+
+
+def blockwise_meet(a, b):
+    """Reference meet: the non-empty intersections of a block of a with a block of b."""
+    blocks = []
+    for ba in a.blocks:
+        for bb in b.blocks:
+            common = tuple(x for x in ba if x in bb)
+            if common:
+                blocks.append(common)
+    return Partition(tuple(blocks))
+
+
 def partitions_of(n):
     return st.integers(min_value=0, max_value=bell_number(n) - 1).map(
         lambda i: all_partitions(n)[i]
@@ -50,6 +81,12 @@ class TestPartitionType:
             Partition(((1,), (3,)))
         with pytest.raises(ValueError):
             Partition(())
+
+    def test_from_labels(self):
+        assert Partition.from_labels("abab") == P("13|24")
+        assert Partition.from_labels((7, 7, 7)) == Partition.top(3)
+        assert Partition.from_labels(range(4)) == Partition.singletons(4)
+        assert Partition.from_labels([(0, 1), (0, 2), (0, 1)]) == P("13|2")
 
     def test_block_sizes(self):
         assert P("134|2").block_sizes == (3, 1)
@@ -90,6 +127,12 @@ class TestLattice:
         assert meet(P("123|4"), P("12|34")) == P("12|3|4")
         a = P("13|24")
         assert meet(a, Partition.top(4)) == a
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_join_and_meet_match_references(self, n):
+        for a, b in itertools.product(all_partitions(n), repeat=2):
+            assert join(a, b) == union_find_join(a, b)
+            assert meet(a, b) == blockwise_meet(a, b)
 
     def test_refines_examples(self):
         assert refines(P("12|3|4"), P("12|34"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import random_graph, with_prob
 from relfact.cluster import DisconnectedGraphError, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus, random_probability
@@ -14,8 +14,6 @@ from relfact.graphs import (
     Edge,
     StochasticGraph,
     UnionFind,
-    contract,
-    delete,
     is_k_pathset,
     validate_decomposition,
 )
@@ -92,22 +90,15 @@ class TestFactoring:
             assert reliability_factoring(g) == reliability_bruteforce(g)
 
     def test_degenerate_probabilities(self, rng):
-        # p = 0 behaves as deleted, p = 1 as contracted
+        # the kernel deletes p = 0 edges and contracts p = 1 edges; enumeration
+        # walks them like any other
         for _ in range(25):
             g = random_graph(rng, max_edges=7)
             e = rng.choice(g.edges)
-            forced_up = StochasticGraph(
-                nodes=g.nodes,
-                edges=tuple(Edge(f.id, f.u, f.v, Fraction(1) if f.id == e.id else f.prob) for f in g.edges),
-                terminals=g.terminals,
-            )
-            forced_down = StochasticGraph(
-                nodes=g.nodes,
-                edges=tuple(Edge(f.id, f.u, f.v, Fraction(0) if f.id == e.id else f.prob) for f in g.edges),
-                terminals=g.terminals,
-            )
-            assert reliability_factoring(forced_up) == reliability_factoring(contract(g, e.id))
-            assert reliability_factoring(forced_down) == reliability_factoring(delete(g, e.id))
+            forced_up = with_prob(g, e.id, Fraction(1))
+            forced_down = with_prob(g, e.id, Fraction(0))
+            assert reliability_factoring(forced_up) == reliability_bruteforce(forced_up)
+            assert reliability_factoring(forced_down) == reliability_bruteforce(forced_down)
 
     def test_monotone_in_edge_probability(self, rng):
         for _ in range(25):
@@ -115,14 +106,7 @@ class TestFactoring:
             e = rng.choice(g.edges)
             if e.prob == 1:
                 continue
-            bumped = StochasticGraph(
-                nodes=g.nodes,
-                edges=tuple(
-                    Edge(f.id, f.u, f.v, (f.prob + 1) / 2 if f.id == e.id else f.prob)
-                    for f in g.edges
-                ),
-                terminals=g.terminals,
-            )
+            bumped = with_prob(g, e.id, (e.prob + 1) / 2)
             assert reliability_factoring(bumped) >= reliability_factoring(g)
 
 

@@ -1,0 +1,33 @@
+"""The scripts under scripts/, run as a user would run them."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_make_fixtures_defaults_reproduce_the_committed_set(tmp_path):
+    proc = run_script("make_fixtures.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    committed = sorted(p.name for p in (ROOT / "fixtures").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (ROOT / "fixtures" / name).read_bytes(), name
+
+
+def test_conmatrix_report_checks_every_inverse():
+    proc = run_script("conmatrix_report.py", "--max-n", "4", "--check-inverse")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 4
+    assert all("inverse=ok" in row for row in rows)
+    assert "MISMATCH" not in proc.stdout
