@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from operator import add
 
 from .linalg import fraction_free_determinant, is_symmetric
 from .partitions import (
@@ -39,15 +38,12 @@ AlgebraVector = dict[Partition, int]
 
 def pair_partition(n: int, i: int, j: int) -> Partition:
     """The partition of {1..n} whose only non-singleton block is {i, j}."""
-    blocks = [(x,) for x in range(1, n + 1) if x not in (i, j)]
-    blocks.append(tuple(sorted((i, j))))
-    return Partition(tuple(blocks))
+    return Partition.from_labels(i if x == j else x for x in range(1, n + 1))
 
 
 def crossing_pairs(a: Partition) -> list[tuple[int, int]]:
     """Unordered pairs of ground elements lying in different blocks of a."""
-    owner = {x: k for k, blk in enumerate(a.blocks) for x in blk}
-    return [(i, j) for i, j in combinations(range(1, a.n + 1), 2) if owner[i] != owner[j]]
+    return [(i, j) for (i, x), (j, y) in combinations(enumerate(a.labels, 1), 2) if x != y]
 
 
 def lattice_action(op, p: Partition, vec: AlgebraVector) -> AlgebraVector:
@@ -102,18 +98,15 @@ def cocovers(a: Partition) -> list[Partition]:
     """States obtained from a by splitting exactly one block into two
     non-empty parts: the immediate refinements of a."""
     out = []
-    for k, blk in enumerate(a.blocks):
-        if len(blk) < 2:
-            continue
-        rest = a.blocks[:k] + a.blocks[k + 1 :]
-        first = blk[0]
+    for blk in a.blocks:
         others = blk[1:]
-        # enumerate proper subsets containing the block minimum: each split once
+        # the part keeping the block minimum names each split once; the
+        # rest of the block moves to a new label
         for r in range(len(others)):
             for keep in combinations(others, r):
-                part1 = (first,) + keep
-                part2 = tuple(x for x in others if x not in keep)
-                out.append(Partition(rest + (part1, part2)))
+                moved = set(others).difference(keep)
+                labels = (-1 if x in moved else k for x, k in enumerate(a.labels, 1))
+                out.append(Partition.from_labels(labels))
     return out
 
 
@@ -232,16 +225,15 @@ def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
             for j, d in row:
                 Mi[j] += wb * d
     for i, a_row in enumerate(A):
-        acc = [0] * m
-        for k, bit in enumerate(a_row):
-            if bit:
-                acc = list(map(add, acc, M[k]))
+        # every row of A has a one, in the column of the one-block state
+        acc = [sum(col) for col in zip(*[M[k] for k, bit in enumerate(a_row) if bit])]
         acc[i] -= L
         if any(acc):
             raise RuntimeError("B*C*D failed to invert the connectivity matrix")
     if not is_symmetric(M):
         raise RuntimeError("inverse of the connectivity matrix must be symmetric")
-    A_inv = [[Fraction(x, L) for x in row] for row in M]
+    entries = {x: Fraction(x, L) for x in set().union(*M)}  # few distinct values
+    A_inv = [[entries[x] for x in row] for row in M]
     return ConnectivityBundle(order=order, A=A, B=B, alpha=tuple(alphas), D=D, A_inv=A_inv)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .partitions import Partition
+from .partitions import MAX_GROUND_SET, Partition
 
 
 class GraphError(ValueError):
@@ -311,7 +311,9 @@ def validate_decomposition(d: CutDecomposition) -> StochasticGraph:
     Raises Hypothesis1Error when the sides share an edge, share nodes beyond
     the boundary, or a boundary node is not a terminal of both sides; raises
     Hypothesis2Error when some terminal of the union cannot reach the
-    boundary (in that case the overall reliability is 0).
+    boundary (in that case the overall reliability is 0).  A boundary
+    outside 1..MAX_GROUND_SET nodes raises DecompositionError, as no route
+    takes it.
     """
     bset = set(d.boundary)
     shared_edges = set(d.g1.edge_ids) & set(d.g2.edge_ids)
@@ -340,4 +342,6 @@ def validate_decomposition(d: CutDecomposition) -> StochasticGraph:
         raise Hypothesis2Error(
             f"Hypothesis 2 violated: terminals {stranded} reach no boundary node"
         )
+    if not 1 <= d.n <= MAX_GROUND_SET:
+        raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {d.n}")
     return union

@@ -38,47 +38,58 @@ def _check_ground_set(n: int) -> None:
         raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
-    """A set partition of {1..n} in canonical block form.
+    """A set partition of {1..n}, held as its restricted-growth string.
 
-    Canonical form: elements ascending inside each block, blocks ordered by
-    their minimum element.  Any block arrangement passed to the constructor
-    is normalized; invalid ground sets are rejected.
+    labels[x-1] is the index of the block holding x, and blocks are numbered
+    0, 1, ... in order of their least element, so every partition has one
+    label tuple.  The constructor takes blocks in any arrangement and
+    rejects those that do not partition 1..n exactly once.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.blocks or any(not b for b in self.blocks):
-            raise ValueError("blocks must be non-empty")
-        blocks = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", blocks)
-        elems = sorted(x for b in blocks for x in b)
-        if elems != list(range(1, len(elems) + 1)):
-            raise ValueError(f"blocks must partition 1..n exactly once: {self.blocks!r}")
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
+        blocks = [tuple(b) for b in blocks]
+        n = sum(map(len, blocks))
+        owner = {x: k for k, blk in enumerate(blocks) for x in blk}
+        if not blocks or not all(blocks) or set(owner) != set(range(1, n + 1)):
+            raise ValueError(f"blocks must partition 1..n exactly once: {tuple(blocks)!r}")
+        labels = Partition.from_labels(owner[x] for x in range(1, n + 1)).labels
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self.labels)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return max(self.labels) + 1
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks, elements ascending inside each, ordered by least element."""
+        out: list[list[int]] = [[] for _ in range(self.block_count)]
+        for x, k in enumerate(self.labels, 1):
+            out[k].append(x)
+        return tuple(map(tuple, out))
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
         """Multiset of block sizes, descending; a complete relabeling invariant."""
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
+        return tuple(sorted(map(len, self.blocks), reverse=True))
 
     @classmethod
     def from_labels(cls, labels: Iterable) -> "Partition":
         """The partition of {1..n}, for n labels, in which i and j share a
-        block exactly when the i-th and the j-th label are equal."""
-        blocks: dict = {}
-        for x, label in enumerate(labels, 1):
-            blocks.setdefault(label, []).append(x)
-        return cls(tuple(map(tuple, blocks.values())))
+        block exactly when the i-th and the j-th label are equal.  Any
+        hashable labels will do; they are renumbered 0, 1, ... in order of
+        first occurrence, not validated."""
+        seen: dict = {}
+        p = cls.__new__(cls)
+        object.__setattr__(p, "labels", tuple([seen.setdefault(x, len(seen)) for x in labels]))
+        return p
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -111,41 +122,27 @@ def _require_same_ground(a: Partition, b: Partition) -> None:
 
 @lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
-    """Every set partition of {1..n}, canonical, without duplicates."""
+    """Every set partition of {1..n}, in lexicographic order of label tuples."""
     _check_ground_set(n)
-
-    def extend(k: int) -> list[tuple[tuple[int, ...], ...]]:
-        if k == 1:
-            return [((1,),)]
-        out = []
-        for smaller in extend(k - 1):
-            out.append(smaller + ((k,),))
-            for i, blk in enumerate(smaller):
-                out.append(smaller[:i] + (blk + (k,),) + smaller[i + 1 :])
-        return out
-
-    return tuple(Partition(blocks) for blocks in extend(n))
-
-
-def _labels(p: Partition) -> list[int]:
-    """labels[x-1] is the index of the block of p holding x."""
-    labels = [0] * p.n
-    for k, blk in enumerate(p.blocks):
-        for x in blk:
-            labels[x - 1] = k
-    return labels
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [s + (k,) for s in strings for k in range(max(s) + 2)]
+    return tuple(map(Partition.from_labels, strings))
 
 
 def join(a: Partition, b: Partition) -> Partition:
-    """Finest partition coarser than both: a's block labels, merged along
-    every block of b."""
+    """Finest partition coarser than both: a's labels, merged along every
+    block of b."""
     _require_same_ground(a, b)
-    labels = _labels(a)
-    for blk in b.blocks:
-        merged = {labels[x - 1] for x in blk}
-        if len(merged) > 1:
-            keep = labels[blk[0] - 1]
-            labels = [keep if x in merged else x for x in labels]
+    labels = list(a.labels)
+    heads: list[int] = []  # heads[k] is the least element of b's block k
+    for x, k in enumerate(b.labels):
+        if k == len(heads):
+            heads.append(x)
+            continue
+        keep, gone = labels[heads[k]], labels[x]
+        if keep != gone:
+            labels = [keep if y == gone else y for y in labels]
     return Partition.from_labels(labels)
 
 
@@ -153,14 +150,15 @@ def meet(a: Partition, b: Partition) -> Partition:
     """Coarsest partition refining both: two elements share a block exactly
     when they share one in a and one in b."""
     _require_same_ground(a, b)
-    return Partition.from_labels(zip(_labels(a), _labels(b)))
+    return Partition.from_labels(zip(a.labels, b.labels))
 
 
 def refines(a: Partition, b: Partition) -> bool:
-    """True iff every block of a lies inside a block of b (a <= b)."""
+    """True iff every block of a lies inside a block of b (a <= b): each
+    label of a always meets the same label of b."""
     _require_same_ground(a, b)
-    owner = _labels(b)
-    return all(len({owner[x - 1] for x in blk}) == 1 for blk in a.blocks)
+    owner: dict[int, int] = {}
+    return all(owner.setdefault(i, j) == j for i, j in zip(a.labels, b.labels))
 
 
 def is_connected_pair(a: Partition, b: Partition) -> bool:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from relfact import cli, jsonio, reliability
@@ -40,6 +40,19 @@ def write_graph(path, g):
 def write_decomposition(path, d):
     path.write_text(jsonio.dumps_canonical(jsonio.decomposition_to_obj(d)))
     return str(path)
+
+
+def wide_boundary_doc(k):
+    """A path over k boundary nodes on one side, a star from a hub over
+    them on the other."""
+    b = [f"b{i}" for i in range(1, k + 1)]
+    return {
+        "g1": {"nodes": b, "terminals": b, "edges": [
+            {"id": i, "u": b[i - 1], "v": b[i], "p": "1/2"} for i in range(1, k)]},
+        "g2": {"nodes": b + ["h"], "terminals": b, "edges": [
+            {"id": k - 1 + i, "u": "h", "v": b[i - 1], "p": "1/2"} for i in range(1, k + 1)]},
+        "boundary": b,
+    }
 
 
 @pytest.fixture
@@ -280,22 +293,27 @@ class TestFactorCommand:
     def test_seven_node_boundary(self, tmp_path):
         # past the connectivity-inverse limit the factorized route refuses;
         # the joint route builds no inverse and still answers
-        b = [f"b{i}" for i in range(1, 8)]
-        doc = {
-            "g1": {"nodes": b, "terminals": b, "edges": [
-                {"id": i, "u": b[i - 1], "v": b[i], "p": "1/2"} for i in range(1, 7)]},
-            "g2": {"nodes": b + ["h"], "terminals": b, "edges": [
-                {"id": 6 + i, "u": "h", "v": b[i - 1], "p": "1/2"} for i in range(1, 8)]},
-            "boundary": b,
-        }
         path = tmp_path / "seven.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(wide_boundary_doc(7)))
         proc = run_cli("factor", "--input", str(path), "--route", "factorized")
         assert proc.returncode == 3
         assert "at most 6 nodes" in proc.stderr and proc.stdout == ""
         proc = run_cli("factor", "--input", str(path), "--route", "joint", "--verify")
         assert proc.returncode == 0
         assert "reliability = 1913/8192" in proc.stdout
+
+    @pytest.mark.parametrize("k", [9, 10])
+    @pytest.mark.parametrize(
+        "argv", [("factor", "--route", "joint"), ("distribution",), ("verify",)]
+    )
+    def test_boundary_past_the_ground_set_limit(self, tmp_path, capsys, argv, k):
+        # refused before any side is solved: no output, one message
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_boundary_doc(k)))
+        assert cli.main([*argv, "--input", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"a boundary has 1..8 nodes, got {k}" in err
 
 
 class TestConmatrixCommand:
@@ -509,6 +527,10 @@ SIZES = st.one_of(
 ORDERS = st.one_of(st.sampled_from(["canonical", "reversed-levels"]), st.text(max_size=4))
 
 
+# a valid two-node cut: undamaged, its 2 * Bell(2) side solves run in the pool
+POOL_DOC = json.loads((FIXTURES / "cut2_0.json").read_text())
+
+
 def main_exit_code(argv):
     """cli.main's exit code with its output swallowed; argparse's SystemExit
     for a bad option value counts as the code it carries."""
@@ -523,9 +545,9 @@ class TestCliFuzz:
     """Every generated document or option value ends in a documented exit
     code; no exception escapes cli.main.
 
-    Everything runs in-process at the default --jobs 1: a --jobs value above
-    1 starts a process pool, one process start per case, which this many
-    examples cannot afford.
+    The many-example cases run in-process at the default --jobs 1: a --jobs
+    value above 1 starts a process pool, one process start per case.  A few
+    subprocess cases run --jobs 2, so partitions go through the pool.
     """
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -552,3 +574,15 @@ class TestCliFuzz:
     def test_conmatrix_damaged_options(self, n, order, output):
         code = main_exit_code(["conmatrix", f"--n={n}", f"--order={order}", "--output", output])
         assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from([("factor",), ("verify",)]), doc=damaged(POOL_DOC))
+    @example(command=("factor",), doc=POOL_DOC)
+    @example(command=("verify",), doc=POOL_DOC)
+    def test_process_pool_damaged_documents(self, command, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            proc = run_cli(*command, "--input", str(path), "--jobs", "2")
+        assert proc.returncode in (0, 2, 3, 4)
+        assert "Traceback" not in proc.stderr

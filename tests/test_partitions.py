@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -54,6 +55,24 @@ def blockwise_meet(a, b):
     return Partition(tuple(blocks))
 
 
+def recursive_blocks(n):
+    """Reference enumeration: each partition of {1..n-1} with n added as a
+    new singleton block or to each existing block in turn."""
+    if n == 1:
+        return [((1,),)]
+    out = []
+    for smaller in recursive_blocks(n - 1):
+        out.append(smaller + ((n,),))
+        for i, blk in enumerate(smaller):
+            out.append(smaller[:i] + (blk + (n,),) + smaller[i + 1 :])
+    return out
+
+
+def blockwise_refines(a, b):
+    """Reference order: every block of a lies inside some block of b."""
+    return all(any(set(ba) <= set(bb) for bb in b.blocks) for ba in a.blocks)
+
+
 def partitions_of(n):
     return st.integers(min_value=0, max_value=bell_number(n) - 1).map(
         lambda i: all_partitions(n)[i]
@@ -67,8 +86,18 @@ def permutations_of(n):
 class TestPartitionType:
     def test_canonical_form(self):
         p = Partition(((3, 1), (2,)))
+        assert p.labels == (0, 1, 0)
         assert p.blocks == ((1, 3), (2,))
         assert str(p) == "13|2"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_constructors_agree(self, n):
+        for p in all_partitions(n):
+            from_blocks = Partition(tuple(blk[::-1] for blk in reversed(p.blocks)))
+            from_labels = Partition.from_labels(f"L{9 - k}" for k in p.labels)
+            assert from_blocks == from_labels == p
+            assert hash(from_blocks) == hash(from_labels) == hash(p)
+            assert pickle.loads(pickle.dumps(p)) == p
 
     def test_parse_roundtrip(self):
         for text in ("1", "12|3", "1|2|3", "14|23", "134|2"):
@@ -103,6 +132,10 @@ class TestEnumeration:
     def test_n3_partitions(self):
         assert {str(p) for p in all_partitions(3)} == {"1|2|3", "1|23", "13|2", "12|3", "123"}
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_recursive_reference(self, n):
+        assert set(all_partitions(n)) == {Partition(blocks) for blocks in recursive_blocks(n)}
+
     def test_no_duplicates(self):
         for n in range(1, 7):
             ps = all_partitions(n)
@@ -133,6 +166,11 @@ class TestLattice:
         for a, b in itertools.product(all_partitions(n), repeat=2):
             assert join(a, b) == union_find_join(a, b)
             assert meet(a, b) == blockwise_meet(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_refines_matches_reference(self, n):
+        for a, b in itertools.product(all_partitions(n), repeat=2):
+            assert refines(a, b) == blockwise_refines(a, b)
 
     def test_refines_examples(self):
         assert refines(P("12|3|4"), P("12|34"))

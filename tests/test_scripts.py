@@ -27,7 +27,16 @@ def test_make_fixtures_defaults_reproduce_the_committed_set(tmp_path):
 def test_conmatrix_report_checks_every_inverse():
     proc = run_script("conmatrix_report.py", "--max-n", "4", "--check-inverse")
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[1:]
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:3] == ["n", "states", "bundle_s"]
     assert len(rows) == 4
-    assert all("inverse=ok" in row for row in rows)
+    for row in rows:
+        assert float(row.split()[2]) >= 0  # the bundle build time on its own
+        assert "inverse=ok" in row
     assert "MISMATCH" not in proc.stdout
+
+
+def test_conmatrix_report_refuses_sizes_without_a_bundle():
+    proc = run_script("conmatrix_report.py", "--max-n", "7")
+    assert proc.returncode == 2
+    assert "at most 6" in proc.stderr
