@@ -22,7 +22,6 @@ from .graphs import (
     identify_nodes,
     is_k_connected,
     is_k_pathset,
-    validate_decomposition,
 )
 from .linalg import (
     InvariantFactors,
@@ -51,7 +50,6 @@ from .reliability import (
     StateDistribution,
     conditioned_reliability,
     factorization_detail,
-    factorized_reliability,
     gamma_graph,
     joint_reliability,
     n2_closed_form,

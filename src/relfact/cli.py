@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cluster, conmatrix, jsonio, reliability
-from .graphs import GraphError, Hypothesis2Error, is_k_connected, validate_decomposition
+from .graphs import GraphError, Hypothesis2Error, is_k_connected
 from .linalg import fraction_free_determinant, smith_normal_form
 from .partitions import ORDER_VARIANTS, coherent_order
 
@@ -109,18 +109,19 @@ def cmd_reliability(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    d = jsonio.decomposition_from_obj(_load_json(args.input))
+    obj = _load_json(args.input)
     route = args.route
-    payload: dict = {"route": route, "n": d.n}
-    lines: list[str] = []
     try:
-        union = validate_decomposition(d)
+        d = jsonio.decomposition_from_obj(obj)
     except Hypothesis2Error as exc:
         # unreachable terminals: reliability is 0, not an input error
         print(f"warning: {exc}", file=sys.stderr)
-        payload["reliability"] = _frac(Fraction(0))
-        _emit(args, payload, [f"reliability = {_frac(Fraction(0))}"])
+        zero = _frac(Fraction(0))
+        payload = {"route": route, "n": len(obj["boundary"]), "reliability": zero}
+        _emit(args, payload, [f"reliability = {zero}"])
         return EXIT_OK
+    payload = {"route": route, "n": d.n}
+    lines: list[str] = []
     if route == "factorized":
         detail = reliability.factorization_detail(d, variant=args.order, jobs=args.jobs)
         value = detail.value
@@ -142,7 +143,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
             )
             lines.append(f"side {name}: {parts}")
     elif route == "joint":
-        off_cut = sorted(union.terminals - set(d.boundary))
+        off_cut = sorted(d.union.terminals - set(d.boundary))
         if off_cut:
             raise GraphError(
                 f"the joint route needs every terminal on the boundary; {off_cut} are not"
@@ -162,7 +163,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         lines.append(f"reliability = {_frac(value)}")
 
     if args.verify:
-        oracle = reliability.reliability_bruteforce(union, bound=args.bound)
+        oracle = reliability.reliability_bruteforce(d.union, bound=args.bound)
         payload["verified_against"] = _frac(oracle)
         if oracle != value:
             print(
@@ -216,7 +217,6 @@ def cmd_polynomial(args: argparse.Namespace) -> int:
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     d = jsonio.decomposition_from_obj(_load_json(args.input))
-    validate_decomposition(d)
     d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
     d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
     payload = {
@@ -251,7 +251,7 @@ def cmd_rcm(args: argparse.Namespace) -> int:
 
 
 def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
-    union = validate_decomposition(d)
+    union = d.union
     failures: list[str] = []
     brute = reliability.reliability_bruteforce(union, bound=bound)
     factored = reliability.reliability_factoring(union)
@@ -324,12 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, needs_input=True):
-        if needs_input:
+    def common(p, *, reads_documents=True):
+        # --order is added by the two commands that read it; conmatrix reads
+        # no document, so it takes neither --input nor an enumeration bound
+        if reads_documents:
             p.add_argument("--input", required=True, help="input file (or directory for verify)")
-        p.add_argument("--order", choices=ORDER_VARIANTS, default="canonical")
+            p.add_argument("--bound", type=_bound_value, metavar="E")
         p.add_argument("--jobs", type=_jobs_count, default=1, metavar="N|auto")
-        p.add_argument("--bound", type=_bound_value, metavar="E")
         p.add_argument("--output", choices=("json", "text"), default="text")
 
     p = sub.add_parser("reliability", help="exact reliability of a graph")
@@ -338,11 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="reliability of a decomposition via the cut theorem")
     common(p)
+    p.add_argument("--order", choices=ORDER_VARIANTS, default="canonical")
     p.add_argument("--route", choices=FACTOR_ROUTES, default="factorized")
     p.add_argument("--verify", action="store_true", help="cross-check against enumeration")
 
     p = sub.add_parser("conmatrix", help="connectivity matrix, inverse, and invariants")
-    common(p, needs_input=False)
+    common(p, reads_documents=False)
+    p.add_argument("--order", choices=ORDER_VARIANTS, default="canonical")
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("polynomial", help="equal-probability reliability polynomial")
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rcm", help="random cluster model partition function")
     common(p)
 
-    p = sub.add_parser("verify", help="run every route on a directory of fixtures")
+    p = sub.add_parser("verify", help="run every route, in both orders, on a directory of fixtures")
     common(p)
 
     return parser
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.bound is None:
+    if hasattr(args, "bound") and args.bound is None:
         args.bound = _default_bound(parser)
     started = time.perf_counter()
     try:

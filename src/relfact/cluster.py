@@ -6,7 +6,8 @@ Its linear coefficient in q is exactly the all-terminal reliability, which
 carries the cut factorization over to the q -> 0 derivative.  Z is summed
 over reliability's state walk as integer numerators per cluster count and
 divided by the walk's common denominator once, at the end; the derivative is
-factored through reliability's cut-factorization combine.
+factored through reliability's cut-factorization combine, over a
+decomposition that was checked when it was built and carries its union.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 
 from .conmatrix import ConnectivityBundle
-from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes, validate_decomposition
+from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes
 from .partitions import Partition
 from .reliability import _cut_factorization, _state_walk
 
@@ -88,7 +89,6 @@ def factorized_dq(
     Requires the all-terminal case (every node of the union is a terminal)
     and connected identified sides; equals dq_at_zero of the union exactly.
     """
-    union = validate_decomposition(d)
-    if union.terminals != union.nodes:
+    if d.union.terminals != d.union.nodes:
         raise ValueError("the factorized derivative needs every node terminal")
     return _cut_factorization(d, variant, bundle, jobs, partial(_conditioned_dq, bound=bound)).value

@@ -3,15 +3,17 @@
 Graphs are immutable values; every operation returns a new graph.  Parallel
 edges and self-loops are first class: identifying boundary nodes creates
 them and keeps them, and only the factoring kernel, on its own integer copy
-of a graph, reduces them away.  Node identifiers are strings; merged nodes
-take a canonical identifier joining the sorted original names with "+", so
-the provenance of a quotient stays readable.
+of a graph, reduces them away.  Node identifiers are strings; identifying
+boundary nodes merges them transitively, and each merged node is named after
+one of its members, so a quotient never invents a name.  A CutDecomposition
+checks the paper's hypotheses on the cut when it is built, so one that
+exists is valid and carries its union graph.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -32,14 +34,6 @@ class Hypothesis1Error(DecompositionError):
 
 class Hypothesis2Error(DecompositionError):
     """Some terminal cannot reach any boundary node; the reliability is 0."""
-
-
-NODE_GLUE = "+"
-
-
-def merged_node_id(parts: Iterable[str]) -> str:
-    atoms = sorted({atom for part in parts for atom in part.split(NODE_GLUE)})
-    return NODE_GLUE.join(atoms)
 
 
 @dataclass(frozen=True)
@@ -95,14 +89,54 @@ class StochasticGraph:
 
 @dataclass(frozen=True)
 class CutDecomposition:
-    """Two subgraphs sharing exactly the boundary nodes (and no edges)."""
+    """Two subgraphs sharing exactly the boundary nodes (and no edges).
+
+    Built only when valid: raises Hypothesis1Error when the sides share an
+    edge, share nodes beyond the boundary, or a boundary node is not a
+    terminal of both sides; raises Hypothesis2Error when some terminal of
+    the union cannot reach the boundary (in that case the overall
+    reliability is 0).  A boundary outside 1..MAX_GROUND_SET nodes raises
+    DecompositionError, as no route takes it.  The boundary may list a node
+    more than once.  union is the graph of both sides together.
+    """
 
     g1: StochasticGraph
     g2: StochasticGraph
     boundary: tuple[str, ...]
+    union: StochasticGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundary", tuple(self.boundary))
+        bset = set(self.boundary)
+        shared_edges = self.g1.edge_ids & self.g2.edge_ids
+        if shared_edges:
+            raise Hypothesis1Error(
+                f"Hypothesis 1 violated: sides share edge ids {sorted(shared_edges)}"
+            )
+        shared_nodes = self.g1.nodes & self.g2.nodes
+        if shared_nodes != bset:
+            raise Hypothesis1Error(
+                "Hypothesis 1 violated: shared nodes "
+                f"{sorted(shared_nodes)} differ from the boundary {sorted(bset)}"
+            )
+        for side, g in (("g1", self.g1), ("g2", self.g2)):
+            missing = bset - g.terminals
+            if missing:
+                raise Hypothesis1Error(
+                    f"Hypothesis 1 violated: boundary nodes {sorted(missing)} "
+                    f"missing from the terminals of {side}"
+                )
+        union = union_graph(self.g1, self.g2)
+        uf = components(union)
+        boundary_roots = {uf.find(b) for b in bset}
+        stranded = sorted(t for t in union.terminals if uf.find(t) not in boundary_roots)
+        if stranded:
+            raise Hypothesis2Error(
+                f"Hypothesis 2 violated: terminals {stranded} reach no boundary node"
+            )
+        if not 1 <= self.n <= MAX_GROUND_SET:
+            raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {self.n}")
+        object.__setattr__(self, "union", union)
 
     @property
     def n(self) -> int:
@@ -162,28 +196,24 @@ def is_k_connected(g: StochasticGraph) -> bool:
 
 
 def identify_nodes(g: StochasticGraph, boundary: Iterable[str], a: Partition) -> StochasticGraph:
-    """Merge boundary nodes that share a block of a; everything else is mapped
-    through the quotient.  All edges are retained (loops included)."""
+    """Merge boundary nodes that share a block of a, transitively (a boundary
+    may list a node twice), and name each merged node after one of its
+    members; everything else is mapped through the quotient.  All edges are
+    retained (loops included)."""
     boundary = tuple(boundary)
     if a.n != len(boundary):
         raise GraphError(f"partition of {a.n} labels against boundary of size {len(boundary)}")
     for x in boundary:
         if x not in g.nodes:
             raise GraphError(f"boundary node {x!r} not in graph")
-    mapping: dict[str, str] = {}
+    uf = UnionFind(boundary)
     for blk in a.blocks:
-        members = {boundary[i - 1] for i in blk}
-        if len(members) > 1:
-            target = merged_node_id(members)
-            if target in g.nodes and target not in members:
-                raise GraphError(
-                    f"merged identifier {target!r} collides with an existing node"
-                )
-            for x in members:
-                mapping[x] = target
+        for i in blk[1:]:
+            uf.union(boundary[i - 1], boundary[blk[0] - 1])
+    rename = {x: uf.find(x) for x in boundary}
 
     def q(x: str) -> str:
-        return mapping.get(x, x)
+        return rename.get(x, x)
 
     return StochasticGraph(
         nodes=frozenset(q(x) for x in g.nodes),
@@ -303,45 +333,3 @@ def union_graph(g1: StochasticGraph, g2: StochasticGraph) -> StochasticGraph:
         edges=g1.edges + g2.edges,
         terminals=g1.terminals | g2.terminals,
     )
-
-
-def validate_decomposition(d: CutDecomposition) -> StochasticGraph:
-    """Check the decomposition invariants and return the union graph.
-
-    Raises Hypothesis1Error when the sides share an edge, share nodes beyond
-    the boundary, or a boundary node is not a terminal of both sides; raises
-    Hypothesis2Error when some terminal of the union cannot reach the
-    boundary (in that case the overall reliability is 0).  A boundary
-    outside 1..MAX_GROUND_SET nodes raises DecompositionError, as no route
-    takes it.
-    """
-    bset = set(d.boundary)
-    shared_edges = set(d.g1.edge_ids) & set(d.g2.edge_ids)
-    if shared_edges:
-        raise Hypothesis1Error(
-            f"Hypothesis 1 violated: sides share edge ids {sorted(shared_edges)}"
-        )
-    shared_nodes = set(d.g1.nodes) & set(d.g2.nodes)
-    if shared_nodes != bset:
-        raise Hypothesis1Error(
-            "Hypothesis 1 violated: shared nodes "
-            f"{sorted(shared_nodes)} differ from the boundary {sorted(bset)}"
-        )
-    for side, g in (("g1", d.g1), ("g2", d.g2)):
-        missing = bset - set(g.terminals)
-        if missing:
-            raise Hypothesis1Error(
-                f"Hypothesis 1 violated: boundary nodes {sorted(missing)} "
-                f"missing from the terminals of {side}"
-            )
-    union = union_graph(d.g1, d.g2)
-    uf = components(union)
-    boundary_roots = {uf.find(b) for b in bset}
-    stranded = sorted(t for t in union.terminals if uf.find(t) not in boundary_roots)
-    if stranded:
-        raise Hypothesis2Error(
-            f"Hypothesis 2 violated: terminals {stranded} reach no boundary node"
-        )
-    if not 1 <= d.n <= MAX_GROUND_SET:
-        raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {d.n}")
-    return union

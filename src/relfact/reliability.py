@@ -13,12 +13,13 @@ bound.  The walk runs in integers over one common denominator, the product
 of the edge denominators; each route sums integer numerators and builds its
 Fractions once, at the end.  Every quantity that factors over a cut
 (factorization_detail here and cluster.factorized_dq) goes through one
-combine, _cut_factorization.
+combine, _cut_factorization.  A CutDecomposition checks itself when it is
+built (see graphs), so the cut routes take it as it is; a stranded terminal
+never reaches them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -28,11 +29,9 @@ from .conmatrix import ConnectivityBundle, invert_connectivity_matrix
 from .graphs import (
     CutDecomposition,
     Edge,
-    Hypothesis2Error,
     StochasticGraph,
     identify_nodes,
     relevant_edges,
-    validate_decomposition,
 )
 from .partitions import Partition, coherent_order, is_connected_pair
 
@@ -481,28 +480,10 @@ def factorization_detail(
     bundle: ConnectivityBundle | None = None,
     jobs: int = 1,
 ) -> FactorizationResult:
-    """Cut factorization with the per-partition side reliabilities exposed;
-    each side is solved by conditioned_reliability (see _cut_factorization)."""
-    validate_decomposition(d)
+    """Exact reliability of the union graph via the cut factorization, with
+    the per-partition side reliabilities exposed; each side is solved by
+    conditioned_reliability (see _cut_factorization)."""
     return _cut_factorization(d, variant, bundle, jobs, conditioned_reliability)
-
-
-def factorized_reliability(
-    d: CutDecomposition,
-    variant: str = "canonical",
-    bundle: ConnectivityBundle | None = None,
-    jobs: int = 1,
-) -> Fraction:
-    """Exact reliability of the union graph via the cut factorization.
-
-    A decomposition whose terminals cannot all reach the boundary has
-    reliability 0; that case warns and short-circuits instead of raising.
-    """
-    try:
-        return factorization_detail(d, variant=variant, bundle=bundle, jobs=jobs).value
-    except Hypothesis2Error as exc:
-        warnings.warn(str(exc))
-        return Fraction(0)
 
 
 def n2_closed_form(d: CutDecomposition) -> Fraction:
@@ -515,11 +496,6 @@ def n2_closed_form(d: CutDecomposition) -> Fraction:
     """
     if d.n != 2:
         raise ValueError(f"closed form needs a boundary of size 2, got {d.n}")
-    try:
-        validate_decomposition(d)
-    except Hypothesis2Error as exc:
-        warnings.warn(str(exc))
-        return Fraction(0)
     bottom = Partition.singletons(2)
     top = Partition.top(2)
     r1 = conditioned_reliability(d.g1, d.boundary, bottom)

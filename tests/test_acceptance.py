@@ -24,11 +24,11 @@ from relfact.conmatrix import (
     invert_connectivity_matrix,
 )
 from relfact.corpus import bridge_decomposition, corpus
-from relfact.graphs import CutDecomposition, validate_decomposition
+from relfact.graphs import CutDecomposition
 from relfact.linalg import abelian_signature, rational_inverse_oracle, smith_normal_form
 from relfact.partitions import Partition, all_partitions, coherent_order, orbits
 from relfact.reliability import (
-    factorized_reliability,
+    factorization_detail,
     gamma_graph,
     joint_reliability,
     n2_closed_form,
@@ -73,10 +73,10 @@ def route_run(accept_corpus, bundles):
     for n in CORPUS_NS:
         rows = []
         for d in accept_corpus[n]:
-            union = validate_decomposition(d)
+            union = d.union
             brute = reliability_bruteforce(union)
             factored = reliability_factoring(union)
-            bilinear = factorized_reliability(d, bundle=bundles[(n, "canonical")])
+            bilinear = factorization_detail(d, bundle=bundles[(n, "canonical")]).value
             joint = joint_reliability(
                 state_distribution(d.g1, d.boundary),
                 state_distribution(d.g2, d.boundary),
@@ -189,7 +189,7 @@ def test_criterion_6_two_node_closed_form(route_run, accept_corpus):
         d = CutDecomposition(g1=d1.g1, g2=d1.g2, boundary=(d1.boundary[0], d1.boundary[0]))
         product = reliability_factoring(d.g1) * reliability_factoring(d.g2)
         assert n2_closed_form(d) == product
-        assert factorized_reliability(d) == product
+        assert factorization_detail(d).value == product
         degenerate += 1
     elapsed = time.perf_counter() - started
     report(
@@ -235,7 +235,7 @@ def test_criterion_8_order_independence(route_run, bundles):
     for n in CORPUS_NS:
         reversed_bundle = bundles[(n, "reversed-levels")]
         for row in route_run["results"][n]:
-            assert factorized_reliability(row["d"], bundle=reversed_bundle) == row["factorized"]
+            assert factorization_detail(row["d"], bundle=reversed_bundle).value == row["factorized"]
             total += 1
     elapsed = time.perf_counter() - started
     report(8, f"canonical and reversed-level orders agree on {total} graphs", elapsed)
@@ -246,7 +246,7 @@ def test_criterion_9_random_cluster(bundles):
     checked = 0
     for n in (1, 2, 3):
         for d in corpus(ACCEPT_SEED + 1, n, 20, terminal_mode="all"):
-            union = validate_decomposition(d)
+            union = d.union
             w1 = dq_at_zero(partition_function(union))
             assert w1 == reliability_bruteforce(union)
             assert factorized_dq(d, bundle=bundles[(n, "canonical")]) == w1

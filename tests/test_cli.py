@@ -242,6 +242,10 @@ class TestEnumerationBound:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_order_is_not_an_option_of_reliability(self, series_pair):
+        # only factor and conmatrix read --order
+        assert main_exit_code(["reliability", "--input", series_pair, "--order", "canonical"]) == 2
+
     def test_bound_flag_overrides_env(self, series_pair):
         env = dict(os.environ, RELFACT_BOUND="x")
         proc = run_cli("reliability", "--input", series_pair, "--bound", "5", env=env)
@@ -316,6 +320,92 @@ class TestFactorCommand:
         assert f"a boundary has 1..8 nodes, got {k}" in err
 
 
+def side_doc(nodes, terminals, edges):
+    return {
+        "nodes": nodes,
+        "terminals": terminals,
+        "edges": [{"id": i, "u": u, "v": v, "p": p} for i, u, v, p in edges],
+    }
+
+
+# the interior terminal z of g1 reaches no boundary node (Hypothesis 2)
+STRANDED_DOC = {
+    "g1": side_doc(["a", "k", "z"], ["k", "z"], [(1, "a", "k", "1/2")]),
+    "g2": side_doc(["b", "k"], ["k"], [(2, "k", "b", "1/2")]),
+    "boundary": ["k"],
+}
+STRANDED_MESSAGE = "Hypothesis 2 violated: terminals ['z'] reach no boundary node"
+
+
+class TestHypothesis2:
+    """A stranded terminal makes the reliability 0: factor says so with a
+    warning, the commands that need the cut refuse the document."""
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    @pytest.mark.parametrize("route", cli.FACTOR_ROUTES)
+    def test_factor_answers_zero_with_a_warning(self, tmp_path, capsys, route, output):
+        path = tmp_path / "stranded.json"
+        path.write_text(json.dumps(STRANDED_DOC))
+        argv = ["factor", "--input", str(path), "--route", route, "--output", output]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        if output == "json":
+            assert out == f'{{"n":1,"reliability":"0/1","route":"{route}"}}\n'
+        else:
+            assert out == "reliability = 0/1\n"
+        assert f"warning: {STRANDED_MESSAGE}\n" in err
+
+    @pytest.mark.parametrize("command", ["distribution", "verify"])
+    def test_commands_that_need_the_cut_exit_3(self, tmp_path, capsys, command):
+        path = tmp_path / "stranded.json"
+        path.write_text(json.dumps(STRANDED_DOC))
+        assert cli.main([command, "--input", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"validation error: {STRANDED_MESSAGE}\n" in err
+
+
+# the boundary lists a twice: a partition that joins labels 1, 2 and 3, 4
+# must merge a, b and c into one node
+REPEATED_BOUNDARY_DOC = {
+    "g1": side_doc(["a", "b", "c", "x"], ["a", "b", "c"],
+                   [(1, "a", "x", "1/2"), (2, "x", "b", "1/3"), (3, "c", "x", "1/5")]),
+    "g2": side_doc(["a", "b", "c", "y"], ["a", "b", "c"],
+                   [(4, "a", "y", "1/2"), (5, "y", "b", "2/7"), (6, "c", "b", "3/7")]),
+    "boundary": ["a", "b", "a", "c"],
+}
+# g1 has an interior node named "a+b" next to the boundary nodes a and b
+PLUS_NAME_DOC = {
+    "g1": side_doc(["a", "a+b", "b"], ["a", "b"], [(1, "a", "a+b", "1/2"), (2, "a+b", "b", "1/2")]),
+    "g2": side_doc(["a", "b", "y"], ["a", "b"], [(3, "a", "y", "1/2"), (4, "y", "b", "1/2")]),
+    "boundary": ["a", "b"],
+}
+
+
+class TestQuotientNames:
+    """Identifying boundary nodes merges them transitively and names each
+    merged node after one of its members."""
+
+    @pytest.mark.parametrize(
+        "doc, routes, value",
+        [
+            (REPEATED_BOUNDARY_DOC, ("factorized", "joint"), "128/735"),
+            (PLUS_NAME_DOC, cli.FACTOR_ROUTES, "7/16"),
+        ],
+        ids=["repeated-boundary", "plus-name"],
+    )
+    def test_every_route_matches_enumeration(self, tmp_path, capsys, doc, routes, value):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for route in routes:
+            argv = ["factor", "--input", str(path), "--route", route, "--verify", "--output", "json"]
+            assert cli.main(argv) == 0, capsys.readouterr().err
+            out = json.loads(capsys.readouterr().out)
+            assert (out["reliability"], out["verified_against"]) == (value, value)
+        assert cli.main(["verify", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == f"doc.json: OK (R = {value})\nall routes agree\n"
+
+
 class TestConmatrixCommand:
     def test_n2_document(self):
         proc = run_cli("conmatrix", "--n", "2", "--output", "json")
@@ -335,6 +425,10 @@ class TestConmatrixCommand:
     def test_out_of_bounds_exit_2(self):
         assert run_cli("conmatrix", "--n", "9").returncode == 2
         assert run_cli("conmatrix", "--n", "0").returncode == 2
+
+    def test_enumeration_bound_is_not_an_option(self):
+        # conmatrix enumerates no states, so it has no --bound to ignore
+        assert main_exit_code(["conmatrix", "--n", "3", "--bound", "5"]) == 2
 
     def test_roundtrip(self):
         proc = run_cli("conmatrix", "--n", "3", "--output", "json")
@@ -497,9 +591,11 @@ def graph_docs(names, ids):
     )
 
 
-SIDE1 = graph_docs(st.sampled_from(["a", "b", "x", "y"]), st.integers(1, 4))
+SIDE1 = graph_docs(st.sampled_from(["a", "b", "x", "y", "a+b"]), st.integers(1, 4))
 SIDE2 = graph_docs(st.sampled_from(["a", "b", "y", "z"]), st.integers(3, 6))
-BOUNDARIES = st.sampled_from([["a", "b"]] * 6 + [["a"], ["b", "a"], ["a", "a"], [], ["a", "b", "a"]])
+BOUNDARIES = st.sampled_from(
+    [["a", "b"]] * 6 + [["a"], ["b", "a"], ["a", "a"], [], ["a", "b", "a"], ["a", "b", "a", "y"]]
+)
 DECOMPOSITIONS = st.fixed_dictionaries({"g1": SIDE1, "g2": SIDE2, "boundary": BOUNDARIES})
 COMMANDS = st.one_of(
     st.tuples(st.sampled_from(cli.GRAPH_ROUTES).map(lambda r: ("reliability", "--route", r)), SIDE1),
@@ -564,10 +660,11 @@ class TestCliFuzz:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(doc=DECOMPOSITIONS.flatmap(damaged), output=st.sampled_from(["json", "text"]))
     def test_verify_one_damaged_file(self, doc, output):
+        # every route of a document it accepts agrees with enumeration
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "doc.json").write_text(json.dumps(doc))
             code = main_exit_code(["verify", "--input", tmp, "--output", output])
-        assert code in (0, 2, 3, 4)
+        assert code in (0, 2, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(n=SIZES, order=ORDERS, output=st.sampled_from(["json", "text"]))

@@ -11,7 +11,7 @@ from relfact.cluster import (
     partition_function,
 )
 from relfact.corpus import bridge_graph, corpus
-from relfact.graphs import Edge, StochasticGraph, validate_decomposition
+from relfact.graphs import Edge, StochasticGraph
 from relfact.reliability import EnumerationBoundError, reliability_bruteforce
 
 H = Fraction(1, 2)
@@ -99,8 +99,7 @@ class TestLinearWeightIsReliability:
 class TestFactorizedDerivative:
     def test_articulation_case(self):
         for d in corpus(71, 1, 5, terminal_mode="all"):
-            union = validate_decomposition(d)
-            w_union = dq_at_zero(partition_function(union))
+            w_union = dq_at_zero(partition_function(d.union))
             w1 = dq_at_zero(partition_function(d.g1))
             w2 = dq_at_zero(partition_function(d.g2))
             assert factorized_dq(d) == w_union == w1 * w2
@@ -108,8 +107,7 @@ class TestFactorizedDerivative:
     def test_matches_direct_derivative(self):
         for n in (1, 2, 3):
             for d in corpus(73, n, 5, terminal_mode="all"):
-                union = validate_decomposition(d)
-                assert factorized_dq(d) == dq_at_zero(partition_function(union))
+                assert factorized_dq(d) == dq_at_zero(partition_function(d.union))
 
     def test_requires_all_terminal(self):
         d = corpus(79, 2, 1)[0]

@@ -17,10 +17,8 @@ from relfact.graphs import (
     identify_nodes,
     is_k_connected,
     is_k_pathset,
-    merged_node_id,
     relevant_edges,
     union_graph,
-    validate_decomposition,
 )
 from relfact.partitions import Partition
 from relfact.reliability import reliability_bruteforce
@@ -82,11 +80,6 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Edge(1, "a", "b", Fraction(3, 2))
 
-    def test_merged_node_id_is_canonical(self):
-        assert merged_node_id(["b", "a"]) == "a+b"
-        assert merged_node_id(["a+b", "c"]) == "a+b+c"
-        assert merged_node_id(["a", "a"]) == "a"
-
 
 class TestContractDelete:
     """Contracting an edge e is identify_nodes through the one-block
@@ -96,14 +89,14 @@ class TestContractDelete:
     def test_contract_path(self):
         g = graph([(1, "a", "b"), (2, "b", "c")], {"a", "c"})
         gc = identify_nodes(g, ("a", "b"), Partition.top(2))
-        assert gc.nodes == {"a+b", "c"}
-        assert gc.terminals == {"a+b", "c"}
-        assert [(e.id, e.u, e.v) for e in gc.edges] == [(1, "a+b", "a+b"), (2, "a+b", "c")]
+        assert gc.nodes == {"a", "c"}
+        assert gc.terminals == {"a", "c"}
+        assert [(e.id, e.u, e.v) for e in gc.edges] == [(1, "a", "a"), (2, "a", "c")]
 
     def test_contract_parallel_makes_loop(self):
         g = graph([(1, "a", "b"), (2, "a", "b")], {"a", "b"})
         gc = identify_nodes(g, ("a", "b"), Partition.top(2))
-        assert gc.nodes == {"a+b"}
+        assert gc.nodes == {"a"}
         assert all(e.is_loop for e in gc.edges)
 
     def test_bridge_contract_delete_identity(self):
@@ -139,15 +132,6 @@ class TestContractDelete:
                     + (1 - e.prob) * reliability_bruteforce(with_prob(g, e.id, 0))
                     == r
                 )
-
-    def test_merged_id_collision_rejected(self):
-        g = StochasticGraph(
-            nodes=frozenset({"a", "b", "a+b"}),
-            edges=(Edge(1, "a", "b", H), Edge(2, "b", "a+b", H)),
-            terminals=frozenset({"a"}),
-        )
-        with pytest.raises(GraphError):
-            identify_nodes(g, ("a", "b"), Partition.top(2))
 
 
 class TestPathsets:
@@ -193,7 +177,21 @@ class TestIdentifyNodes:
     def test_two_isolated_nodes_merge(self):
         g = StochasticGraph(nodes=frozenset({"a", "b"}), edges=(), terminals=frozenset())
         out = identify_nodes(g, ("a", "b"), Partition.top(2))
-        assert out.nodes == {"a+b"}
+        assert out.nodes == {"a"}
+
+    def test_repeated_boundary_node_merges_transitively(self):
+        # 12|34 over (a, b, a, c) joins a to b and a to c: one node
+        g = graph([(1, "a", "x"), (2, "x", "b"), (3, "c", "x")], {"a", "b", "c"})
+        out = identify_nodes(g, ("a", "b", "a", "c"), Partition.parse("12|34"))
+        assert out.nodes == {"a", "x"}
+        assert out.terminals == {"a"}
+
+    def test_merged_node_keeps_a_member_name(self):
+        # a node already named "a+b" stays apart from the merged a and b
+        g = graph([(1, "a", "a+b"), (2, "a+b", "b")], {"a", "b"})
+        out = identify_nodes(g, ("a", "b"), Partition.top(2))
+        assert out.nodes == {"a", "a+b"}
+        assert [(e.id, e.u, e.v) for e in out.edges] == [(1, "a", "a+b"), (2, "a", "a+b")]
 
     def test_triangle_identification(self):
         g = graph([(1, "1", "2"), (2, "1", "3"), (3, "2", "3")], {"1", "2", "3"})
@@ -280,13 +278,11 @@ class TestDecomposition:
         g1 = graph([(1, "a", "b"), (2, "b", "k"), (3, "a", "k")], {"k", "a"})
         g2 = graph([(4, "k", "x"), (5, "x", "y"), (6, "y", "k")], {"k", "y"})
         d = CutDecomposition(g1=g1, g2=g2, boundary=("k",))
-        union = validate_decomposition(d)
-        assert union.terminals == {"k", "a", "y"}
-        assert len(union.edges) == 6
+        assert d.union.terminals == {"k", "a", "y"}
+        assert len(d.union.edges) == 6
 
     def test_bridge_split(self):
-        d = bridge_decomposition()
-        union = validate_decomposition(d)
+        union = bridge_decomposition().union
         assert union.nodes == {"s", "t", "u", "v"}
         assert len(union.edges) == 5
         assert union.terminals == {"u", "v"}
@@ -294,30 +290,26 @@ class TestDecomposition:
     def test_boundary_missing_from_terminals(self):
         g1 = graph([(1, "a", "k")], {"k", "a"})
         g2 = graph([(2, "k", "b")], {"b"})
-        d = CutDecomposition(g1=g1, g2=g2, boundary=("k",))
         with pytest.raises(Hypothesis1Error):
-            validate_decomposition(d)
+            CutDecomposition(g1=g1, g2=g2, boundary=("k",))
 
     def test_shared_edge_rejected(self):
         g1 = graph([(1, "a", "k")], {"k"})
         g2 = graph([(1, "k", "b")], {"k"})
-        d = CutDecomposition(g1=g1, g2=g2, boundary=("k",))
         with pytest.raises(Hypothesis1Error):
-            validate_decomposition(d)
+            CutDecomposition(g1=g1, g2=g2, boundary=("k",))
 
     def test_shared_non_boundary_node_rejected(self):
         g1 = graph([(1, "a", "k"), (2, "a", "z")], {"k"})
         g2 = graph([(3, "k", "z")], {"k"})
-        d = CutDecomposition(g1=g1, g2=g2, boundary=("k",))
         with pytest.raises(Hypothesis1Error):
-            validate_decomposition(d)
+            CutDecomposition(g1=g1, g2=g2, boundary=("k",))
 
     def test_unreachable_terminal(self):
         g1 = graph([(1, "a", "k")], {"k", "z"}, extra_nodes=("z",))
         g2 = graph([(2, "k", "b")], {"k"})
-        d = CutDecomposition(g1=g1, g2=g2, boundary=("k",))
         with pytest.raises(Hypothesis2Error):
-            validate_decomposition(d)
+            CutDecomposition(g1=g1, g2=g2, boundary=("k",))
 
     def test_union_graph(self):
         d = bridge_decomposition()

@@ -12,17 +12,17 @@ from relfact.corpus import bridge_decomposition, bridge_graph, corpus, random_pr
 from relfact.graphs import (
     CutDecomposition,
     Edge,
+    Hypothesis2Error,
     StochasticGraph,
     UnionFind,
     is_k_pathset,
-    validate_decomposition,
+    union_graph,
 )
 from relfact.partitions import Partition, all_partitions, coherent_order, join
 from relfact.reliability import (
     EnumerationBoundError,
     conditioned_reliability,
     factorization_detail,
-    factorized_reliability,
     gamma_graph,
     joint_reliability,
     n2_closed_form,
@@ -427,10 +427,10 @@ class TestFactorizedRoute:
     def test_articulation_point_product(self):
         for d in corpus(43, 1, 6):
             expected = reliability_factoring(d.g1) * reliability_factoring(d.g2)
-            assert factorized_reliability(d) == expected
+            assert factorization_detail(d).value == expected
 
     def test_bridge(self):
-        assert factorized_reliability(bridge_decomposition()) == BRIDGE_RELIABILITY
+        assert factorization_detail(bridge_decomposition()).value == BRIDGE_RELIABILITY
 
     def test_three_boundary_glued_complete_graphs(self):
         # two 4-node complete graphs glued along 3 nodes, everything terminal
@@ -447,17 +447,17 @@ class TestFactorizedRoute:
             )
 
         d = CutDecomposition(g1=side("x", 1), g2=side("y", 7), boundary=("b1", "b2", "b3"))
-        union = validate_decomposition(d)
-        assert len(union.edges) == 12
-        assert factorized_reliability(d) == reliability_bruteforce(union)
+        assert len(d.union.edges) == 12
+        assert factorization_detail(d).value == reliability_bruteforce(d.union)
 
     def test_interior_terminals_supported(self):
         for n in (1, 2, 3):
             for d in corpus(47, n, 5, terminal_mode="mixed"):
-                union = validate_decomposition(d)
-                assert factorized_reliability(d) == reliability_bruteforce(union)
+                assert factorization_detail(d).value == reliability_bruteforce(d.union)
 
     def test_unreachable_terminal_warns_and_returns_zero(self):
+        # the decomposition is refused when it is built; the CLI's factor
+        # command turns that into a warning and R = 0
         g1 = StochasticGraph(
             nodes=frozenset({"k", "a", "z"}),
             edges=(Edge(1, "a", "k", H),),
@@ -468,13 +468,13 @@ class TestFactorizedRoute:
             edges=(Edge(2, "k", "b", H),),
             terminals=frozenset({"k"}),
         )
-        d = CutDecomposition(g1=g1, g2=g2, boundary=("k",))
-        with pytest.warns(UserWarning):
-            assert factorized_reliability(d) == 0
+        with pytest.raises(Hypothesis2Error, match=r"terminals \['z'\] reach no boundary node"):
+            CutDecomposition(g1=g1, g2=g2, boundary=("k",))
+        assert reliability_factoring(union_graph(g1, g2)) == 0
 
     def test_parallel_jobs_identical(self):
         d = bridge_decomposition()
-        assert factorized_reliability(d, jobs=1) == factorized_reliability(d, jobs=4)
+        assert factorization_detail(d, jobs=1).value == factorization_detail(d, jobs=4).value
 
     def test_order_variants_agree(self):
         bundles = {
@@ -482,7 +482,7 @@ class TestFactorizedRoute:
             for v in ("canonical", "reversed-levels")
         }
         for d in corpus(53, 2, 6):
-            values = {factorized_reliability(d, bundle=b) for b in bundles.values()}
+            values = {factorization_detail(d, bundle=b).value for b in bundles.values()}
             assert len(values) == 1
 
     def test_detail_exposes_sides(self):
@@ -508,7 +508,7 @@ class TestN2ClosedForm:
             d = CutDecomposition(g1=d1.g1, g2=d1.g2, boundary=(d1.boundary[0], d1.boundary[0]))
             expected = reliability_factoring(d.g1) * reliability_factoring(d.g2)
             assert n2_closed_form(d) == expected
-            assert factorized_reliability(d) == expected
+            assert factorization_detail(d).value == expected
 
     def test_single_edge_second_side(self, rng):
         # G2 one edge across the boundary: closed form equals pivoting on it
@@ -521,13 +521,12 @@ class TestN2ClosedForm:
                 terminals=frozenset({"b1", "b2"}),
             )
             d = CutDecomposition(g1=d0.g1, g2=g2, boundary=("b1", "b2"))
-            union = validate_decomposition(d)
             value = n2_closed_form(d)
-            assert value == reliability_bruteforce(union)
+            assert value == reliability_bruteforce(d.union)
             r1 = conditioned_reliability(d.g1, d.boundary, Partition.singletons(2))
             r1_hat = conditioned_reliability(d.g1, d.boundary, Partition.top(2))
             assert value == p * r1_hat + (1 - p) * r1
 
     def test_matches_general_route(self):
         for d in corpus(61, 2, 8):
-            assert n2_closed_form(d) == factorized_reliability(d)
+            assert n2_closed_form(d) == factorization_detail(d).value
