@@ -7,18 +7,18 @@ carries the cut factorization over to the q -> 0 derivative.  Z is summed
 over reliability's state walk as integer numerators per cluster count and
 divided by the walk's common denominator once, at the end; the derivative is
 factored through reliability's cut-factorization combine, over a
-decomposition that was checked when it was built and carries its union.
+decomposition that was checked when it was built and carries its union; a
+side that an identification disconnects contributes 0 there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .conmatrix import ConnectivityBundle
 from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes
-from .partitions import Partition
+from .partitions import Partition, Value
 from .reliability import _cut_factorization, _state_walk
 
 
@@ -26,23 +26,24 @@ class DisconnectedGraphError(ValueError):
     """The underlying graph must be connected for the partition function."""
 
 
-@dataclass(frozen=True)
-class ClusterPolynomial:
+class ClusterPolynomial(Value):
     """Z(q) = sum_k w_k q^k with exact rational weights, k = cluster count.
 
     Setting q = 1 recovers total probability 1; the k = 1 weight is the
     probability that the operative edges span everything in one component.
     """
 
+    __slots__ = FIELDS = ("node_count", "coeffs")
     node_count: int
     coeffs: dict[int, Fraction]
 
-    def __post_init__(self) -> None:
-        if any(not 1 <= k <= self.node_count for k in self.coeffs):
+    def __init__(self, node_count: int, coeffs: dict[int, Fraction]) -> None:
+        self._set(node_count, coeffs)
+        if any(not 1 <= k <= node_count for k in coeffs):
             raise ValueError("cluster counts must lie in 1..|V|")
-        if any(w < 0 for w in self.coeffs.values()):
+        if any(w < 0 for w in coeffs.values()):
             raise ValueError("weights must be non-negative")
-        if sum(self.coeffs.values(), Fraction(0)) != 1:
+        if sum(coeffs.values(), Fraction(0)) != 1:
             raise ValueError("weights must sum to 1")
 
     def evaluate(self, q: Fraction) -> Fraction:
@@ -52,6 +53,8 @@ class ClusterPolynomial:
 
 def partition_function(g: StochasticGraph, bound: int | None = None) -> ClusterPolynomial:
     """Exact cluster-count weights from the state enumeration walk."""
+    if not g.nodes:
+        raise ValueError("the partition function needs a node; the graph has an empty node set")
     if components(g).component_count() > 1:
         raise DisconnectedGraphError("underlying graph is not connected")
     index, denom, states = _state_walk(g, bound)
@@ -72,8 +75,13 @@ def dq_at_zero(z: ClusterPolynomial) -> Fraction:
 def _conditioned_dq(
     g: StochasticGraph, boundary: tuple[str, ...], a: Partition, bound: int | None = None
 ) -> Fraction:
-    """dq_at_zero of one side after identifying its boundary through a."""
-    return dq_at_zero(partition_function(identify_nodes(g, boundary, a), bound))
+    """dq_at_zero of one side after identifying its boundary through a; 0
+    when the identified side is disconnected, as no state of it is a single
+    cluster (its all-terminal reliability is 0 too)."""
+    side = identify_nodes(g, boundary, a)
+    if components(side).component_count() > 1:
+        return Fraction(0)
+    return dq_at_zero(partition_function(side, bound))
 
 
 def factorized_dq(
@@ -86,8 +94,10 @@ def factorized_dq(
     """The q -> 0 derivative of Z for the union, assembled from the sides
     through the same combine as the reliability (_cut_factorization).
 
-    Requires the all-terminal case (every node of the union is a terminal)
-    and connected identified sides; equals dq_at_zero of the union exactly.
+    Requires the all-terminal case (every node of the union is a terminal).
+    A side that is disconnected after some identification contributes 0 for
+    it, as its conditioned reliability does; the result equals dq_at_zero of
+    the union exactly.
     """
     if d.union.terminals != d.union.nodes:
         raise ValueError("the factorized derivative needs every node terminal")

@@ -17,7 +17,6 @@ checks A * (L * A^-1) = L * I and symmetry in integers before it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -26,6 +25,7 @@ from .linalg import fraction_free_determinant, is_symmetric
 from .partitions import (
     CoherentOrder,
     Partition,
+    Value,
     coherent_order,
     is_connected_pair,
     join,
@@ -139,18 +139,29 @@ def connectivity_matrix(order: CoherentOrder) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class ConnectivityBundle:
+class ConnectivityBundle(Value):
     """The connectivity matrix of one coherent order with its exact inverse
     and the factors it came from: B, D and the connectivity numbers alpha,
     one per state."""
 
+    __slots__ = FIELDS = ("order", "A", "B", "alpha", "D", "A_inv")
     order: CoherentOrder
     A: list[list[int]]
     B: list[list[int]]
     alpha: tuple[int, ...]
     D: list[list[int]]
     A_inv: list[list[Fraction]]
+
+    def __init__(
+        self,
+        order: CoherentOrder,
+        A: list[list[int]],
+        B: list[list[int]],
+        alpha: tuple[int, ...],
+        D: list[list[int]],
+        A_inv: list[list[Fraction]],
+    ) -> None:
+        self._set(order, A, B, alpha, D, A_inv)
 
     @property
     def n(self) -> int:

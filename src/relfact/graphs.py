@@ -13,11 +13,10 @@ exists is valid and carries its union graph.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .partitions import MAX_GROUND_SET, Partition
+from .partitions import MAX_GROUND_SET, Partition, Value
 
 
 class GraphError(ValueError):
@@ -36,22 +35,23 @@ class Hypothesis2Error(DecompositionError):
     """Some terminal cannot reach any boundary node; the reliability is 0."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One stochastic edge; endpoints are unordered and may coincide (loop)."""
+class Edge(Value):
+    """One stochastic edge; endpoints are unordered and may coincide (loop).
+    The endpoints are stored sorted and the probability as a Fraction."""
 
+    __slots__ = FIELDS = ("id", "u", "v", "prob")
     id: int
     u: str
     v: str
     prob: Fraction
 
-    def __post_init__(self) -> None:
-        u, v = sorted((self.u, self.v))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "prob", Fraction(self.prob))
-        if not 0 <= self.prob <= 1:
-            raise GraphError(f"edge {self.id}: probability {self.prob} outside [0,1]")
+    def __init__(self, id: int, u: str, v: str, prob: Fraction) -> None:
+        if v < u:
+            u, v = v, u
+        prob = Fraction(prob)
+        self._set(id, u, v, prob)
+        if not 0 <= prob <= 1:
+            raise GraphError(f"edge {id}: probability {prob} outside [0,1]")
 
     @property
     def is_loop(self) -> bool:
@@ -61,25 +61,29 @@ class Edge:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class StochasticGraph:
+class StochasticGraph(Value):
+    """Nodes, edges and terminals, stored as a frozenset, a tuple and a
+    frozenset; every edge endpoint and every terminal is a node."""
+
+    __slots__ = FIELDS = ("nodes", "edges", "terminals")
     nodes: frozenset[str]
     edges: tuple[Edge, ...]
     terminals: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        if not all(isinstance(x, str) for x in self.nodes):
+    def __init__(self, nodes: Iterable[str], edges: Iterable[Edge], terminals: Iterable[str]) -> None:
+        nodes = frozenset(nodes)
+        edges = tuple(edges)
+        terminals = frozenset(terminals)
+        self._set(nodes, edges, terminals)
+        if not all(isinstance(x, str) for x in nodes):
             raise GraphError("node identifiers must be strings")
-        ids = [e.id for e in self.edges]
+        ids = [e.id for e in edges]
         if len(ids) != len(set(ids)):
             raise GraphError("edge identifiers must be pairwise distinct")
-        for e in self.edges:
-            if e.u not in self.nodes or e.v not in self.nodes:
+        for e in edges:
+            if e.u not in nodes or e.v not in nodes:
                 raise GraphError(f"edge {e.id} endpoint outside the node set")
-        if not self.terminals <= self.nodes:
+        if not terminals <= nodes:
             raise GraphError("terminals must be a subset of the nodes")
 
     @property
@@ -87,8 +91,7 @@ class StochasticGraph:
         return frozenset(e.id for e in self.edges)
 
 
-@dataclass(frozen=True)
-class CutDecomposition:
+class CutDecomposition(Value):
     """Two subgraphs sharing exactly the boundary nodes (and no edges).
 
     Built only when valid: raises Hypothesis1Error when the sides share an
@@ -97,36 +100,39 @@ class CutDecomposition:
     the union cannot reach the boundary (in that case the overall
     reliability is 0).  A boundary outside 1..MAX_GROUND_SET nodes raises
     DecompositionError, as no route takes it.  The boundary may list a node
-    more than once.  union is the graph of both sides together.
+    more than once.  union is the graph of both sides together; it is
+    derived from the sides and takes no part in == or hash.
     """
 
+    FIELDS = ("g1", "g2", "boundary")
+    __slots__ = FIELDS + ("union",)
     g1: StochasticGraph
     g2: StochasticGraph
     boundary: tuple[str, ...]
-    union: StochasticGraph = field(init=False, compare=False, repr=False)
+    union: StochasticGraph
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boundary", tuple(self.boundary))
-        bset = set(self.boundary)
-        shared_edges = self.g1.edge_ids & self.g2.edge_ids
+    def __init__(self, g1: StochasticGraph, g2: StochasticGraph, boundary: Iterable[str]) -> None:
+        boundary = tuple(boundary)
+        bset = set(boundary)
+        shared_edges = g1.edge_ids & g2.edge_ids
         if shared_edges:
             raise Hypothesis1Error(
                 f"Hypothesis 1 violated: sides share edge ids {sorted(shared_edges)}"
             )
-        shared_nodes = self.g1.nodes & self.g2.nodes
+        shared_nodes = g1.nodes & g2.nodes
         if shared_nodes != bset:
             raise Hypothesis1Error(
                 "Hypothesis 1 violated: shared nodes "
                 f"{sorted(shared_nodes)} differ from the boundary {sorted(bset)}"
             )
-        for side, g in (("g1", self.g1), ("g2", self.g2)):
+        for side, g in (("g1", g1), ("g2", g2)):
             missing = bset - g.terminals
             if missing:
                 raise Hypothesis1Error(
                     f"Hypothesis 1 violated: boundary nodes {sorted(missing)} "
                     f"missing from the terminals of {side}"
                 )
-        union = union_graph(self.g1, self.g2)
+        union = union_graph(g1, g2)
         uf = components(union)
         boundary_roots = {uf.find(b) for b in bset}
         stranded = sorted(t for t in union.terminals if uf.find(t) not in boundary_roots)
@@ -134,9 +140,9 @@ class CutDecomposition:
             raise Hypothesis2Error(
                 f"Hypothesis 2 violated: terminals {stranded} reach no boundary node"
             )
-        if not 1 <= self.n <= MAX_GROUND_SET:
-            raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {self.n}")
-        object.__setattr__(self, "union", union)
+        if not 1 <= len(boundary) <= MAX_GROUND_SET:
+            raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {len(boundary)}")
+        self._set(g1, g2, boundary, union)
 
     @property
     def n(self) -> int:

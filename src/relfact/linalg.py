@@ -10,9 +10,10 @@ an independent cross-check of the inverse built in conmatrix.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .partitions import Value
 
 
 class SingularMatrixError(ValueError):
@@ -78,8 +79,7 @@ def rational_inverse_oracle(m: Sequence[Sequence]) -> list[list[Fraction]]:
     return inv
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(Value):
     """Diagonal of the Smith normal form plus the torsion it encodes.
 
     snf_diagonal is the full divisor chain d_1 | d_2 | ... | d_m (all
@@ -88,8 +88,14 @@ class InvariantFactors:
     i.e. the abelian-group signature of the quotient lattice.
     """
 
+    __slots__ = FIELDS = ("snf_diagonal", "torsion_prime_powers")
     snf_diagonal: tuple[int, ...]
     torsion_prime_powers: tuple[tuple[int, int, int], ...]
+
+    def __init__(
+        self, snf_diagonal: tuple[int, ...], torsion_prime_powers: tuple[tuple[int, int, int], ...]
+    ) -> None:
+        self._set(snf_diagonal, torsion_prime_powers)
 
     @property
     def determinant_magnitude(self) -> int:

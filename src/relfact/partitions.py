@@ -5,11 +5,15 @@ a decomposition.  This module provides the lattice structure on partitions
 (join and meet under the refinement order), the relabeling action of
 permutations together with its orbits, and the coherent linear orders that
 index connectivity matrices.
+
+It also holds Value, the base of the package's immutable value types.  Their
+comparison, hashing, repr, immutability and pickling are written out once
+there, as plain methods, so loading the package generates and compiles no
+code at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -33,21 +37,72 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+class Value:
+    """Base of an immutable value type.
+
+    A subclass lists its attributes in __slots__, FIELDS first, and in
+    FIELDS the ones that define the value, in constructor order; an
+    attribute derived from them (an index, a cached graph) sits in
+    __slots__ only.  Its __init__ stores the slots with _set.  ==, hash and
+    repr read FIELDS: equal values have the same type and equal fields, and
+    the hash is the hash of the field tuple.  Assignment and deletion raise
+    AttributeError, and pickling saves and restores every slot without
+    running __init__ again.
+    """
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Set the first len(values) slots, in __slots__ order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.FIELDS])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+
 def _check_ground_set(n: int) -> None:
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
 
 
-@dataclass(frozen=True, init=False)
-class Partition:
+class Partition(Value):
     """A set partition of {1..n}, held as its restricted-growth string.
 
     labels[x-1] is the index of the block holding x, and blocks are numbered
     0, 1, ... in order of their least element, so every partition has one
     label tuple.  The constructor takes blocks in any arrangement and
-    rejects those that do not partition 1..n exactly once.
+    rejects those that do not partition 1..n exactly once.  Partitions are
+    the keys of every state-indexed dict, so == and hash are written out
+    for the one field rather than read through FIELDS.
     """
 
+    __slots__ = FIELDS = ("labels",)
     labels: tuple[int, ...]
 
     def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
@@ -114,6 +169,14 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({str(self)!r})"
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Partition:
+            return self.labels == other.labels
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.labels,))
+
 
 def _require_same_ground(a: Partition, b: Partition) -> None:
     if a.n != b.n:
@@ -173,13 +236,18 @@ def conjugate(sigma: Sequence[int], a: Partition) -> Partition:
     return Partition(tuple(tuple(sigma[x - 1] for x in blk) for blk in a.blocks))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Value):
     """One relabeling class of partitions: all members share a block-size multiset."""
 
+    __slots__ = FIELDS = ("members", "block_count", "signature")
     members: tuple[Partition, ...]
     block_count: int
     signature: tuple[int, ...]
+
+    def __init__(
+        self, members: tuple[Partition, ...], block_count: int, signature: tuple[int, ...]
+    ) -> None:
+        self._set(members, block_count, signature)
 
     @property
     def size(self) -> int:
@@ -205,19 +273,26 @@ def orbits(n: int) -> tuple[Orbit, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CoherentOrder:
+class CoherentOrder(Value):
     """A linear order on all partitions of {1..n} extending refinement.
 
     Finer states always come before coarser ones, so any matrix indexed by
     the order is triangular with respect to refinement.  Orbit members sit
-    in contiguous runs inside each block-count level.
+    in contiguous runs inside each block-count level.  index, each state's
+    position, is derived from states and takes no part in == or hash.
     """
 
+    FIELDS = ("n", "variant", "states")
+    __slots__ = FIELDS + ("index",)
     n: int
     variant: str
     states: tuple[Partition, ...]
-    index: dict[Partition, int] = field(compare=False, repr=False)
+    index: dict[Partition, int]
+
+    def __init__(
+        self, n: int, variant: str, states: tuple[Partition, ...], index: dict[Partition, int]
+    ) -> None:
+        self._set(n, variant, states, index)
 
     def __len__(self) -> int:
         return len(self.states)

@@ -20,10 +20,10 @@ never reaches them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
 from .conmatrix import ConnectivityBundle, invert_connectivity_matrix
 from .graphs import (
@@ -33,7 +33,7 @@ from .graphs import (
     identify_nodes,
     relevant_edges,
 )
-from .partitions import Partition, coherent_order, is_connected_pair
+from .partitions import Partition, Value, coherent_order, is_connected_pair
 
 DEFAULT_ENUMERATION_BOUND = 24
 
@@ -278,12 +278,15 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ReliabilityPolynomial:
+class ReliabilityPolynomial(Value):
     """Pathset counts by number of operative edges, for equal edge
     probability p: R(p) = sum_i C_i p^i (1-p)^(m-i)."""
 
+    __slots__ = FIELDS = ("coefficients",)
     coefficients: tuple[int, ...]
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        self._set(coefficients)
 
     @property
     def edge_count(self) -> int:
@@ -337,16 +340,16 @@ def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> Reli
     return ReliabilityPolynomial(tuple(counts))
 
 
-@dataclass(frozen=True)
-class StateDistribution:
+class StateDistribution(Value):
     """Exact probability of each boundary partition induced by one side."""
 
+    __slots__ = FIELDS = ("boundary", "probs")
     boundary: tuple[str, ...]
     probs: dict[Partition, Fraction]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boundary", tuple(self.boundary))
-        total = sum(self.probs.values(), Fraction(0))
+    def __init__(self, boundary: Iterable[str], probs: dict[Partition, Fraction]) -> None:
+        self._set(tuple(boundary), probs)
+        total = sum(probs.values(), Fraction(0))
         if total != 1:
             raise ValueError(f"state distribution mass {total} != 1")
 
@@ -419,12 +422,24 @@ def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
     return [fn(t) for t in tasks]
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(Value):
+    """The factorized value with the bundle it was combined through and each
+    side's value per boundary partition, in the bundle's order."""
+
+    __slots__ = FIELDS = ("bundle", "side1", "side2", "value")
     bundle: ConnectivityBundle
     side1: tuple[Fraction, ...]
     side2: tuple[Fraction, ...]
     value: Fraction
+
+    def __init__(
+        self,
+        bundle: ConnectivityBundle,
+        side1: tuple[Fraction, ...],
+        side2: tuple[Fraction, ...],
+        value: Fraction,
+    ) -> None:
+        self._set(bundle, side1, side2, value)
 
     def side_reliabilities(self) -> tuple[dict[Partition, Fraction], dict[Partition, Fraction]]:
         states = self.bundle.order.states

@@ -466,6 +466,14 @@ class TestOtherCommands:
         assert sum(Fraction(v) for v in doc["Z"].values()) == 1
         assert doc["dZdq_at_0"] == doc["Z"]["1"]
 
+    def test_rcm_names_an_empty_node_set(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"nodes": [], "edges": [], "terminals": []}))
+        proc = run_cli("rcm", "--input", str(path))
+        assert proc.returncode == 3
+        assert "empty node set" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestVerifyCommand:
     def test_fixture_directory(self, tmp_path):
@@ -494,6 +502,24 @@ class TestVerifyCommand:
         assert "all routes agree" in capsys.readouterr().out
         assert built == [(3, "canonical"), (3, "reversed-levels")]
 
+    def test_side_disconnected_after_identification(self, tmp_path, capsys):
+        # g1 has no edges, so under the all-singleton identification it is
+        # two components: its q-linear weight is 0, as its reliability is
+        doc = {
+            "g1": side_doc(["a", "b"], ["a", "b"], []),
+            "g2": side_doc(["a", "b"], ["a", "b"], [(1, "a", "b", "1/2")]),
+            "boundary": ["a", "b"],
+        }
+        path = tmp_path / "edgeless_side.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--input", str(path), "--output", "json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["ok"] is True
+        assert result["results"][0]["reliability"] == "1/2"
+        for route in cli.FACTOR_ROUTES:
+            assert cli.main(["factor", "--input", str(path), "--route", route, "--output", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["reliability"] == "1/2"
+
     def test_empty_directory_exit_2(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -502,20 +528,23 @@ class TestVerifyCommand:
 
 class TestStartup:
     def test_cli_import_leaves_the_process_pool_unloaded(self):
-        # the pool is imported only when --jobs > 1 needs it; the package
+        # the pool is imported only when --jobs > 1 needs it; the value types
+        # generate no code, so the import adds no dataclasses (nor the
+        # inspect it pulls in), whatever site loaded before it; the package
         # itself still loads every module eagerly
         code = (
-            "import relfact.cli, sys, json; "
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('relfact', 'concurrent', 'multiprocessing'))))"
+            "import sys, json; before = set(sys.modules); import relfact.cli; "
+            "print(json.dumps([sorted(sys.modules), sorted(set(sys.modules) - before)]))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)
+        loaded, added = map(set, json.loads(proc.stdout))
         assert "concurrent.futures" not in loaded
         assert "multiprocessing" not in loaded
+        assert "dataclasses" not in added
+        assert "inspect" not in added
         modules = ("cli", "cluster", "conmatrix", "graphs", "jsonio", "linalg", "partitions", "reliability")
-        assert {f"relfact.{m}" for m in modules} <= set(loaded)
+        assert {f"relfact.{m}" for m in modules} <= added
 
 
 class TestDeterminism:

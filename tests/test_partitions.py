@@ -97,7 +97,8 @@ class TestPartitionType:
             from_labels = Partition.from_labels(f"L{9 - k}" for k in p.labels)
             assert from_blocks == from_labels == p
             assert hash(from_blocks) == hash(from_labels) == hash(p)
-            assert pickle.loads(pickle.dumps(p)) == p
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(p, protocol)) == p
 
     def test_parse_roundtrip(self):
         for text in ("1", "12|3", "1|2|3", "14|23", "134|2"):
