@@ -4,9 +4,14 @@ inverses built from the sparse integer factors pi and xi.
 The matrix A marks which pairs of boundary partitions jointly link the whole
 boundary.  Its inverse supplies the bilinear coefficients of the cut
 factorization.  B and D are the matrices of two linear operators on the
-partition algebra: pi expands a state through alternating joins over the
-block-crossing pairs, xi through alternating meets over one-block splits.
-Both are triangular with unit diagonal in any coherent order, and
+partition algebra, pi(a) = sum over c >= a of mu(a, c) * c and
+xi(a) = sum over c <= a of mu(c, a) * c, where mu is the Moebius function
+of the partition lattice (Rota 1964): mu(x, y) is the product, over the
+blocks of y, of (-1)^(k-1) * (k-1)!, with k the number of blocks of x
+inside that block.  These closed forms are the products that define pi and
+xi multiplied out: alternating joins over the block-crossing pairs, and
+alternating meets over the one-block splits.  So D is the transpose of B;
+both are triangular with unit diagonal in any coherent order, and
 A^-1 = B * C * D with C diagonal, holding the reciprocals of the
 connectivity numbers alpha.  A bundle stores alpha, one number per state,
 and builds C only when it is read.  Every |alpha| = (blocks - 1)! divides
@@ -18,74 +23,44 @@ checks A * (L * A^-1) = L * I and symmetry in integers before it returns.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 from .linalg import fraction_free_determinant, is_symmetric
 from .partitions import (
     CoherentOrder,
     Partition,
     Value,
+    all_partitions,
     coherent_order,
     is_connected_pair,
-    join,
-    meet,
 )
 
 # Sparse vector in the partition algebra: absent entries are 0.
 AlgebraVector = dict[Partition, int]
 
 
-def pair_partition(n: int, i: int, j: int) -> Partition:
-    """The partition of {1..n} whose only non-singleton block is {i, j}."""
-    return Partition.from_labels(i if x == j else x for x in range(1, n + 1))
-
-
-def crossing_pairs(a: Partition) -> list[tuple[int, int]]:
-    """Unordered pairs of ground elements lying in different blocks of a."""
-    return [(i, j) for (i, x), (j, y) in combinations(enumerate(a.labels, 1), 2) if x != y]
-
-
-def lattice_action(op, p: Partition, vec: AlgebraVector) -> AlgebraVector:
-    """Multiply a sparse algebra vector by a basis state in the algebra of
-    the lattice operation op (join or meet)."""
-    out: AlgebraVector = {}
-    for s, c in vec.items():
-        t = op(p, s)
-        c2 = out.get(t, 0) + c
-        if c2:
-            out[t] = c2
-        elif t in out:
-            del out[t]
-    return out
-
-
-def _vec_sub(u: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
-    out = dict(u)
-    for s, c in v.items():
-        c2 = out.get(s, 0) - c
-        if c2:
-            out[s] = c2
-        elif s in out:
-            del out[s]
-    return out
+def _mu(k: int) -> int:
+    """The Moebius function of the lattice of partitions of a k-set, from
+    its bottom to its top: (-1)^(k-1) * (k-1)!."""
+    return (-1) ** (k - 1) * factorial(k - 1)
 
 
 def pi_vector(a: Partition) -> AlgebraVector:
-    """Expansion of pi(a) in the partition basis.
+    """Expansion of pi(a) = sum over c >= a of mu(a, c) * c.
 
-    pi(a) is the product, over every pair {i,j} crossing the blocks of a, of
-    (identity - pair_state({i,j})) in the join algebra, applied to a.
-    Expanded, that is the signed sum over subsets F of crossing pairs of
-    join(a, <F>).  The coefficient of a itself is 1 and all other support is
-    strictly coarser, so the matrix of pi is lower triangular with unit
-    diagonal in a coherent order.
+    Each partition q of a's blocks merges them into one c, and
+    mu(a, c) = prod over q's blocks, of size s, of (-1)^(s-1) * (s-1)!.
+    This is the product, over every pair {i,j} crossing the blocks of a, of
+    (identity - pair_state({i,j})) in the join algebra, applied to a.  The
+    coefficient of a itself is 1 and all other support is strictly coarser,
+    so the matrix of pi is lower triangular with unit diagonal in a
+    coherent order.
     """
-    vec: AlgebraVector = {a: 1}
-    n = a.n
-    for i, j in crossing_pairs(a):
-        vec = _vec_sub(vec, lattice_action(join, pair_partition(n, i, j), vec))
-    return vec
+    return {
+        Partition.from_labels([q.labels[k] for k in a.labels]): prod(map(_mu, q.block_sizes))
+        for q in all_partitions(a.block_count)
+    }
 
 
 def connectivity_number(a: Partition) -> int:
@@ -94,35 +69,26 @@ def connectivity_number(a: Partition) -> int:
     return pi_vector(a).get(Partition.top(a.n), 0)
 
 
-def cocovers(a: Partition) -> list[Partition]:
-    """States obtained from a by splitting exactly one block into two
-    non-empty parts: the immediate refinements of a."""
-    out = []
-    for blk in a.blocks:
-        others = blk[1:]
-        # the part keeping the block minimum names each split once; the
-        # rest of the block moves to a new label
-        for r in range(len(others)):
-            for keep in combinations(others, r):
-                moved = set(others).difference(keep)
-                labels = (-1 if x in moved else k for x, k in enumerate(a.labels, 1))
-                out.append(Partition.from_labels(labels))
-    return out
-
-
 def xi_vector(a: Partition) -> AlgebraVector:
-    """Expansion of xi(a) in the partition basis.
+    """Expansion of xi(a) = sum over c <= a of mu(c, a) * c.
 
-    xi(a) is the product, over the one-block splits c of a, of (a - c) in
-    the meet algebra.  Any state strictly below a is annihilated by some
-    factor, any state above a fixes the whole vector, the coefficient of a
-    itself is 1, and the rest of the support is strictly finer: the matrix
-    of xi is upper triangular with unit diagonal in a coherent order.
+    Each choice of a partition of every block of a splits it into one c,
+    and mu(c, a) = prod over a's blocks of (-1)^(j-1) * (j-1)!, with j the
+    number of parts the block splits into.  This is the product, over the
+    one-block splits c of a, of (a - c) in the meet algebra.  The
+    coefficient of a itself is 1 and the rest of the support is strictly
+    finer: the matrix of xi is upper triangular with unit diagonal in a
+    coherent order, the transpose of the matrix of pi.
     """
-    vec: AlgebraVector = {a: 1}
-    for c in cocovers(a):
-        vec = _vec_sub(vec, lattice_action(meet, c, vec))
-    return vec
+    blocks = a.blocks
+    labels: list[tuple[int, int]] = [(0, 0)] * a.n
+    out: AlgebraVector = {}
+    for splits in product(*(all_partitions(len(blk)) for blk in blocks)):
+        for k, (blk, q) in enumerate(zip(blocks, splits)):
+            for x, j in zip(blk, q.labels):
+                labels[x - 1] = (k, j)
+        out[Partition.from_labels(labels)] = prod(_mu(q.block_count) for q in splits)
+    return out
 
 
 def connectivity_matrix(order: CoherentOrder) -> list[list[int]]:

@@ -96,12 +96,12 @@ class CutDecomposition(Value):
 
     Built only when valid: raises Hypothesis1Error when the sides share an
     edge, share nodes beyond the boundary, or a boundary node is not a
-    terminal of both sides; raises Hypothesis2Error when some terminal of
-    the union cannot reach the boundary (in that case the overall
-    reliability is 0).  A boundary outside 1..MAX_GROUND_SET nodes raises
-    DecompositionError, as no route takes it.  The boundary may list a node
-    more than once.  union is the graph of both sides together; it is
-    derived from the sides and takes no part in == or hash.
+    terminal of both sides; then raises DecompositionError for a boundary
+    outside 1..MAX_GROUND_SET nodes, as no route takes it; then raises
+    Hypothesis2Error when some terminal of the union cannot reach the
+    boundary (in that case the overall reliability is 0).  The boundary may
+    list a node more than once.  union is the graph of both sides together;
+    it is derived from the sides and takes no part in == or hash.
     """
 
     FIELDS = ("g1", "g2", "boundary")
@@ -132,6 +132,8 @@ class CutDecomposition(Value):
                     f"Hypothesis 1 violated: boundary nodes {sorted(missing)} "
                     f"missing from the terminals of {side}"
                 )
+        if not 1 <= len(boundary) <= MAX_GROUND_SET:
+            raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {len(boundary)}")
         union = union_graph(g1, g2)
         uf = components(union)
         boundary_roots = {uf.find(b) for b in bset}
@@ -140,8 +142,6 @@ class CutDecomposition(Value):
             raise Hypothesis2Error(
                 f"Hypothesis 2 violated: terminals {stranded} reach no boundary node"
             )
-        if not 1 <= len(boundary) <= MAX_GROUND_SET:
-            raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {len(boundary)}")
         self._set(g1, g2, boundary, union)
 
     @property

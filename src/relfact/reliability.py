@@ -411,13 +411,14 @@ def conditioned_reliability(
 
 def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
     """Deterministic map: results come back in task order regardless of the
-    worker count, so parallel and sequential runs are bitwise identical."""
+    worker count, so parallel and sequential runs are bitwise identical.
+    The pool starts no more workers than there are tasks."""
     if jobs > 1 and len(tasks) > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # single-process run never needs to load
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]
 

@@ -1,9 +1,16 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from relfact.corpus import random_probability
 from relfact.graphs import Edge, StochasticGraph
+
+# pyproject's pythonpath puts src/ on this process's path only; the tests
+# that spawn `python -m relfact` need it in the environment as well
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 def random_graph(rng: random.Random, max_nodes: int = 6, max_edges: int = 9) -> StochasticGraph:

@@ -335,6 +335,18 @@ STRANDED_DOC = {
     "boundary": ["k"],
 }
 STRANDED_MESSAGE = "Hypothesis 2 violated: terminals ['z'] reach no boundary node"
+# a stranded terminal with no boundary at all, and with one past the limit
+EMPTY_BOUNDARY_DOC = {
+    "g1": side_doc(["a", "x"], ["a"], [(1, "a", "x", "1/2")]),
+    "g2": side_doc(["y"], [], []),
+    "boundary": [],
+}
+WIDE_STRANDED_DOC = wide_boundary_doc(9)
+WIDE_STRANDED_DOC["g1"] = dict(
+    WIDE_STRANDED_DOC["g1"],
+    nodes=WIDE_STRANDED_DOC["boundary"] + ["z"],
+    terminals=WIDE_STRANDED_DOC["boundary"] + ["z"],
+)
 
 
 class TestHypothesis2:
@@ -354,6 +366,19 @@ class TestHypothesis2:
         else:
             assert out == "reliability = 0/1\n"
         assert f"warning: {STRANDED_MESSAGE}\n" in err
+
+    @pytest.mark.parametrize("route", cli.FACTOR_ROUTES)
+    @pytest.mark.parametrize(
+        "doc, k", [(EMPTY_BOUNDARY_DOC, 0), (WIDE_STRANDED_DOC, 9)], ids=["empty", "nine"]
+    )
+    def test_boundary_size_is_checked_first(self, tmp_path, capsys, doc, k, route):
+        # no route takes such a boundary, stranded terminal or not
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["factor", "--input", str(path), "--route", route]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"a boundary has 1..8 nodes, got {k}" in err
 
     @pytest.mark.parametrize("command", ["distribution", "verify"])
     def test_commands_that_need_the_cut_exit_3(self, tmp_path, capsys, command):
@@ -556,6 +581,35 @@ class TestDeterminism:
         ]
         assert all(r.stdout == runs[0].stdout for r in runs)
         assert all(r.returncode == 0 for r in runs)
+
+    def test_pool_starts_no_more_workers_than_side_solves(self, tmp_path, capsys, monkeypatch):
+        # a fake pool records its size and maps in-process: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(wide_boundary_doc(3)))
+        outs = []
+        for jobs in ("1", "500"):
+            assert cli.main(["factor", "--input", str(path), "--jobs", jobs, "--output", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert sizes == [10]  # Bell(3) = 5 states on each side
+        assert outs[0] == outs[1]
 
     def test_repeat_runs_identical(self, tmp_path):
         path = write_decomposition(tmp_path / "bridge.json", bridge_decomposition())

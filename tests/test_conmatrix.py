@@ -12,14 +12,10 @@ import reference_matrices as ref
 from conftest import mat_mul
 from relfact import cli, conmatrix
 from relfact.conmatrix import (
-    cocovers,
     connectivity_matrix,
     connectivity_matrix_det,
     connectivity_number,
-    crossing_pairs,
     invert_connectivity_matrix,
-    lattice_action,
-    pair_partition,
     pi_vector,
     xi_vector,
 )
@@ -51,6 +47,82 @@ def lookup(order, label):
 
 def vec(*pairs):
     return {P(label): coeff for label, coeff in pairs}
+
+
+# Test reference: pi and xi as the products that define them, multiplied
+# out factor by factor in the join and meet algebras.
+
+
+def pair_partition(n, i, j):
+    """The partition of {1..n} whose only non-singleton block is {i, j}."""
+    return Partition.from_labels(i if x == j else x for x in range(1, n + 1))
+
+
+def crossing_pairs(a):
+    """Unordered pairs of ground elements lying in different blocks of a."""
+    return [(i, j) for (i, x), (j, y) in itertools.combinations(enumerate(a.labels, 1), 2) if x != y]
+
+
+def lattice_action(op, p, v):
+    """Multiply a sparse algebra vector by a basis state in the algebra of
+    the lattice operation op (join or meet)."""
+    out = {}
+    for s, c in v.items():
+        t = op(p, s)
+        out[t] = out.get(t, 0) + c
+    return {s: c for s, c in out.items() if c}
+
+
+def vec_sub(u, v):
+    out = dict(u)
+    for s, c in v.items():
+        out[s] = out.get(s, 0) - c
+    return {s: c for s, c in out.items() if c}
+
+
+def cocovers(a):
+    """States obtained from a by splitting exactly one block into two
+    non-empty parts: the immediate refinements of a."""
+    out = []
+    for blk in a.blocks:
+        others = blk[1:]
+        # the part keeping the block minimum names each split once
+        for r in range(len(others)):
+            for keep in itertools.combinations(others, r):
+                moved = set(others).difference(keep)
+                labels = (-1 if x in moved else k for x, k in enumerate(a.labels, 1))
+                out.append(Partition.from_labels(labels))
+    return out
+
+
+def pi_product(a):
+    """The product, over every pair {i,j} crossing the blocks of a, of
+    (identity - pair_state({i,j})) in the join algebra, applied to a."""
+    v = {a: 1}
+    for i, j in crossing_pairs(a):
+        v = vec_sub(v, lattice_action(join, pair_partition(a.n, i, j), v))
+    return v
+
+
+def xi_product(a):
+    """The product, over the one-block splits c of a, of (a - c) in the
+    meet algebra."""
+    v = {a: 1}
+    for c in cocovers(a):
+        v = vec_sub(v, lattice_action(meet, c, v))
+    return v
+
+
+class TestMoebiusClosedForms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pi_equals_the_product(self, n):
+        for a in all_partitions(n):
+            assert pi_vector(a) == pi_product(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_xi_equals_the_product(self, n):
+        for a in all_partitions(n):
+            assert xi_vector(a) == xi_product(a)
 
 
 class TestPiVector:
@@ -282,6 +354,13 @@ class TestBundle:
         with pytest.raises(RuntimeError, match="failed to invert"):
             invert_connectivity_matrix(coherent_order(3))
         assert dropped
+
+    @pytest.mark.parametrize("variant", ["canonical", "reversed-levels"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_d_is_the_transpose_of_b(self, n, variant):
+        # Moebius duality: xi's coefficients are pi's, transposed
+        b = invert_connectivity_matrix(coherent_order(n, variant))
+        assert b.D == [list(col) for col in zip(*b.B)]
 
     def test_n6_builds_symmetric(self):
         b = invert_connectivity_matrix(coherent_order(6))
