@@ -4,8 +4,9 @@ Z(q, G) collects state probabilities weighted by q raised to the number of
 connected components of the operative subgraph (isolated vertices count).
 Its linear coefficient in q is exactly the all-terminal reliability, which
 carries the cut factorization over to the q -> 0 derivative.  Z is summed
-over reliability's state walk as integer numerators per cluster count and
-divided by the walk's common denominator once, at the end; the derivative is
+by reliability's frontier kernel, which counts a cluster each time a block
+leaves the frontier, as integer numerators per cluster count, divided by
+the common denominator once, at the end; the derivative is
 factored through reliability's cut-factorization combine, over a
 decomposition that was checked when it was built and carries its union; a
 side that an identification disconnects contributes 0 there.
@@ -19,7 +20,7 @@ from functools import partial
 from .conmatrix import ConnectivityBundle
 from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes
 from .partitions import Partition, Value
-from .reliability import _cut_factorization, _state_walk
+from .reliability import _cut_factorization, _frontier_walk
 
 
 class DisconnectedGraphError(ValueError):
@@ -52,18 +53,14 @@ class ClusterPolynomial(Value):
 
 
 def partition_function(g: StochasticGraph, bound: int | None = None) -> ClusterPolynomial:
-    """Exact cluster-count weights from the state enumeration walk."""
+    """Exact cluster-count weights from the frontier kernel."""
     if not g.nodes:
         raise ValueError("the partition function needs a node; the graph has an empty node set")
     if components(g).component_count() > 1:
         raise DisconnectedGraphError("underlying graph is not connected")
-    index, denom, states = _state_walk(g, bound)
-    acc: dict[int, int] = {}
-    for w, _, labels in states:
-        k = len(set(labels))
-        acc[k] = acc.get(k, 0) + w
-    coeffs = {k: Fraction(w, denom) for k, w in acc.items()}
-    return ClusterPolynomial(node_count=len(index), coeffs=coeffs)
+    denom, weights = _frontier_walk(g, bound, weighted=True, terminals=None)
+    coeffs = {k: Fraction(w, denom) for k, w in weights.items()}
+    return ClusterPolynomial(node_count=len(g.nodes), coeffs=coeffs)
 
 
 def dq_at_zero(z: ClusterPolynomial) -> Fraction:

@@ -6,16 +6,19 @@ boundary-state sum, and the bilinear cut factorization through the inverse
 connectivity matrix.  All routes work in exact rational arithmetic and must
 agree bit for bit; the test suite leans on that equality everywhere.
 
-Every 2^m route (reliability_bruteforce, state_distribution,
-reliability_polynomial here and cluster.partition_function) is a short
-accumulator over one state walk, _state_walk, which owns the enumeration
-bound.  The walk runs in integers over one common denominator, the product
-of the edge denominators; each route sums integer numerators and builds its
-Fractions once, at the end.  Every quantity that factors over a cut
-(factorization_detail here and cluster.factorized_dq) goes through one
-combine, _cut_factorization.  A CutDecomposition checks itself when it is
-built (see graphs), so the cut routes take it as it is; a stranded terminal
-never reaches them.
+The two 2^m routes, reliability_bruteforce and state_distribution, are
+short accumulators over one state walk, _state_walk, and stay the oracle.
+The counts, reliability_polynomial here and cluster.partition_function, are
+short accumulators over one frontier kernel, _frontier_walk, which merges
+equal partial states (Carlier & Lucet 1996; Hardy, Lucet & Limnios 2007),
+so its work is O(m * states on the frontier) rather than 2^m.  Both kernels
+check the same enumeration bound (_check_bound) and run in integers over
+one common denominator, the product of the edge denominators; each route
+sums integer numerators and builds its Fractions once, at the end.  Every
+quantity that factors over a cut (factorization_detail here and
+cluster.factorized_dq) goes through one combine, _cut_factorization.  A
+CutDecomposition checks itself when it is built (see graphs), so the cut
+routes take it as it is; a stranded terminal never reaches them.
 """
 
 from __future__ import annotations
@@ -42,56 +45,204 @@ class EnumerationBoundError(ValueError):
     """Too many edges for state enumeration under the current bound."""
 
 
-def _state_walk(g: StochasticGraph, bound: int | None, weighted: bool = True):
-    """The enumeration kernel behind every 2^m route.
-
-    Checks the bound, indexes the nodes of g in sorted order, and returns
-    that index, a common denominator D and an iterator over the edge states
-    as (weight, operative edge count, labels): labels[i] names the component
-    of node i among the operative edges.  The walk runs in integers: with
-    edge probabilities p_i = a_i/d_i, every state's probability is
-    prod(a_i or d_i - a_i) / D with the same D = prod d_i, so a state's
-    weight is that integer numerator and a consumer sums plain ints and
-    divides by D once, at the end.  Labels are carried down the walk,
-    relabelled once per union, so no leaf rebuilds its components.  States
-    of weight zero (an edge with a_i = 0 up or d_i - a_i = 0 down) add
-    nothing to any sum and are skipped; with weighted=False every weight is
-    1, D = 1 and every one of the 2^m states is visited.
-    """
+def _check_bound(g: StochasticGraph, bound: int | None) -> None:
+    """The enumeration bound of every state-counting route: more edges than
+    the bound (DEFAULT_ENUMERATION_BOUND when None) raise
+    EnumerationBoundError."""
     limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
     if len(g.edges) > limit:
         raise EnumerationBoundError(
             f"{len(g.edges)} edges exceed the enumeration bound {limit}; "
             "raise it with --bound or RELFACT_BOUND"
         )
+
+
+def _state_walk(g: StochasticGraph, bound: int | None):
+    """The enumeration kernel behind the 2^m oracle routes.
+
+    Checks the bound, indexes the nodes of g in sorted order, and returns
+    that index, a common denominator D and an iterator over the edge states
+    as (weight, labels): labels[i] names the component of node i among the
+    operative edges.  The walk runs in integers: with edge probabilities
+    p_i = a_i/d_i, every state's probability is prod(a_i or d_i - a_i) / D
+    with the same D = prod d_i, so a state's weight is that integer
+    numerator and a consumer sums plain ints and divides by D once, at the
+    end.  Labels are carried down the walk, relabelled once per union, so no
+    leaf rebuilds its components.  States of weight zero (an edge with
+    a_i = 0 up or d_i - a_i = 0 down) add nothing to any sum and are skipped.
+    """
+    _check_bound(g, bound)
     index = {v: i for i, v in enumerate(sorted(g.nodes))}
     denom = 1
     edges = []
     for e in g.edges:
-        if weighted:
-            a, d = e.prob.numerator, e.prob.denominator
-            denom *= d
-            edges.append((index[e.u], index[e.v], a, d - a))
-        else:
-            edges.append((index[e.u], index[e.v], 1, 1))
+        a, d = e.prob.numerator, e.prob.denominator
+        denom *= d
+        edges.append((index[e.u], index[e.v], a, d - a))
 
     def walk():
-        stack = [(0, 1, 0, tuple(range(len(index))))]
+        stack = [(0, 1, tuple(range(len(index))))]
         while stack:
-            i, weight, ones, labels = stack.pop()
+            i, weight, labels = stack.pop()
             if i == len(edges):
-                yield weight, ones, labels
+                yield weight, labels
                 continue
             u, v, up, down = edges[i]
             if down:
-                stack.append((i + 1, weight * down, ones, labels))
+                stack.append((i + 1, weight * down, labels))
             if up:
                 keep, gone = labels[u], labels[v]
                 if keep != gone:
                     labels = tuple(keep if x == gone else x for x in labels)
-                stack.append((i + 1, weight * up, ones + 1, labels))
+                stack.append((i + 1, weight * up, labels))
 
     return index, denom, walk()
+
+
+def _frontier_plan(g: StochasticGraph, terminals: frozenset[str]) -> list[tuple]:
+    """The fixed schedule of the frontier kernel, one operation per entry.
+
+    Vertices enter in BFS order: each search starts at the least unvisited
+    node name and visits neighbours in name order.  After a vertex enters,
+    the edges whose later endpoint it is follow, sorted by earlier endpoint
+    and then edge id; then every frontier vertex whose last edge that was
+    leaves.  Operations are ("enter", is terminal), ("edge", i, j, edge)
+    and ("leave", i), with i and j indices into the frontier, which is the
+    same for every state at a given point of the schedule.
+    """
+    adj: dict[str, set[str]] = {v: set() for v in g.nodes}
+    for e in g.edges:
+        adj[e.u].add(e.v)
+        adj[e.v].add(e.u)
+    order: list[str] = []
+    pos: dict[str, int] = {}
+    for root in sorted(g.nodes):
+        if root in pos:
+            continue
+        k = pos[root] = len(order)
+        order.append(root)
+        while k < len(order):
+            for y in sorted(adj[order[k]]):
+                if y not in pos:
+                    pos[y] = len(order)
+                    order.append(y)
+            k += 1
+    later: list[list] = [[] for _ in order]
+    last = list(range(len(order)))
+    for e in g.edges:
+        i, j = sorted((pos[e.u], pos[e.v]))
+        later[j].append((i, e.id, e))
+        last[i] = max(last[i], j)
+    plan: list[tuple] = []
+    frontier: list[int] = []
+    for s, v in enumerate(order):
+        frontier.append(s)
+        plan.append(("enter", v in terminals))
+        for i, _, e in sorted(later[s]):
+            plan.append(("edge", frontier.index(i), len(frontier) - 1, e))
+        for u in [u for u in frontier if last[u] == s]:
+            plan.append(("leave", frontier.index(u)))
+            frontier.remove(u)
+    return plan
+
+
+def _relabel(labels: tuple, marks: tuple) -> tuple[tuple, tuple]:
+    """Renumber labels 0, 1, ... in order of first occurrence and carry each
+    block's mark along; a label no longer used drops its mark."""
+    first: dict = {}
+    labels = tuple([first.setdefault(x, len(first)) for x in labels])
+    return labels, tuple([marks[x] for x in first])
+
+
+def _add(acc: dict, state, counts: dict[int, int], factor: int, shift: int) -> None:
+    """acc[state] += factor * counts, every key of counts moved up by shift."""
+    out = acc.get(state)
+    if out is None:
+        acc[state] = {k + shift: w * factor for k, w in counts.items()}
+        return
+    for k, w in counts.items():
+        out[k + shift] = out.get(k + shift, 0) + w * factor
+
+
+def _frontier_walk(
+    g: StochasticGraph, bound: int | None, weighted: bool, terminals: frozenset[str] | None
+) -> tuple[int, dict[int, int]]:
+    """The frontier kernel behind the polynomial and cluster counts.
+
+    Checks the bound, then runs _frontier_plan's schedule over states of
+    the frontier: the component labels of its vertices as a restricted-
+    growth tuple, and one mark per block that holds a terminal.  States
+    that become equal merge, so the work is O(m * states on the frontier)
+    rather than 2^m.  Each state carries its weights keyed by a count.
+    Weights are integers over one common denominator D, as in _state_walk:
+    with weighted, an edge p = a/d multiplies by a up and by d - a down and
+    D is the product of the d; without, every edge state weighs 1 and D = 1.
+    A block that leaves the frontier closes one cluster.
+
+    With terminals, the key is the number of operative edges, and only the
+    states that link every terminal count.  When a marked block leaves,
+    either it holds every terminal (all have entered and no other block is
+    marked) and the state becomes the linked state, which absorbs every
+    later edge, or some terminal is cut off and the state dies.  With
+    terminals None, the key is the number of closed clusters, and every
+    state counts.  Returns D and the summed weights by key, in key order.
+    """
+    _check_bound(g, bound)
+    counting_edges = terminals is not None
+    total = len(terminals) if counting_edges else 0
+    seen = 0
+    denom = 1
+    # the state None is the linked state: its frontier no longer matters
+    states: dict = {((), ()): {0: 1}}
+    for op in _frontier_plan(g, terminals or frozenset()):
+        nxt: dict = {}
+        if op[0] == "enter":
+            mark = op[1]
+            seen += mark
+            for state, counts in states.items():
+                if state is not None:
+                    labels, marks = state
+                    state = (labels + (len(marks),), marks + (mark,))
+                nxt[state] = counts
+        elif op[0] == "edge":
+            _, i, j, e = op
+            up = down = 1
+            if weighted:
+                up, d = e.prob.numerator, e.prob.denominator
+                down = d - up
+                denom *= d
+            for state, counts in states.items():
+                if down:
+                    _add(nxt, state, counts, down, 0)
+                if up:
+                    if state is not None:
+                        labels, marks = state
+                        x, y = sorted((labels[i], labels[j]))
+                        if x != y:
+                            merged = marks[:x] + (marks[x] or marks[y],) + marks[x + 1 :]
+                            state = _relabel(tuple([x if z == y else z for z in labels]), merged)
+                    _add(nxt, state, counts, up, int(counting_edges))
+        else:
+            i = op[1]
+            for state, counts in states.items():
+                closes = False
+                if state is not None:
+                    labels, marks = state
+                    x = labels[i]
+                    rest = labels[:i] + labels[i + 1 :]
+                    closes = x not in rest
+                    if closes and marks[x]:
+                        if seen < total or sum(marks) > 1:
+                            continue
+                        state = None
+                    else:
+                        state = _relabel(rest, marks)
+                _add(nxt, state, counts, 1, int(closes and not counting_edges))
+        states = nxt
+    # every vertex has left, so at most one state remains: the linked state,
+    # or with no terminal to mark, the empty frontier
+    counts = next(iter(states.values()), {})
+    return denom, dict(sorted(counts.items()))
 
 
 def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Fraction:
@@ -100,7 +251,7 @@ def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Frac
     if len(g.terminals) <= 1:
         return Fraction(1)
     targets = [index[t] for t in g.terminals]
-    return Fraction(sum(w for w, _, labels in states if len({labels[t] for t in targets}) == 1), denom)
+    return Fraction(sum(w for w, labels in states if len({labels[t] for t in targets}) == 1), denom)
 
 
 class _Subproblem:
@@ -326,18 +477,11 @@ class ReliabilityPolynomial(Value):
 def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> ReliabilityPolynomial:
     """Count terminal-linking states by operative edge count.
 
-    The counts ignore the edge probabilities: the walk runs unweighted, so
-    states with a p = 0 or p = 1 edge are counted like any other."""
-    index, _, states = _state_walk(g, bound, weighted=False)
-    m = len(g.edges)
-    if len(g.terminals) <= 1:
-        return ReliabilityPolynomial(tuple(comb(m, i) for i in range(m + 1)))
-    targets = [index[t] for t in g.terminals]
-    counts = [0] * (m + 1)
-    for _, ones, labels in states:
-        if len({labels[t] for t in targets}) == 1:
-            counts[ones] += 1
-    return ReliabilityPolynomial(tuple(counts))
+    The counts come from the frontier kernel run unweighted, so they ignore
+    the edge probabilities: states with a p = 0 or p = 1 edge are counted
+    like any other."""
+    _, counts = _frontier_walk(g, bound, weighted=False, terminals=g.terminals)
+    return ReliabilityPolynomial(tuple(counts.get(i, 0) for i in range(len(g.edges) + 1)))
 
 
 class StateDistribution(Value):
@@ -374,7 +518,7 @@ def state_distribution(
     bix = [index[b] for b in boundary]
     parts: dict[tuple[int, ...], Partition] = {}
     acc: dict[Partition, int] = {}
-    for w, _, labels in states:
+    for w, labels in states:
         key = tuple(labels[b] for b in bix)
         part = parts.get(key)
         if part is None:

@@ -611,6 +611,34 @@ class TestDeterminism:
         assert sizes == [10]  # Bell(3) = 5 states on each side
         assert outs[0] == outs[1]
 
+    def test_counts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the frontier kernel orders its work by sorted node names, never by
+        # set iteration; rcm refuses the graph with the isolated node, so it
+        # also runs without that node
+        edges = (
+            Edge(1, "d", "a", Fraction(1, 3)),
+            Edge(2, "a", "c", Fraction(1, 2)),
+            Edge(3, "c", "c", Fraction(2, 7)),
+            Edge(4, "c", "b", Fraction(3, 4)),
+            Edge(5, "b", "c", Fraction(1, 5)),
+            Edge(6, "b", "d", Fraction(5, 6)),
+            Edge(7, "a", "b", Fraction(1, 9)),
+        )
+        isolated = StochasticGraph(frozenset("abcde"), edges, frozenset("abe"))
+        connected = StochasticGraph(frozenset("abcd"), edges, frozenset("ab"))
+        runs = [
+            ("polynomial", write_graph(tmp_path / "isolated.json", isolated)),
+            ("rcm", write_graph(tmp_path / "connected.json", connected)),
+        ]
+        for command, path in runs:
+            for output in ("text", "json"):
+                procs = [
+                    run_cli(command, "--input", path, "--output", output, env=dict(os.environ, PYTHONHASHSEED=seed))
+                    for seed in ("0", "1", "977")
+                ]
+                assert [p.returncode for p in procs] == [0, 0, 0]
+                assert procs[0].stdout and all(p.stdout == procs[0].stdout for p in procs)
+
     def test_repeat_runs_identical(self, tmp_path):
         path = write_decomposition(tmp_path / "bridge.json", bridge_decomposition())
         a = run_cli("factor", "--input", path, "--output", "json")

@@ -1,12 +1,14 @@
 import math
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, with_prob
-from relfact.cluster import DisconnectedGraphError, partition_function
+from relfact.cluster import DisconnectedGraphError, dq_at_zero, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus, random_probability
 from relfact.graphs import (
@@ -178,16 +180,17 @@ class TestFactoringKernel:
 
 
 @st.composite
-def enumeration_graphs(draw):
-    """Multigraphs of at most 10 edges with loops, parallel edges, p in
-    {0, 1}, isolated nodes and 0-3 terminals, plus a boundary of 1-3 nodes."""
+def enumeration_graphs(draw, min_edges=0, max_edges=10, max_terminals=3):
+    """Multigraphs of min_edges..max_edges edges with loops, parallel edges,
+    p in {0, 1}, isolated nodes and 0..max_terminals terminals, plus a
+    boundary of 1-3 nodes."""
     nodes = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
     node = st.sampled_from(nodes)
-    ends = draw(st.lists(st.tuples(node, node), max_size=10))
-    if ends and len(ends) < 10 and draw(st.booleans()):
+    ends = draw(st.lists(st.tuples(node, node), min_size=min_edges, max_size=max_edges))
+    if ends and len(ends) < max_edges and draw(st.booleans()):
         ends.append(draw(st.sampled_from(ends)))  # a parallel edge
     edges = tuple(Edge(i + 1, u, v, draw(PROBABILITIES)) for i, (u, v) in enumerate(ends))
-    terminals = draw(st.sets(node, max_size=min(3, len(nodes))))
+    terminals = draw(st.sets(node, max_size=min(max_terminals, len(nodes))))
     boundary = draw(st.lists(node, min_size=1, max_size=3, unique=True))
     return StochasticGraph(frozenset(nodes), edges, frozenset(terminals)), boundary
 
@@ -206,8 +209,8 @@ def edge_states(g):
 
 
 class TestEnumerationRoutes:
-    """The four enumeration routes against a per-mask reference built only
-    on graphs.is_k_pathset and graphs.UnionFind."""
+    """The enumeration routes and the frontier counts against a per-mask
+    reference built only on graphs.is_k_pathset and graphs.UnionFind."""
 
     @staticmethod
     def check_against_reference(g, boundary):
@@ -269,6 +272,85 @@ class TestEnumerationRoutes:
             g.nodes, tuple(Edge(e.id, e.u, e.v, H) for e in g.edges), g.terminals
         )
         assert reliability_polynomial(g) == reliability_polynomial(half)
+
+
+def equal_probability(g, p, terminals=None):
+    """g with every edge at probability p, and its terminals replaced when
+    terminals is given."""
+    return StochasticGraph(
+        g.nodes,
+        tuple(Edge(e.id, e.u, e.v, p) for e in g.edges),
+        g.terminals if terminals is None else terminals,
+    )
+
+
+# past the per-mask reference of TestEnumerationRoutes
+ORACLE_GRAPHS = enumeration_graphs(min_edges=11, max_edges=14, max_terminals=4)
+
+
+def grid_4x4():
+    """The 4x4 grid at p = 1/2 (24 edges), terminals at two corners."""
+    name = "{}{}".format
+    ends = [(name(i, j), name(i, j + 1)) for i in range(4) for j in range(3)]
+    ends += [(name(i, j), name(i + 1, j)) for i in range(3) for j in range(4)]
+    nodes = frozenset(name(i, j) for i in range(4) for j in range(4))
+    edges = tuple(Edge(k + 1, u, v, H) for k, (u, v) in enumerate(ends))
+    return StochasticGraph(nodes, edges, frozenset({"00", "33"}))
+
+
+def k7_with_parallels():
+    """K7 at p = 1/3 plus three parallel edges (24 edges), three terminals."""
+    nodes = [str(i) for i in range(7)]
+    ends = list(combinations(nodes, 2)) + [("0", "1"), ("2", "3"), ("4", "5")]
+    edges = tuple(Edge(k + 1, u, v, Fraction(1, 3)) for k, (u, v) in enumerate(ends))
+    return StochasticGraph(frozenset(nodes), edges, frozenset({"0", "3", "6"}))
+
+
+class TestFrontierKernel:
+    """The frontier counts on inputs the 2^m walk cannot reach in time, and
+    against the enumeration oracle past the per-mask reference."""
+
+    @pytest.mark.parametrize("make", [grid_4x4, k7_with_parallels], ids=["grid4x4", "k7+3"])
+    def test_24_edges_at_the_default_bound(self, make):
+        g = make()
+        assert len(g.edges) == 24
+        start = time.perf_counter()
+        poly = reliability_polynomial(g)
+        assert time.perf_counter() - start < 2
+        p = g.edges[0].prob
+        m = len(g.edges)
+        assert sum(c * p**i * (1 - p) ** (m - i) for i, c in enumerate(poly.coefficients)) == (
+            reliability_factoring(g)
+        )
+        start = time.perf_counter()
+        z = partition_function(g)
+        assert time.perf_counter() - start < 2
+        assert dq_at_zero(z) == reliability_factoring(equal_probability(g, p, g.nodes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=ORACLE_GRAPHS, p=PROBABILITIES)
+    def test_polynomial_at_equal_p_matches_the_oracle(self, case, p):
+        g, _ = case
+        assert reliability_polynomial(g).evaluate(p) == reliability_bruteforce(equal_probability(g, p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=ORACLE_GRAPHS)
+    def test_cluster_weight_matches_the_oracle(self, case):
+        g, _ = case
+        g = StochasticGraph(g.nodes, g.edges, g.nodes)
+        try:
+            w = dq_at_zero(partition_function(g))
+        except DisconnectedGraphError:
+            assert reliability_bruteforce(g) == 0
+        else:
+            assert w == reliability_bruteforce(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=ORACLE_GRAPHS)
+    def test_edge_order_of_the_input_does_not_matter(self, case):
+        g, _ = case
+        flipped = StochasticGraph(g.nodes, tuple(reversed(g.edges)), g.terminals)
+        assert reliability_polynomial(flipped) == reliability_polynomial(g)
 
 
 class TestPolynomial:
