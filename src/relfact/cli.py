@@ -92,6 +92,11 @@ def _frac(x: Fraction) -> str:
     return jsonio.fraction_to_str(x)
 
 
+def _listing(formatted: dict[str, str]) -> str:
+    """Formatted partition -> value pairs as one line, sorted by partition."""
+    return ", ".join(f"{p} -> {v}" for p, v in sorted(formatted.items()))
+
+
 def cmd_reliability(args: argparse.Namespace) -> int:
     g = jsonio.graph_from_obj(_load_json(args.input))
     if args.route == "bruteforce":
@@ -103,8 +108,9 @@ def cmd_reliability(args: argparse.Namespace) -> int:
             "warning: some terminal reaches no other terminal; reliability is 0",
             file=sys.stderr,
         )
-    payload = {"reliability": _frac(value), "route": args.route}
-    _emit(args, payload, [f"reliability = {_frac(value)}", f"route = {args.route}"])
+    text = _frac(value)
+    payload = {"reliability": text, "route": args.route}
+    _emit(args, payload, [f"reliability = {text}", f"route = {args.route}"])
     return EXIT_OK
 
 
@@ -121,27 +127,21 @@ def cmd_factor(args: argparse.Namespace) -> int:
         _emit(args, payload, [f"reliability = {zero}"])
         return EXIT_OK
     payload = {"route": route, "n": d.n}
-    lines: list[str] = []
+    details: list[str] = []
     if route == "factorized":
         detail = reliability.factorization_detail(d, variant=args.order, jobs=args.jobs)
         value = detail.value
-        side1, side2 = detail.side_reliabilities()
-        payload["reliability"] = _frac(value)
-        payload["side_reliabilities"] = {
-            "g1": {str(p): _frac(v) for p, v in side1.items()},
-            "g2": {str(p): _frac(v) for p, v in side2.items()},
+        sides = {
+            name: {str(p): _frac(v) for p, v in side.items()}
+            for name, side in zip(("g1", "g2"), detail.side_reliabilities())
         }
-        payload["b_matrix"] = [[_frac(x) for x in row] for row in detail.bundle.A_inv]
-        lines.append(f"reliability = {_frac(value)}")
-        lines.append(f"n = {d.n}  order = {args.order}")
-        lines.append("b matrix (inverse connectivity matrix):")
-        for row in detail.bundle.A_inv:
-            lines.append("  " + "  ".join(_frac(x) for x in row))
-        for name, side in (("g1", side1), ("g2", side2)):
-            parts = ", ".join(
-                f"{p} -> {_frac(v)}" for p, v in sorted(side.items(), key=lambda kv: str(kv[0]))
-            )
-            lines.append(f"side {name}: {parts}")
+        b_matrix = [[_frac(x) for x in row] for row in detail.bundle.A_inv]
+        payload["side_reliabilities"] = sides
+        payload["b_matrix"] = b_matrix
+        details.append(f"n = {d.n}  order = {args.order}")
+        details.append("b matrix (inverse connectivity matrix):")
+        details += ["  " + "  ".join(row) for row in b_matrix]
+        details += [f"side {name}: {_listing(side)}" for name, side in sides.items()]
     elif route == "joint":
         off_cut = sorted(d.union.terminals - set(d.boundary))
         if off_cut:
@@ -151,28 +151,25 @@ def cmd_factor(args: argparse.Namespace) -> int:
         d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
         d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
         value = reliability.joint_reliability(d1, d2)
-        payload["reliability"] = _frac(value)
         payload["side_distributions"] = {
             "g1": {str(p): _frac(v) for p, v in d1.probs.items()},
             "g2": {str(p): _frac(v) for p, v in d2.probs.items()},
         }
-        lines.append(f"reliability = {_frac(value)}")
     else:  # n2
         value = reliability.n2_closed_form(d)
-        payload["reliability"] = _frac(value)
-        lines.append(f"reliability = {_frac(value)}")
+    payload["reliability"] = text = _frac(value)
+    lines = [f"reliability = {text}", *details]
 
     if args.verify:
         oracle = reliability.reliability_bruteforce(d.union, bound=args.bound)
-        payload["verified_against"] = _frac(oracle)
+        payload["verified_against"] = checked = _frac(oracle)
         if oracle != value:
             print(
-                f"verification mismatch: route {route} gave {_frac(value)}, "
-                f"enumeration gave {_frac(oracle)}",
+                f"verification mismatch: route {route} gave {text}, enumeration gave {checked}",
                 file=sys.stderr,
             )
             return EXIT_VERIFY
-        lines.append(f"verified against enumeration: {_frac(oracle)}")
+        lines.append(f"verified against enumeration: {checked}")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -219,18 +216,11 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     d = jsonio.decomposition_from_obj(_load_json(args.input))
     d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
     d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
-    payload = {
-        "n": d.n,
-        "g1": {str(p): _frac(v) for p, v in d1.probs.items()},
-        "g2": {str(p): _frac(v) for p, v in d2.probs.items()},
+    dists = {
+        name: {str(p): _frac(v) for p, v in dist.probs.items()} for name, dist in (("g1", d1), ("g2", d2))
     }
-    lines = [f"n = {d.n}"]
-    for name, dist in (("g1", d1), ("g2", d2)):
-        parts = ", ".join(
-            f"{p} -> {_frac(v)}" for p, v in sorted(dist.probs.items(), key=lambda kv: str(kv[0]))
-        )
-        lines.append(f"{name}: {parts}")
-    _emit(args, payload, lines)
+    lines = [f"n = {d.n}"] + [f"{name}: {_listing(dist)}" for name, dist in dists.items()]
+    _emit(args, {"n": d.n, **dists}, lines)
     return EXIT_OK
 
 
@@ -243,9 +233,8 @@ def cmd_rcm(args: argparse.Namespace) -> int:
         "dZdq_at_0": _frac(w1),
     }
     lines = ["Z coefficients by cluster count:"]
-    for k, w in sorted(z.coeffs.items()):
-        lines.append(f"  q^{k}: {_frac(w)}")
-    lines.append(f"dZ/dq at q=0: {_frac(w1)}")
+    lines += [f"  q^{k}: {w}" for k, w in payload["Z"].items()]
+    lines.append(f"dZ/dq at q=0: {payload['dZdq_at_0']}")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -6,26 +6,31 @@ boundary-state sum, and the bilinear cut factorization through the inverse
 connectivity matrix.  All routes work in exact rational arithmetic and must
 agree bit for bit; the test suite leans on that equality everywhere.
 
-The two 2^m routes, reliability_bruteforce and state_distribution, are
-short accumulators over one state walk, _state_walk, and stay the oracle.
-The counts, reliability_polynomial here and cluster.partition_function, are
-short accumulators over one frontier kernel, _frontier_walk, which merges
-equal partial states (Carlier & Lucet 1996; Hardy, Lucet & Limnios 2007),
-so its work is O(m * states on the frontier) rather than 2^m.  Both kernels
-check the same enumeration bound (_check_bound) and run in integers over
-one common denominator, the product of the edge denominators; each route
-sums integer numerators and builds its Fractions once, at the end.  Every
-quantity that factors over a cut (factorization_detail here and
-cluster.factorized_dq) goes through one combine, _cut_factorization.  A
-CutDecomposition checks itself when it is built (see graphs), so the cut
-routes take it as it is; a stranded terminal never reaches them.
+The two 2^m routes, reliability_bruteforce and state_distribution, stay
+the oracle: short accumulators over one bit-parallel kernel, _state_masks,
+which holds up to 2^16 edge states as the bits of one int and decides
+their connectivity at once by a reachability fixpoint, merging and pruning
+none.  The counts, reliability_polynomial here and
+cluster.partition_function, are short accumulators over one frontier
+kernel, _frontier_walk, which merges equal partial states (Carlier & Lucet
+1996; Hardy, Lucet & Limnios 2007), so its work is O(m * states on the
+frontier) rather than 2^m.  Both kernels sit behind the same enumeration
+bound (_check_bound) and run in integers over one common denominator, the
+product of the edge denominators; each route sums integer numerators and
+builds its Fractions once, at the end.  Every quantity that factors over a
+cut (factorization_detail here and cluster.factorized_dq) goes through one
+combine, _cut_factorization.  A CutDecomposition checks itself when it is
+built (see graphs), so the cut routes take it as it is; a stranded terminal
+never reaches them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from functools import reduce
+from itertools import combinations, product
+from math import comb, prod
+from operator import and_, mul
 from typing import Iterable
 
 from .conmatrix import ConnectivityBundle, invert_connectivity_matrix
@@ -57,46 +62,86 @@ def _check_bound(g: StochasticGraph, bound: int | None) -> None:
         )
 
 
-def _state_walk(g: StochasticGraph, bound: int | None):
-    """The enumeration kernel behind the 2^m oracle routes.
+_CHUNK = 16  # low edges: a mask over their states is one int of 2^16 bits
 
-    Checks the bound, indexes the nodes of g in sorted order, and returns
-    that index, a common denominator D and an iterator over the edge states
-    as (weight, labels): labels[i] names the component of node i among the
-    operative edges.  The walk runs in integers: with edge probabilities
-    p_i = a_i/d_i, every state's probability is prod(a_i or d_i - a_i) / D
-    with the same D = prod d_i, so a state's weight is that integer
-    numerator and a consumer sums plain ints and divides by D once, at the
-    end.  Labels are carried down the walk, relabelled once per union, so no
-    leaf rebuilds its components.  States of weight zero (an edge with
-    a_i = 0 up or d_i - a_i = 0 down) add nothing to any sum and are skipped.
+
+def _products(edges: list[tuple]) -> list[int]:
+    """The weight of each state of edges, bit i of the index for edge i."""
+    out = [1]
+    for _, _, up, down in edges:
+        out = [x * down for x in out] + [x * up for x in out]
+    return out
+
+
+def _state_masks(g: StochasticGraph):
+    """The bit-parallel kernel behind the 2^m oracle routes: the edge states
+    of g as masks, (index, D, full, mass, states).
+
+    index numbers the nodes in sorted order.  With p_i = a_i/d_i, a state's
+    probability is its integer weight prod(a_i or d_i - a_i) over
+    D = prod d_i.  The first _CHUNK edges with 0 < p < 1 are the low edges:
+    bit s of a mask is the state whose up low edges are the set bits of s,
+    full holds all 2^k of them, and mass(mask) sums their weights.  The
+    other edges, p in {0, 1} among them, are high: states yields each of
+    their states of nonzero weight as (weight, ops), where ops lists the
+    operative non-loop edges as (u, v, mask of the states where it is up).
     """
-    _check_bound(g, bound)
     index = {v: i for i, v in enumerate(sorted(g.nodes))}
     denom = 1
-    edges = []
+    low, high = [], []
     for e in g.edges:
         a, d = e.prob.numerator, e.prob.denominator
         denom *= d
-        edges.append((index[e.u], index[e.v], a, d - a))
+        (low if 0 < a < d and len(low) < _CHUNK else high).append((index[e.u], index[e.v], a, d - a))
+    k = len(low)
+    size = 1 << max(k - 3, 0)  # bytes per mask
+    full = (1 << (1 << k)) - 1
+    ops = []
+    for i, (u, v, _, _) in enumerate(low):
+        # edge i is up in the states whose bit i is set: a byte pattern
+        # for i < 3, runs of 2^(i-3) zero and 0xff bytes above
+        pattern = bytes([(0xAA, 0xCC, 0xF0)[i]]) if i < 3 else bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+        if u != v:
+            ops.append((u, v, int.from_bytes(pattern * (size // len(pattern)), "little") & full))
+    # byte j of a mask holds the states 8j..8j+7: the lowest 3 edges vary
+    # inside it, as table[byte] sums; the others are j's bits, split in
+    # two small tables, so byte j weighs rows[j // len(cols)] * cols[j % len(cols)]
+    table = [0]
+    for w in _products(low[:3]):
+        table += [x + w for x in table]
+    half = (max(k - 3, 0) + 1) // 2
+    cols, rows = _products(low[3 : 3 + half]), _products(low[3 + half :])
 
-    def walk():
-        stack = [(0, 1, tuple(range(len(index))))]
-        while stack:
-            i, weight, labels = stack.pop()
-            if i == len(edges):
-                yield weight, labels
-                continue
-            u, v, up, down = edges[i]
-            if down:
-                stack.append((i + 1, weight * down, labels))
-            if up:
-                keep, gone = labels[u], labels[v]
-                if keep != gone:
-                    labels = tuple(keep if x == gone else x for x in labels)
-                stack.append((i + 1, weight * up, labels))
+    def mass(mask: int) -> int:
+        data, n = mask.to_bytes(size, "little"), len(cols)
+        sums = (sum(map(mul, cols, map(table.__getitem__, data[j : j + n]))) for j in range(0, size, n))
+        return sum(map(mul, rows, sums))
 
-    return index, denom, walk()
+    # a high edge is down, or up and operative in every low state
+    branches = [
+        [(w, [(u, v, full)] if is_up and u != v else []) for is_up, w in ((False, down), (True, up)) if w]
+        for u, v, up, down in high
+    ]
+    states = (
+        (prod(w for w, _ in pick), ops + [op for _, more in pick for op in more]) for pick in product(*branches)
+    )
+    return index, denom, full, mass, states
+
+
+def _linked_masks(ops: list[tuple], source: int, full: int) -> dict[int, int]:
+    """Per node, the mask of the states in which ops link it to source, by a
+    fixpoint over the edges; a node reached in no state is absent."""
+    reach = {source: full}
+    changed = True
+    while changed:
+        changed = False
+        for u, v, m in ops:
+            ru, rv = reach.get(u, 0), reach.get(v, 0)
+            if (ru ^ rv) & m:
+                x = (ru | rv) & m
+                reach[u], reach[v] = ru | x, rv | x
+                changed = True
+    return reach
 
 
 def _frontier_plan(g: StochasticGraph, terminals: frozenset[str]) -> list[tuple]:
@@ -174,7 +219,7 @@ def _frontier_walk(
     growth tuple, and one mark per block that holds a terminal.  States
     that become equal merge, so the work is O(m * states on the frontier)
     rather than 2^m.  Each state carries its weights keyed by a count.
-    Weights are integers over one common denominator D, as in _state_walk:
+    Weights are integers over one common denominator D, as in _state_masks:
     with weighted, an edge p = a/d multiplies by a up and by d - a down and
     D is the product of the d; without, every edge state weighs 1 and D = 1.
     A block that leaves the frontier closes one cluster.
@@ -246,12 +291,19 @@ def _frontier_walk(
 
 
 def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Fraction:
-    """Sum of state probabilities over every terminal-linking state."""
-    index, denom, states = _state_walk(g, bound)
+    """Sum of state probabilities over every terminal-linking state: the
+    states in which the least terminal reaches every other."""
+    _check_bound(g, bound)
     if len(g.terminals) <= 1:
         return Fraction(1)
-    targets = [index[t] for t in g.terminals]
-    return Fraction(sum(w for w, labels in states if len({labels[t] for t in targets}) == 1), denom)
+    index, denom, full, mass, states = _state_masks(g)
+    source, *targets = sorted(index[t] for t in g.terminals)
+    total = 0
+    for weight, ops in states:
+        reach = _linked_masks(ops, source, full)
+        if linked := reduce(and_, [reach.get(t, 0) for t in targets], full):
+            total += weight * mass(linked)
+    return Fraction(total, denom)
 
 
 class _Subproblem:
@@ -514,17 +566,30 @@ def state_distribution(
     for b in boundary:
         if b not in g.nodes:
             raise ValueError(f"boundary node {b!r} not in graph")
-    index, denom, states = _state_walk(g, bound)
+    _check_bound(g, bound)
+    index, denom, full, mass, states = _state_masks(g)
     bix = [index[b] for b in boundary]
-    parts: dict[tuple[int, ...], Partition] = {}
-    acc: dict[Partition, int] = {}
-    for w, labels in states:
-        key = tuple(labels[b] for b in bix)
-        part = parts.get(key)
-        if part is None:
-            part = parts[key] = Partition.from_labels(key)
-        acc[part] = acc.get(part, 0) + w
-    probs = {part: Fraction(w, denom) for part, w in acc.items()}
+    acc: dict[tuple[int, ...], int] = {}
+    for weight, ops in states:
+        # the last boundary node opens no block that a later one could join
+        reach = [_linked_masks(ops, b, full) for b in bix[:-1]]
+        split = [((), full)]
+        for b in bix:
+            nxt = []
+            for labels, mask in split:
+                # b joins the block of the first earlier node it reaches, or opens one
+                firsts = [labels.index(c) for c in range(len(set(labels)))]
+                for c, f in enumerate(firsts):
+                    sub = mask & reach[f].get(b, 0)
+                    if sub:
+                        nxt.append((labels + (c,), sub))
+                        mask ^= sub
+                if mask:
+                    nxt.append((labels + (len(firsts),), mask))
+            split = nxt
+        for labels, mask in split:
+            acc[labels] = acc.get(labels, 0) + weight * mass(mask)
+    probs = {Partition.from_labels(key): Fraction(w, denom) for key, w in acc.items()}
     return StateDistribution(boundary=boundary, probs=probs)
 
 

@@ -639,6 +639,37 @@ class TestDeterminism:
                 assert [p.returncode for p in procs] == [0, 0, 0]
                 assert procs[0].stdout and all(p.stdout == procs[0].stdout for p in procs)
 
+    def test_oracle_routes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the enumeration kernel indexes nodes by sorted name and splits a
+        # boundary in its listed order, never by set iteration
+        ends1 = [("x", "a", "1/3"), ("a", "b", "1/2"), ("b", "c", "2/7"), ("c", "x", "3/4"),
+                 ("x", "x", "1/5"), ("a", "b", "1/9")]
+        ends2 = [("a", "y", "5/6"), ("y", "c", "1/2"), ("b", "z", "1/3"), ("z", "c", "2/3"), ("y", "z", "1/4")]
+        doc = {
+            "g1": {"nodes": ["a", "b", "c", "x"], "terminals": ["a", "b", "c"], "edges": [
+                {"id": i, "u": u, "v": v, "p": p} for i, (u, v, p) in enumerate(ends1, 1)]},
+            "g2": {"nodes": ["a", "b", "c", "y", "z"], "terminals": ["a", "b", "c"], "edges": [
+                {"id": i, "u": u, "v": v, "p": p} for i, (u, v, p) in enumerate(ends2, len(ends1) + 1)]},
+            "boundary": ["c", "a", "b"],
+        }
+        decomposition = tmp_path / "d.json"
+        decomposition.write_text(json.dumps(doc))
+        union = write_graph(tmp_path / "union.json", jsonio.decomposition_from_obj(doc).union)
+        runs = [
+            (("reliability", "--route", "bruteforce"), union),
+            (("distribution",), str(decomposition)),
+            (("factor", "--route", "joint", "--verify"), str(decomposition)),
+            (("verify",), str(decomposition)),
+        ]
+        for command, path in runs:
+            for output in ("text", "json"):
+                procs = [
+                    run_cli(*command, "--input", path, "--output", output, env=dict(os.environ, PYTHONHASHSEED=seed))
+                    for seed in ("0", "1", "977")
+                ]
+                assert [p.returncode for p in procs] == [0, 0, 0]
+                assert procs[0].stdout and all(p.stdout == procs[0].stdout for p in procs)
+
     def test_repeat_runs_identical(self, tmp_path):
         path = write_decomposition(tmp_path / "bridge.json", bridge_decomposition())
         a = run_cli("factor", "--input", path, "--output", "json")

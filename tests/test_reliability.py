@@ -1,13 +1,15 @@
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, with_prob
+from conftest import random_graph, walk_routes, with_prob
 from relfact.cluster import DisconnectedGraphError, dq_at_zero, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus, random_probability
@@ -180,18 +182,18 @@ class TestFactoringKernel:
 
 
 @st.composite
-def enumeration_graphs(draw, min_edges=0, max_edges=10, max_terminals=3):
-    """Multigraphs of min_edges..max_edges edges with loops, parallel edges,
-    p in {0, 1}, isolated nodes and 0..max_terminals terminals, plus a
-    boundary of 1-3 nodes."""
-    nodes = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+def enumeration_graphs(draw, min_edges=0, max_edges=10, max_terminals=3, max_nodes=6, max_boundary=3):
+    """Multigraphs of 1..max_nodes nodes and min_edges..max_edges edges with
+    loops, parallel edges, p in {0, 1}, isolated nodes and 0..max_terminals
+    terminals, plus a boundary of 1..max_boundary nodes."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, max_nodes)))]
     node = st.sampled_from(nodes)
     ends = draw(st.lists(st.tuples(node, node), min_size=min_edges, max_size=max_edges))
     if ends and len(ends) < max_edges and draw(st.booleans()):
         ends.append(draw(st.sampled_from(ends)))  # a parallel edge
     edges = tuple(Edge(i + 1, u, v, draw(PROBABILITIES)) for i, (u, v) in enumerate(ends))
     terminals = draw(st.sets(node, max_size=min(max_terminals, len(nodes))))
-    boundary = draw(st.lists(node, min_size=1, max_size=3, unique=True))
+    boundary = draw(st.lists(node, min_size=1, max_size=max_boundary, unique=True))
     return StochasticGraph(frozenset(nodes), edges, frozenset(terminals)), boundary
 
 
@@ -351,6 +353,58 @@ class TestFrontierKernel:
         g, _ = case
         flipped = StochasticGraph(g.nodes, tuple(reversed(g.edges)), g.terminals)
         assert reliability_polynomial(flipped) == reliability_polynomial(g)
+
+
+class TestBitParallelOracle:
+    """The bit-parallel enumeration routes against the state walk of
+    conftest, past the per-mask reference of TestEnumerationRoutes and at
+    the default bound."""
+
+    @staticmethod
+    def check_against_walk(g, boundary):
+        value, dist = walk_routes(g, boundary)
+        assert reliability_bruteforce(g) == value
+        assert state_distribution(g, boundary).probs == dist
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=enumeration_graphs(11, 16, max_terminals=7, max_nodes=8, max_boundary=5))
+    def test_routes_match_the_walk(self, case):
+        self.check_against_walk(*case)
+        # a chunk of 3 edges leaves the others to the one-state-at-a-time loop
+        with mock.patch("relfact.reliability._CHUNK", 3):
+            self.check_against_walk(*case)
+
+    @pytest.mark.parametrize("make", [grid_4x4, k7_with_parallels], ids=["grid4x4", "k7+3"])
+    def test_24_edges_at_the_default_bound(self, make):
+        g = make()
+        start = time.perf_counter()
+        value = reliability_bruteforce(g)
+        assert time.perf_counter() - start < 2
+        assert value == reliability_factoring(g)
+
+    def test_distribution_of_a_20_edge_side(self):
+        rng = random.Random(20)
+        nodes = [f"n{i}" for i in range(8)]
+        edges = tuple(
+            Edge(i + 1, rng.choice(nodes), rng.choice(nodes), random_probability(rng)) for i in range(20)
+        )
+        g = StochasticGraph(frozenset(nodes), edges, frozenset(nodes[:3]))
+        self.check_against_walk(g, nodes[3:])
+
+    def test_all_certain_24_edges_stay_fast(self):
+        # edges of p in {0, 1} are enumerated one state at a time, and the
+        # branch of weight zero is skipped: a single state remains
+        g = grid_4x4()
+        g = StochasticGraph(
+            g.nodes, tuple(Edge(e.id, e.u, e.v, Fraction(e.id % 2)) for e in g.edges), g.terminals
+        )
+        boundary = ["00", "03", "12", "30", "33"]
+        start = time.perf_counter()
+        value = reliability_bruteforce(g)
+        dist = state_distribution(g, boundary)
+        assert time.perf_counter() - start < 0.5
+        assert (value, dist.probs) == walk_routes(g, boundary)
+        assert value == reliability_factoring(g)
 
 
 class TestPolynomial:
