@@ -13,7 +13,6 @@ from .conmatrix import (
     connectivity_number,
     invert_connectivity_matrix,
     pi_vector,
-    xi_vector,
 )
 from .graphs import (
     CutDecomposition,
@@ -23,13 +22,7 @@ from .graphs import (
     is_k_connected,
     is_k_pathset,
 )
-from .linalg import (
-    InvariantFactors,
-    abelian_signature,
-    fraction_free_determinant,
-    rational_inverse_oracle,
-    smith_normal_form,
-)
+from .linalg import InvariantFactors, abelian_signature, diagonal_smith_form
 from .partitions import (
     CoherentOrder,
     Orbit,

@@ -17,11 +17,12 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from . import cluster, conmatrix, jsonio, reliability
 from .graphs import GraphError, Hypothesis2Error, is_k_connected
-from .linalg import fraction_free_determinant, smith_normal_form
+from .linalg import diagonal_smith_form
 from .partitions import ORDER_VARIANTS, coherent_order
 
 EXIT_OK = 0
@@ -180,8 +181,10 @@ def cmd_conmatrix(args: argparse.Namespace) -> int:
         return EXIT_FORMAT
     order = coherent_order(args.n, args.order)
     bundle = conmatrix.invert_connectivity_matrix(order)
-    det = fraction_free_determinant(bundle.A)
-    factors = smith_normal_form(bundle.A)
+    # B^T * A * B = diag(alpha) with B unimodular: det A and the Smith form
+    # of A are those of the diagonal
+    det = prod(bundle.alpha)
+    factors = diagonal_smith_form([abs(a) for a in bundle.alpha])
     payload = jsonio.conmatrix_to_obj(bundle, det, factors)
     lines = [
         f"n = {args.n}  states = {len(order.states)}  order = {args.order}",
@@ -363,12 +366,7 @@ def main(argv=None) -> int:
     except jsonio.FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code = EXIT_FORMAT
-    except (
-        GraphError,
-        reliability.EnumerationBoundError,
-        cluster.DisconnectedGraphError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # GraphError, EnumerationBoundError and the other semantic failures
         print(f"validation error: {exc}", file=sys.stderr)
         code = EXIT_SEMANTIC
     finally:

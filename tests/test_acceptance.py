@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import reference_matrices as ref
+from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
 from relfact import jsonio
 from relfact.cluster import dq_at_zero, factorized_dq, partition_function
 from relfact.conmatrix import (
@@ -25,7 +26,7 @@ from relfact.conmatrix import (
 )
 from relfact.corpus import bridge_decomposition, corpus
 from relfact.graphs import CutDecomposition
-from relfact.linalg import abelian_signature, rational_inverse_oracle, smith_normal_form
+from relfact.linalg import abelian_signature, diagonal_smith_form
 from relfact.partitions import Partition, all_partitions, coherent_order, orbits
 from relfact.reliability import (
     factorization_detail,
@@ -127,6 +128,8 @@ def test_criterion_2_determinants():
     for size, blocks in ref.N5_ORBITS:
         expected5 *= math.factorial(blocks - 1) ** size
     assert abs(connectivity_matrix_det(5)) == expected5
+    for n in (3, 4, 5):  # det A = prod(alpha), against elimination
+        assert connectivity_matrix_det(n) == fraction_free_determinant(connectivity_matrix(coherent_order(n)))
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(2, f"|det| = 2, 384, {expected5} for n = 3, 4, 5", elapsed)
@@ -140,8 +143,11 @@ def test_criterion_3_invariant_factors():
         5: [24] + [6] * 10 + [2] * 25,
     }
     for n, cyclic in expectations.items():
-        factors = smith_normal_form(connectivity_matrix(coherent_order(n)))
+        bundle = invert_connectivity_matrix(coherent_order(n))
+        factors = smith_normal_form(bundle.A)
         assert factors.torsion_prime_powers == abelian_signature(cyclic), n
+        # the Smith form read off the Moebius diagonal, against elimination
+        assert diagonal_smith_form([abs(a) for a in bundle.alpha]) == factors, n
     # the stated n=5 group in both of its decompositions
     assert abelian_signature([24] + [6] * 10 + [2] * 25) == abelian_signature(
         [8] + [3] * 11 + [2] * 35

@@ -499,6 +499,18 @@ class TestOtherCommands:
         assert "empty node set" in proc.stderr
         assert proc.stdout == ""
 
+    def test_rcm_refuses_a_disconnected_graph(self, tmp_path):
+        path = tmp_path / "two_pieces.json"
+        path.write_text(json.dumps({
+            "nodes": ["a", "b", "c", "d"],
+            "edges": [{"id": 1, "u": "a", "v": "b", "p": "1/2"}, {"id": 2, "u": "c", "v": "d", "p": "1/3"}],
+            "terminals": ["a", "b", "c", "d"],
+        }))
+        proc = run_cli("rcm", "--input", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines()[0] == "validation error: underlying graph is not connected"
+        assert proc.stdout == ""
+
 
 class TestVerifyCommand:
     def test_fixture_directory(self, tmp_path):

@@ -1,7 +1,10 @@
+import functools
+import hashlib
 import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import reference_matrices as ref
 from conftest import mat_mul
+from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
 from relfact import cli, conmatrix
 from relfact.conmatrix import (
     connectivity_matrix,
@@ -17,14 +21,8 @@ from relfact.conmatrix import (
     connectivity_number,
     invert_connectivity_matrix,
     pi_vector,
-    xi_vector,
 )
-from relfact.linalg import (
-    abelian_signature,
-    is_symmetric,
-    rational_inverse_oracle,
-    smith_normal_form,
-)
+from relfact.linalg import abelian_signature, diagonal_smith_form, is_symmetric
 from relfact.partitions import (
     Partition,
     all_partitions,
@@ -33,6 +31,7 @@ from relfact.partitions import (
     conjugate,
     join,
     meet,
+    orbits,
     refines,
 )
 
@@ -113,6 +112,21 @@ def xi_product(a):
     return v
 
 
+@functools.cache
+def xi_columns(n):
+    """xi(a) for every partition a of {1..n}, read off the columns of the
+    bundle's D = B^T."""
+    b = invert_connectivity_matrix(coherent_order(n))
+    D, states = b.D, b.order.states
+    return {a: {states[i]: row[j] for i, row in enumerate(D) if row[j]} for j, a in enumerate(states)}
+
+
+def xi_vector(a):
+    """Expansion of xi(a) = sum over c <= a of mu(c, a) * c, as the bundle
+    holds it."""
+    return dict(xi_columns(a.n)[a])
+
+
 class TestMoebiusClosedForms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_pi_equals_the_product(self, n):
@@ -121,6 +135,7 @@ class TestMoebiusClosedForms:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_xi_equals_the_product(self, n):
+        # the bundle's D, column by column, against the paper's meet products
         for a in all_partitions(n):
             assert xi_vector(a) == xi_product(a)
 
@@ -335,7 +350,7 @@ class TestBundle:
         assert b.A_inv == mat_mul(mat_mul(b.B, b.C), b.D)
         assert all(isinstance(x, Fraction) for row in b.A_inv for x in row)
 
-    @pytest.mark.parametrize("which", ["pi_vector", "xi_vector"])
+    @pytest.mark.parametrize("which", ["pi_vector"])
     def test_corrupted_factor_raises(self, monkeypatch, which):
         real = getattr(conmatrix, which)
         keep = {Partition.top(3)}  # dropping alpha would trip a different check
@@ -354,6 +369,18 @@ class TestBundle:
         with pytest.raises(RuntimeError, match="failed to invert"):
             invert_connectivity_matrix(coherent_order(3))
         assert dropped
+
+    def test_corrupted_matrix_raises(self, monkeypatch):
+        real = conmatrix.connectivity_matrix
+
+        def one_pair_flipped(order):
+            A = real(order)
+            A[0][1] = A[1][0] = 1 - A[0][1]
+            return A
+
+        monkeypatch.setattr(conmatrix, "connectivity_matrix", one_pair_flipped)
+        with pytest.raises(RuntimeError, match="failed to invert"):
+            invert_connectivity_matrix(coherent_order(3))
 
     @pytest.mark.parametrize("variant", ["canonical", "reversed-levels"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -381,10 +408,52 @@ class TestConmatrixCli:
         out = capsys.readouterr().out
         assert len(json.loads(out)["A_inv"]) == bell_number(6)
 
+    def test_n6_text_in_budget(self, capsys):
+        # det and Smith form come off alpha: no O(m^3) elimination on 203 states
+        started = time.perf_counter()
+        assert cli.main(["conmatrix", "--n", "6"]) == 0
+        assert time.perf_counter() - started < 0.8
+        assert "det = " in capsys.readouterr().out
+
     @pytest.mark.parametrize("n", ["7", "8"])
     def test_past_bundle_limit_exit_2(self, capsys, n):
         assert cli.main(["conmatrix", "--n", n]) == 2
         assert "n must be in 1..6" in capsys.readouterr().err
+
+
+# sha256 of the stdout of `relfact conmatrix --n n --order order --output
+# output`, pinned from the elimination-based build: det and the Smith form
+# from alpha print the same bytes
+CONMATRIX_STDOUT_SHA256 = {
+    (1, "canonical", "text"): "c088ac899720749032c4c89c2fee95227f26bc724fc84278e4d50b9d96c7babf",
+    (1, "canonical", "json"): "7318ea970db3fad25e3eadd0cc35434818e19917c744e689bb76ef6b9b911e2b",
+    (1, "reversed-levels", "text"): "ee3dc37561b39c327174aa27588ebd8e3487943b06ee7d46f180a0fc92dd8806",
+    (1, "reversed-levels", "json"): "7318ea970db3fad25e3eadd0cc35434818e19917c744e689bb76ef6b9b911e2b",
+    (2, "canonical", "text"): "9592a557c84c3b72eddba8bde23aae0b28ac256da9894c9033fa97455dc2581b",
+    (2, "canonical", "json"): "4ab9206817942cb8b82f54412167327fdd1fb6d8f9cbd2b7588661a4c8c00f00",
+    (2, "reversed-levels", "text"): "3add91016230b5adb4dc2fabf4523299a8874aa25169b043bf300c5b529bb00f",
+    (2, "reversed-levels", "json"): "4ab9206817942cb8b82f54412167327fdd1fb6d8f9cbd2b7588661a4c8c00f00",
+    (3, "canonical", "text"): "d17e64e6f2b415d5c926d017ef21405a3b3174fada8072d4d2ff3fcc27697a7d",
+    (3, "canonical", "json"): "ac38b22df01323a4558c870ab77e10b044405b14bbc9cf708c9e2a7648fb464d",
+    (3, "reversed-levels", "text"): "9c9c5bcde6b6dacfea00250044043208c4cb0c70968b946c9351bd8c45c6824f",
+    (3, "reversed-levels", "json"): "25b1462f3afbadeaaf294f59afd1081e2b96d33cda74024538bb2081a53f9a87",
+    (4, "canonical", "text"): "a5738a66ea841feb8316d9819d55804835c8e4c4bdc672b37c43206d451c9045",
+    (4, "canonical", "json"): "55c819fbb9ffd3fdd81e995722332d2b7ad44427a49143002cdaac1903d9ea34",
+    (4, "reversed-levels", "text"): "913db7b2537e2af16898de0cbabb62f0b245dbf70829f0959690dfd07c1abacf",
+    (4, "reversed-levels", "json"): "2f82574993223975e2c0d2210a48f3c77f01de56694b60f130f6493d5848993c",
+    (5, "canonical", "text"): "628ff195b021e4fb5565193d77e74a156177b02bffaca63c3a1d7d2a430c648c",
+    (5, "canonical", "json"): "e00c7b722e1f3f668a01397fd996965b8c304ae2115d4d184e190a7c2e6271f1",
+    (5, "reversed-levels", "text"): "9a45d29a7d39eb6f0711421bc18eb0670bba25786ae6130be6cf47ea5fe547c6",
+    (5, "reversed-levels", "json"): "b30704a55bf0ba765a2a311c0231d183d32180836861d6e7eb3f926e2ccc1c78",
+}
+
+
+@pytest.mark.parametrize(("n", "order", "output"), CONMATRIX_STDOUT_SHA256)
+def test_conmatrix_stdout_is_pinned(capsys, n, order, output):
+    argv = ["conmatrix", "--n", str(n), "--order", order, "--output", output]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CONMATRIX_STDOUT_SHA256[(n, order, output)]
 
 
 class TestDeterminant:
@@ -415,3 +484,30 @@ class TestInvariantFactors:
     def test_n5_torsion(self):
         f = smith_normal_form(connectivity_matrix(coherent_order(5)))
         assert f.torsion_prime_powers == abelian_signature([24] + [6] * 10 + [2] * 25)
+
+
+class TestClosedFormsAgainstElimination:
+    """det A, its Smith form and its n = 7, 8 determinants read off
+    B^T * A * B = diag(alpha), against the elimination references."""
+
+    @pytest.mark.parametrize("variant", ["canonical", "reversed-levels"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_det_and_smith_form_from_alpha(self, n, variant):
+        b = invert_connectivity_matrix(coherent_order(n, variant))
+        det = fraction_free_determinant(b.A)
+        assert math.prod(b.alpha) == det
+        assert connectivity_matrix_det(n) == det
+        factors = diagonal_smith_form([abs(a) for a in b.alpha])
+        reference = smith_normal_form(b.A)
+        assert factors.snf_diagonal == reference.snf_diagonal
+        assert factors.torsion_prime_powers == reference.torsion_prime_powers
+
+    @pytest.mark.parametrize(("n", "digits"), [(7, 603), (8, 3701)])
+    def test_det_past_the_bundle_limit(self, n, digits):
+        # alpha is constant on each relabeling orbit, so the product of
+        # mu(a, top) over all partitions is taken one orbit at a time
+        det = connectivity_matrix_det(n)
+        signed = math.prod(connectivity_number(o.members[0]) ** o.size for o in orbits(n))
+        assert det == signed
+        assert abs(det) == math.prod(math.factorial(o.block_count - 1) ** o.size for o in orbits(n))
+        assert len(str(abs(det))) == digits

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import mat_mul
-from relfact.linalg import (
+from elimination import (
     SingularMatrixError,
-    abelian_signature,
     fraction_free_determinant,
     rational_inverse_oracle,
     smith_normal_form,
 )
+from relfact.linalg import abelian_signature, diagonal_smith_form
 
 
 def identity_matrix(n):
@@ -117,6 +117,26 @@ class TestSmithNormalForm:
         base = smith_normal_form(m)
         assert smith_normal_form(mat_mul(u, m)) == base
         assert smith_normal_form(mat_mul(m, u)) == base
+
+
+class TestDiagonalSmithForm:
+    def test_known(self):
+        f = diagonal_smith_form([2, 3])
+        assert f.snf_diagonal == (1, 6)
+        assert f.torsion_prime_powers == ((2, 1, 1), (3, 1, 1))
+        assert diagonal_smith_form([]).snf_diagonal == ()
+
+    def test_against_elimination(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            entries = [rng.randint(1, 150) for _ in range(rng.randint(1, 6))]
+            m = [[d if i == j else 0 for j in range(len(entries))] for i, d in enumerate(entries)]
+            assert diagonal_smith_form(entries) == smith_normal_form(m)
+
+    @pytest.mark.parametrize("bad", [[0], [3, -2]])
+    def test_rejects_entries_below_one(self, bad):
+        with pytest.raises(ValueError, match="positive"):
+            diagonal_smith_form(bad)
 
 
 class TestAbelianSignature:

@@ -30,9 +30,16 @@ def test_conmatrix_report_checks_every_inverse():
     header, *rows = proc.stdout.splitlines()
     assert header.split()[:3] == ["n", "states", "bundle_s"]
     assert len(rows) == 4
-    for row in rows:
-        assert float(row.split()[2]) >= 0  # the bundle build time on its own
+    for n, row in enumerate(rows, 1):
+        fields = row.split()
+        assert int(fields[0]) == n
+        assert float(fields[2]) >= 0  # the bundle build time on its own
+        det, reference_det, predicted = map(int, fields[3:6])
+        assert det == reference_det  # prod(alpha) against Bareiss
+        assert abs(det) == predicted
+        assert fields[6] == fields[7]  # torsion of diag(|alpha|) against the Smith form of A
         assert "inverse=ok" in row
+    assert rows[-1].split()[3:8] == ["384", "384", "384", "Z_2^7+Z_3", "Z_2^7+Z_3"]
     assert "MISMATCH" not in proc.stdout
 
 

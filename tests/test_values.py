@@ -15,7 +15,7 @@ from relfact.cluster import ClusterPolynomial, partition_function
 from relfact.conmatrix import ConnectivityBundle, invert_connectivity_matrix
 from relfact.corpus import bridge_decomposition, bridge_graph
 from relfact.graphs import CutDecomposition, Edge, StochasticGraph
-from relfact.linalg import InvariantFactors, smith_normal_form
+from relfact.linalg import InvariantFactors, diagonal_smith_form
 from relfact.partitions import CoherentOrder, Orbit, Partition, coherent_order, orbits
 from relfact.reliability import (
     FactorizationResult,
@@ -45,7 +45,7 @@ VALUES = {
     StateDistribution: (lambda: state_distribution(bridge_graph(), ("s", "t")), "boundary"),
     FactorizationResult: (lambda: factorization_detail(bridge_decomposition()), "bundle"),
     ConnectivityBundle: (lambda: invert_connectivity_matrix(fresh_order()), "order"),
-    InvariantFactors: (lambda: smith_normal_form([[2, 0], [0, 6]]), "snf_diagonal"),
+    InvariantFactors: (lambda: diagonal_smith_form([2, 6]), "snf_diagonal"),
     ClusterPolynomial: (lambda: partition_function(bridge_graph()), "node_count"),
 }
 # the types holding a dict or list field, which has no hash
