@@ -30,20 +30,23 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=3)
     args = parser.parse_args()
 
+    # every draw is made before anything is written, so a boundary size
+    # that no draw fits leaves the output directory as it was
+    docs = {"bridge": bridge_decomposition()}
+    try:
+        for n in range(1, args.max_n + 1):
+            docs.update((f"cut{n}_{i}", d) for i, d in enumerate(corpus(args.seed, n, args.per_n)))
+            allterms = corpus(args.seed + 1, n, max(1, args.per_n // 2), terminal_mode="all")
+            docs.update((f"allterm{n}_{i}", d) for i, d in enumerate(allterms))
+    except ValueError as exc:
+        parser.error(str(exc))
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def write(name, d):
+    for name, d in docs.items():
         path = out / f"{name}.json"
         path.write_text(jsonio.dumps_canonical(jsonio.decomposition_to_obj(d)))
         print(f"wrote {path}")
-
-    write("bridge", bridge_decomposition())
-    for n in range(1, args.max_n + 1):
-        for i, d in enumerate(corpus(args.seed, n, args.per_n)):
-            write(f"cut{n}_{i}", d)
-        for i, d in enumerate(corpus(args.seed + 1, n, max(1, args.per_n // 2), terminal_mode="all")):
-            write(f"allterm{n}_{i}", d)
     print(f"done; run: relfact verify --input {out}")
     return 0
 

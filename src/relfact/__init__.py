@@ -11,6 +11,7 @@ from .conmatrix import (
     connectivity_matrix,
     connectivity_matrix_det,
     connectivity_number,
+    inverse_form,
     invert_connectivity_matrix,
     pi_vector,
 )

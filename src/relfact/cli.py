@@ -130,13 +130,15 @@ def cmd_factor(args: argparse.Namespace) -> int:
     payload = {"route": route, "n": d.n}
     details: list[str] = []
     if route == "factorized":
-        detail = reliability.factorization_detail(d, variant=args.order, jobs=args.jobs)
+        # built only to be printed, before any side solve: past n = 6 it exits 3
+        bundle = conmatrix.invert_connectivity_matrix(coherent_order(d.n, args.order))
+        detail = reliability.factorization_detail(d, jobs=args.jobs)
         value = detail.value
         sides = {
             name: {str(p): _frac(v) for p, v in side.items()}
-            for name, side in zip(("g1", "g2"), detail.side_reliabilities())
+            for name, side in (("g1", detail.side1), ("g2", detail.side2))
         }
-        b_matrix = [[_frac(x) for x in row] for row in detail.bundle.A_inv]
+        b_matrix = [[_frac(x) for x in row] for row in bundle.A_inv]
         payload["side_reliabilities"] = sides
         payload["b_matrix"] = b_matrix
         details.append(f"n = {d.n}  order = {args.order}")
@@ -249,12 +251,8 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
     factored = reliability.reliability_factoring(union)
     if factored != brute:
         failures.append("factoring != enumeration")
-    for variant in ORDER_VARIANTS:
-        detail = reliability.factorization_detail(d, variant=variant, jobs=jobs)
-        if variant == "canonical":
-            canonical = detail.bundle  # reused by the cluster derivative below
-        if detail.value != brute:
-            failures.append(f"factorized[{variant}] != enumeration")
+    if reliability.factorization_detail(d, jobs=jobs).value != brute:
+        failures.append("factorized != enumeration")
     if union.terminals <= set(d.boundary):
         # the boundary-state sum equals the reliability only when every
         # terminal sits on the cut
@@ -268,7 +266,7 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
         w1 = cluster.dq_at_zero(cluster.partition_function(union, bound=bound))
         if w1 != brute:
             failures.append("cluster-model q-linear weight != enumeration")
-        if cluster.factorized_dq(d, bundle=canonical, jobs=jobs, bound=bound) != w1:
+        if cluster.factorized_dq(d, jobs=jobs, bound=bound) != w1:
             failures.append("factorized cluster derivative != direct")
     return (not failures, failures, brute)
 
@@ -349,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rcm", help="random cluster model partition function")
     common(p)
 
-    p = sub.add_parser("verify", help="run every route, in both orders, on a directory of fixtures")
+    p = sub.add_parser("verify", help="run every route on a directory of fixtures")
     common(p)
 
     return parser

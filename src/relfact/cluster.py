@@ -6,10 +6,12 @@ Its linear coefficient in q is exactly the all-terminal reliability, which
 carries the cut factorization over to the q -> 0 derivative.  Z is summed
 by reliability's frontier kernel, which counts a cluster each time a block
 leaves the frontier, as integer numerators per cluster count, divided by
-the common denominator once, at the end; the derivative is
-factored through reliability's cut-factorization combine, over a
-decomposition that was checked when it was built and carries its union; a
-side that an identification disconnects contributes 0 there.
+the common denominator once, at the end.  The derivative is factored
+through reliability's cut-factorization combine, which reads the inverse
+connectivity matrix off the Moebius diagonal, so it takes no coherent
+order and runs at every boundary size a decomposition allows.  The
+decomposition was checked when it was built and carries its union; a side
+that an identification disconnects contributes 0 there.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .conmatrix import ConnectivityBundle
 from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes
 from .partitions import Partition, Value
 from .reliability import _cut_factorization, _frontier_walk
@@ -81,13 +82,7 @@ def _conditioned_dq(
     return dq_at_zero(partition_function(side, bound))
 
 
-def factorized_dq(
-    d: CutDecomposition,
-    variant: str = "canonical",
-    bundle: ConnectivityBundle | None = None,
-    jobs: int = 1,
-    bound: int | None = None,
-) -> Fraction:
+def factorized_dq(d: CutDecomposition, jobs: int = 1, bound: int | None = None) -> Fraction:
     """The q -> 0 derivative of Z for the union, assembled from the sides
     through the same combine as the reliability (_cut_factorization).
 
@@ -98,4 +93,4 @@ def factorized_dq(
     """
     if d.union.terminals != d.union.nodes:
         raise ValueError("the factorized derivative needs every node terminal")
-    return _cut_factorization(d, variant, bundle, jobs, partial(_conditioned_dq, bound=bound)).value
+    return _cut_factorization(d, jobs, partial(_conditioned_dq, bound=bound)).value

@@ -1,9 +1,10 @@
-"""Connectivity matrices over a coherent partition order, and their exact
-inverses built from the sparse integer factor pi.
+"""Connectivity matrices over a coherent partition order, their exact
+inverses, and the bilinear form of the cut factorization, all from the
+sparse integer factor pi.
 
 The matrix A marks which pairs of boundary partitions jointly link the whole
-boundary.  Its inverse supplies the bilinear coefficients of the cut
-factorization.  B is the matrix of the linear operator on the partition
+boundary.  The cut factorization combines the two sides' vectors as
+r1^T * A^-1 * r2.  B is the matrix of the linear operator on the partition
 algebra pi(a) = sum over c >= a of mu(a, c) * c, where mu is the Moebius
 function of the partition lattice (Rota 1964): mu(x, y) is the product,
 over the blocks of y, of (-1)^(k-1) * (k-1)!, with k the number of blocks
@@ -17,17 +18,20 @@ D = B^T, the matrix of the paper's xi(a) = sum over c <= a of mu(c, a) * c
 the alphas, and, B being unimodular, A has the Smith normal form of
 diag(|alpha|).
 
-A bundle stores alpha and the inverse; B, C and D are built only when
-read.  Every |alpha| = (blocks - 1)! divides L = (n - 1)!, so L * A^-1 is
-the integer matrix sum_k (L / alpha_k) * B[:, k] * B[:, k]^T, summed over
-the nonzeros of pi alone.  The build checks A * (L * A^-1) = L * I and
-symmetry in integers before it returns.
+inverse_form reads r1^T * A^-1 * r2 off that diagonal, with no order and
+no dense matrix.  A bundle, which the CLI prints, stores alpha and the
+dense inverse; B, C and D are built only when read.  Every |alpha| =
+(blocks - 1)! divides L = (n - 1)!, so L * A^-1 is the integer matrix
+sum_k (L / alpha_k) * B[:, k] * B[:, k]^T, summed over the nonzeros of pi
+alone.  The build checks A * (L * A^-1) = L * I and symmetry in integers
+before it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from math import factorial, lcm, prod
 
 from .linalg import is_symmetric
 from .partitions import (
@@ -48,6 +52,13 @@ def _mu(k: int) -> int:
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
+@lru_cache(maxsize=None)
+def _mu_from_bottom(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each partition q of a k-set, as its labels, with mu(bottom, q): the
+    product, over q's blocks, of _mu of the block's size."""
+    return tuple((q.labels, prod(map(_mu, q.block_sizes))) for q in all_partitions(k))
+
+
 def pi_vector(a: Partition) -> AlgebraVector:
     """Expansion of pi(a) = sum over c >= a of mu(a, c) * c.
 
@@ -59,16 +70,35 @@ def pi_vector(a: Partition) -> AlgebraVector:
     so the matrix of pi is lower triangular with unit diagonal in a
     coherent order.
     """
-    return {
-        Partition.from_labels([q.labels[k] for k in a.labels]): prod(map(_mu, q.block_sizes))
-        for q in all_partitions(a.block_count)
-    }
+    terms = _mu_from_bottom(a.block_count)
+    return {Partition.from_labels(map(q.__getitem__, a.labels)): c for q, c in terms}
 
 
 def connectivity_number(a: Partition) -> int:
-    """Coefficient of the one-block state in pi(a); magnitude (m-1)! for a
-    state with m blocks, and invariant under relabeling."""
-    return pi_vector(a).get(Partition.top(a.n), 0)
+    """Coefficient of the one-block state in pi(a): alpha(a) = mu(a, top),
+    of magnitude (m-1)! for a state with m blocks, and invariant under
+    relabeling."""
+    return _mu(a.block_count)
+
+
+def inverse_form(r1: dict[Partition, Fraction], r2: dict[Partition, Fraction]) -> Fraction:
+    """r1^T * A^-1 * r2 for two vectors over every partition of {1..n}:
+    as A^-1 = B * diag(1 / alpha) * B^T, the sum over a of
+    <pi(a), r1> * <pi(a), r2> / alpha(a), the same in every coherent order.
+    It is summed in integers, each vector over its common denominator and
+    each term times L / alpha(a), L = (n - 1)!; one Fraction is built."""
+    d1 = lcm(*(x.denominator for x in r1.values()))
+    d2 = lcm(*(x.denominator for x in r2.values()))
+    n1 = {a: x.numerator * (d1 // x.denominator) for a, x in r1.items()}
+    n2 = {a: x.numerator * (d2 // x.denominator) for a, x in r2.items()}
+    L = factorial(next(iter(r1)).n - 1)
+    total = 0
+    for a in r1:
+        pv = pi_vector(a).items()
+        x = sum([c * n1[s] for s, c in pv])
+        if x:
+            total += x * sum([c * n2[s] for s, c in pv]) * (L // connectivity_number(a))
+    return Fraction(total, L * d1 * d2)
 
 
 def connectivity_matrix(order: CoherentOrder) -> list[list[int]]:
@@ -135,8 +165,8 @@ class ConnectivityBundle(Value):
         return out
 
 
-# n = 6 (Bell(6) = 203 states) builds in about a second; at n = 7 (877 states)
-# the exact check A * M = L * I alone is up to 877^3 ~ 675M multiply-adds.
+# n = 6 (Bell(6) = 203 states) builds in ~0.2 s in process (Python 3.11, 2-core
+# Xeon); at n = 7 (877 states) the check A * M = L * I alone is ~675M multiply-adds.
 MAX_BUNDLE_GROUND_SET = 6
 
 

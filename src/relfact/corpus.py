@@ -70,7 +70,7 @@ def random_decomposition(
     Sides get a random spanning tree plus a few extra edges (parallels and
     self-loops allowed), so each side is connected and the union never
     strands a terminal.  Rejection keeps the union small enough to
-    brute-force.
+    brute-force; a bound that no draw can meet raises ValueError at once.
 
     terminal_mode picks the terminal set of each side: "boundary" keeps the
     terminals exactly on the cut (the regime where every route, the joint
@@ -80,6 +80,9 @@ def random_decomposition(
     """
     if terminal_mode not in TERMINAL_MODES:
         raise ValueError(f"terminal_mode must be one of {TERMINAL_MODES}")
+    fewest = max(2, 2 * (n - 1))  # a spanning tree per side, one edge each at n = 1
+    if fewest > max_union_edges:
+        raise ValueError(f"two sides on {n} boundary nodes need at least {fewest} edges, not {max_union_edges}")
     boundary = tuple(f"b{i}" for i in range(1, n + 1))
     while True:
         extra1 = rng.randint(1 if n == 1 else 0, 2)

@@ -17,8 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-# Bell(8) = 4140 states.  The distribution and joint routes reach this size;
-# the connectivity inverse stops at conmatrix.MAX_BUNDLE_GROUND_SET.
+# Bell(8) = 4140 states.  The factorized, joint and distribution routes reach this
+# size: on a 14-edge n = 8 draw factorization_detail takes ~2 s and verify ~4.5 s in
+# process (Python 3.11, 2-core Xeon).  Only a printed dense inverse stops earlier, at
+# conmatrix.MAX_BUNDLE_GROUND_SET.
 MAX_GROUND_SET = 8
 
 ORDER_VARIANTS = ("canonical", "reversed-levels")

@@ -2,9 +2,10 @@
 
 Routes: full state enumeration (the oracle), contraction/deletion factoring
 with series/parallel reductions and irrelevant-block pruning, the joint
-boundary-state sum, and the bilinear cut factorization through the inverse
-connectivity matrix.  All routes work in exact rational arithmetic and must
-agree bit for bit; the test suite leans on that equality everywhere.
+boundary-state sum, and the cut factorization, whose bilinear form in the
+inverse connectivity matrix is read off the Moebius diagonal (conmatrix).
+All routes work in exact rational arithmetic and must agree bit for bit;
+the test suite leans on that equality everywhere.
 
 The two 2^m routes, reliability_bruteforce and state_distribution, stay
 the oracle: short accumulators over one bit-parallel kernel, _state_masks,
@@ -19,9 +20,10 @@ bound (_check_bound) and run in integers over one common denominator, the
 product of the edge denominators; each route sums integer numerators and
 builds its Fractions once, at the end.  Every quantity that factors over a
 cut (factorization_detail here and cluster.factorized_dq) goes through one
-combine, _cut_factorization.  A CutDecomposition checks itself when it is
-built (see graphs), so the cut routes take it as it is; a stranded terminal
-never reaches them.
+combine, _cut_factorization.  It takes no coherent order and builds no
+dense inverse, so it runs at every boundary size a decomposition allows.
+A CutDecomposition checks itself when it is built (see graphs), so the cut
+routes take it as it is; a stranded terminal never reaches them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from math import comb, prod
 from operator import and_, mul
 from typing import Iterable
 
-from .conmatrix import ConnectivityBundle, invert_connectivity_matrix
+from .conmatrix import inverse_form
 from .graphs import (
     CutDecomposition,
     Edge,
@@ -41,7 +43,7 @@ from .graphs import (
     identify_nodes,
     relevant_edges,
 )
-from .partitions import Partition, Value, coherent_order, is_connected_pair
+from .partitions import Partition, Value, all_partitions, is_connected_pair
 
 DEFAULT_ENUMERATION_BOUND = 24
 
@@ -633,30 +635,17 @@ def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
 
 
 class FactorizationResult(Value):
-    """The factorized value with the bundle it was combined through and each
-    side's value per boundary partition, in the bundle's order."""
+    """The factorized value with each side's value per boundary partition."""
 
-    __slots__ = FIELDS = ("bundle", "side1", "side2", "value")
-    bundle: ConnectivityBundle
-    side1: tuple[Fraction, ...]
-    side2: tuple[Fraction, ...]
+    __slots__ = FIELDS = ("side1", "side2", "value")
+    side1: dict[Partition, Fraction]
+    side2: dict[Partition, Fraction]
     value: Fraction
 
     def __init__(
-        self,
-        bundle: ConnectivityBundle,
-        side1: tuple[Fraction, ...],
-        side2: tuple[Fraction, ...],
-        value: Fraction,
+        self, side1: dict[Partition, Fraction], side2: dict[Partition, Fraction], value: Fraction
     ) -> None:
-        self._set(bundle, side1, side2, value)
-
-    def side_reliabilities(self) -> tuple[dict[Partition, Fraction], dict[Partition, Fraction]]:
-        states = self.bundle.order.states
-        return (
-            dict(zip(states, self.side1)),
-            dict(zip(states, self.side2)),
-        )
+        self._set(side1, side2, value)
 
 
 def _side_task(task) -> Fraction:
@@ -664,51 +653,28 @@ def _side_task(task) -> Fraction:
     return solve(g, boundary, a)
 
 
-def _cut_factorization(
-    d: CutDecomposition,
-    variant: str,
-    bundle: ConnectivityBundle | None,
-    jobs: int,
-    solve,
-) -> FactorizationResult:
+def _cut_factorization(d: CutDecomposition, jobs: int, solve) -> FactorizationResult:
     """The factorization combine, shared by every quantity that factors.
 
     solve(g, boundary, a) is one side's value after its boundary is
-    identified through a.  The 2 * Bell(n) side solves are independent and
-    run through the deterministic parallel map; the bilinear combination
-    sum_ij A_inv[i][j] * r1[i] * r2[j] runs in fixed index order.  solve
-    must be picklable (a module-level function or a partial of one) when
-    jobs > 1.
+    identified through a.  The 2 * Bell(n) side solves, one per side and
+    partition, run through the deterministic parallel map; then
+    conmatrix.inverse_form combines them as r1^T * A^-1 * r2.  solve must
+    be picklable (a module-level function or a partial of one) when jobs > 1.
     """
-    n = d.n
-    if bundle is None:
-        bundle = invert_connectivity_matrix(coherent_order(n, variant))
-    if bundle.n != n:
-        raise ValueError(f"bundle is for boundary size {bundle.n}, decomposition has {n}")
-    states = bundle.order.states
+    states = all_partitions(d.n)
     tasks = [(solve, g, d.boundary, a) for g in (d.g1, d.g2) for a in states]
     vals = ordered_parallel_map(_side_task, tasks, jobs)
-    r1 = tuple(vals[: len(states)])
-    r2 = tuple(vals[len(states) :])
-    value = Fraction(0)
-    for row, x in zip(bundle.A_inv, r1):
-        if x:
-            for b, y in zip(row, r2):
-                if y:
-                    value += b * x * y
-    return FactorizationResult(bundle=bundle, side1=r1, side2=r2, value=value)
+    side1 = dict(zip(states, vals))
+    side2 = dict(zip(states, vals[len(states) :]))
+    return FactorizationResult(side1=side1, side2=side2, value=inverse_form(side1, side2))
 
 
-def factorization_detail(
-    d: CutDecomposition,
-    variant: str = "canonical",
-    bundle: ConnectivityBundle | None = None,
-    jobs: int = 1,
-) -> FactorizationResult:
+def factorization_detail(d: CutDecomposition, jobs: int = 1) -> FactorizationResult:
     """Exact reliability of the union graph via the cut factorization, with
     the per-partition side reliabilities exposed; each side is solved by
     conditioned_reliability (see _cut_factorization)."""
-    return _cut_factorization(d, variant, bundle, jobs, conditioned_reliability)
+    return _cut_factorization(d, jobs, conditioned_reliability)
 
 
 def n2_closed_form(d: CutDecomposition) -> Fraction:

@@ -103,6 +103,18 @@ def mat_mul(a, b) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def dense_inverse_form(bundle, r1: dict, r2: dict) -> Fraction:
+    """r1^T * A^-1 * r2 summed entry by entry over a bundle's dense A^-1,
+    the vectors read in the bundle's coherent order: the reference for
+    conmatrix.inverse_form."""
+    states = bundle.order.states
+    value = Fraction(0)
+    for row, a in zip(bundle.A_inv, states):
+        for b, c in zip(row, states):
+            value += b * r1[a] * r2[c]
+    return value
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

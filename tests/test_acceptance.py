@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import reference_matrices as ref
+from conftest import dense_inverse_form
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
 from relfact import jsonio
 from relfact.cluster import dq_at_zero, factorized_dq, partition_function
@@ -27,7 +28,7 @@ from relfact.conmatrix import (
 from relfact.corpus import bridge_decomposition, corpus
 from relfact.graphs import CutDecomposition
 from relfact.linalg import abelian_signature, diagonal_smith_form
-from relfact.partitions import Partition, all_partitions, coherent_order, orbits
+from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, orbits
 from relfact.reliability import (
     factorization_detail,
     gamma_graph,
@@ -67,7 +68,7 @@ def accept_corpus():
 
 
 @pytest.fixture(scope="module")
-def route_run(accept_corpus, bundles):
+def route_run(accept_corpus):
     """All four routes on the whole corpus, with the wall time they took."""
     started = time.perf_counter()
     results = {}
@@ -77,13 +78,20 @@ def route_run(accept_corpus, bundles):
             union = d.union
             brute = reliability_bruteforce(union)
             factored = reliability_factoring(union)
-            bilinear = factorization_detail(d, bundle=bundles[(n, "canonical")]).value
+            detail = factorization_detail(d)
             joint = joint_reliability(
                 state_distribution(d.g1, d.boundary),
                 state_distribution(d.g2, d.boundary),
             )
             rows.append(
-                {"d": d, "brute": brute, "factoring": factored, "factorized": bilinear, "joint": joint}
+                {
+                    "d": d,
+                    "detail": detail,
+                    "brute": brute,
+                    "factoring": factored,
+                    "factorized": detail.value,
+                    "joint": joint,
+                }
             )
         results[n] = rows
     return {"results": results, "elapsed": time.perf_counter() - started}
@@ -239,15 +247,17 @@ def test_criterion_8_order_independence(route_run, bundles):
     started = time.perf_counter()
     total = 0
     for n in CORPUS_NS:
-        reversed_bundle = bundles[(n, "reversed-levels")]
         for row in route_run["results"][n]:
-            assert factorization_detail(row["d"], bundle=reversed_bundle).value == row["factorized"]
+            # the route takes no order; both orders' dense inverses must give its value
+            detail = row["detail"]
+            for variant in ORDER_VARIANTS:
+                assert dense_inverse_form(bundles[(n, variant)], detail.side1, detail.side2) == row["factorized"]
             total += 1
     elapsed = time.perf_counter() - started
     report(8, f"canonical and reversed-level orders agree on {total} graphs", elapsed)
 
 
-def test_criterion_9_random_cluster(bundles):
+def test_criterion_9_random_cluster():
     started = time.perf_counter()
     checked = 0
     for n in (1, 2, 3):
@@ -255,7 +265,7 @@ def test_criterion_9_random_cluster(bundles):
             union = d.union
             w1 = dq_at_zero(partition_function(union))
             assert w1 == reliability_bruteforce(union)
-            assert factorized_dq(d, bundle=bundles[(n, "canonical")]) == w1
+            assert factorized_dq(d) == w1
             checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from relfact import cli, jsonio, reliability
+from relfact import cli, conmatrix, jsonio
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus
 from relfact.graphs import Edge, StochasticGraph
 
@@ -525,19 +525,36 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert "all routes agree" in proc.stdout
 
-    def test_all_terminal_file_builds_each_bundle_once(self, monkeypatch, capsys):
-        # the cluster derivative reuses the canonical bundle of the factorized route
+    def test_all_terminal_file_builds_no_bundle(self, monkeypatch, capsys):
+        # the factorized route and the cluster derivative combine through pi
+        # and alpha; only factor, which prints the dense inverse, builds it
         built = []
-        real = reliability.invert_connectivity_matrix
+        real = conmatrix.invert_connectivity_matrix
 
         def counting(order):
             built.append((order.n, order.variant))
             return real(order)
 
-        monkeypatch.setattr(reliability, "invert_connectivity_matrix", counting)
-        assert cli.main(["verify", "--input", str(FIXTURES / "allterm3_0.json")]) == 0
+        monkeypatch.setattr(conmatrix, "invert_connectivity_matrix", counting)
+        path = str(FIXTURES / "allterm3_0.json")
+        assert cli.main(["verify", "--input", path]) == 0
         assert "all routes agree" in capsys.readouterr().out
-        assert built == [(3, "canonical"), (3, "reversed-levels")]
+        assert built == []
+        assert cli.main(["factor", "--input", path]) == 0
+        assert built == [(3, "canonical")]
+
+    def test_seven_node_boundary(self, tmp_path, capsys):
+        # verify answers past the dense inverse's limit; factor's factorized
+        # route, which prints that inverse, still refuses before any side solve
+        (d,) = corpus(61, 7, 1, terminal_mode="all")
+        assert len(d.union.edges) == 12
+        path = write_decomposition(tmp_path / "seven.json", d)
+        assert cli.main(["verify", "--input", path]) == 0
+        assert capsys.readouterr().out.endswith("all routes agree\n")
+        assert cli.main(["factor", "--input", path, "--route", "factorized"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "validation error: the connectivity inverse is built for boundaries of at most 6 nodes, got 7" in err
 
     def test_side_disconnected_after_identification(self, tmp_path, capsys):
         # g1 has no edges, so under the all-singleton identification it is
@@ -767,7 +784,7 @@ def _not_six(text):
 
 
 # conmatrix --n values: junk text, out-of-range and valid sizes; 6 is left
-# out because its connectivity bundle alone takes over a second
+# out because one run of it takes ~0.4 s in process (Python 3.11, 2-core Xeon)
 SIZES = st.one_of(
     st.integers(-2, 5).map(str),
     st.integers(7, 10**30).map(str),

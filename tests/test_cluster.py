@@ -117,3 +117,8 @@ class TestFactorizedDerivative:
     def test_parallel_jobs_identical(self):
         d = corpus(83, 2, 1, terminal_mode="all")[0]
         assert factorized_dq(d, jobs=1) == factorized_dq(d, jobs=4)
+
+    def test_seven_node_boundary(self):
+        (d,) = corpus(89, 7, 1, terminal_mode="all")
+        assert len(d.union.edges) == 12
+        assert factorized_dq(d) == reliability_bruteforce(d.union)

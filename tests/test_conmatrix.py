@@ -12,18 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_matrices as ref
-from conftest import mat_mul
+from conftest import dense_inverse_form, mat_mul
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
 from relfact import cli, conmatrix
 from relfact.conmatrix import (
     connectivity_matrix,
     connectivity_matrix_det,
     connectivity_number,
+    inverse_form,
     invert_connectivity_matrix,
     pi_vector,
 )
 from relfact.linalg import abelian_signature, diagonal_smith_form, is_symmetric
 from relfact.partitions import (
+    ORDER_VARIANTS,
     Partition,
     all_partitions,
     bell_number,
@@ -201,6 +203,13 @@ class TestConnectivityNumbers:
             for a in all_partitions(n):
                 assert abs(connectivity_number(a)) == math.factorial(a.block_count - 1)
 
+    def test_equals_the_top_coefficient_of_pi(self):
+        # the closed form mu(a, top) against the expansion it reads off
+        for n in range(1, 7):
+            top = Partition.top(n)
+            for a in all_partitions(n):
+                assert connectivity_number(a) == pi_vector(a)[top]
+
     def test_conjugation_invariant(self):
         rng = random.Random(3)
         for a in all_partitions(5):
@@ -224,6 +233,38 @@ class TestConnectivityNumbers:
                     total += (-1) ** r
         assert total == connectivity_number(bottom)
         assert abs(total) == 24
+
+
+@functools.lru_cache(maxsize=None)
+def cached_bundle(n, variant):
+    return invert_connectivity_matrix(coherent_order(n, variant))
+
+
+class TestInverseForm:
+    """The combine of the cut factorization, sum over a of
+    <pi(a), r1> * <pi(a), r2> / alpha(a), against r1^T * A^-1 * r2 summed
+    over each order's dense inverse."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_equals_the_dense_bilinear_form(self, data, n):
+        states = all_partitions(n)
+        vectors = st.lists(st.fractions(max_denominator=60), min_size=len(states), max_size=len(states))
+        r1 = dict(zip(states, data.draw(vectors)))
+        r2 = dict(zip(states, data.draw(vectors)))
+        value = inverse_form(r1, r2)
+        for variant in ORDER_VARIANTS:
+            assert dense_inverse_form(cached_bundle(n, variant), r1, r2) == value
+
+    def test_unit_vectors_read_the_inverse(self):
+        # e_i^T * A^-1 * e_j is the (i, j) entry of A^-1
+        b = cached_bundle(3, "canonical")
+        states = b.order.states
+        for i, a in enumerate(states):
+            for j, c in enumerate(states):
+                r1 = {s: Fraction(int(s == a)) for s in states}
+                r2 = {s: Fraction(int(s == c)) for s in states}
+                assert inverse_form(r1, r2) == b.A_inv[i][j]
 
 
 class TestXiVector:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, walk_routes, with_prob
+from conftest import dense_inverse_form, random_graph, walk_routes, with_prob
 from relfact.cluster import DisconnectedGraphError, dq_at_zero, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.corpus import bridge_decomposition, bridge_graph, corpus, random_probability
@@ -22,7 +22,7 @@ from relfact.graphs import (
     is_k_pathset,
     union_graph,
 )
-from relfact.partitions import Partition, all_partitions, coherent_order, join
+from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
 from relfact.reliability import (
     EnumerationBoundError,
     conditioned_reliability,
@@ -613,19 +613,26 @@ class TestFactorizedRoute:
         assert factorization_detail(d, jobs=1).value == factorization_detail(d, jobs=4).value
 
     def test_order_variants_agree(self):
-        bundles = {
-            v: invert_connectivity_matrix(coherent_order(2, v))
-            for v in ("canonical", "reversed-levels")
-        }
+        # the route takes no order: its sides, combined through the dense
+        # inverse of either order, give its value
+        bundles = [invert_connectivity_matrix(coherent_order(2, v)) for v in ORDER_VARIANTS]
         for d in corpus(53, 2, 6):
-            values = {factorization_detail(d, bundle=b).value for b in bundles.values()}
-            assert len(values) == 1
+            detail = factorization_detail(d)
+            for b in bundles:
+                assert dense_inverse_form(b, detail.side1, detail.side2) == detail.value
 
     def test_detail_exposes_sides(self):
         detail = factorization_detail(bridge_decomposition())
-        side1, side2 = detail.side_reliabilities()
-        assert side1[Partition.top(2)] == 1
+        assert list(detail.side1) == list(detail.side2) == list(all_partitions(2))
+        assert detail.side1[Partition.top(2)] == 1
         assert detail.value == BRIDGE_RELIABILITY
+
+    def test_seven_node_boundary(self):
+        # past the dense inverse's limit: 2 * 877 side solves, combined
+        # through pi and alpha alone
+        (d,) = corpus(59, 7, 1)
+        assert len(d.union.edges) == 12
+        assert factorization_detail(d).value == reliability_bruteforce(d.union)
 
 
 class TestN2ClosedForm:

@@ -24,6 +24,16 @@ def test_make_fixtures_defaults_reproduce_the_committed_set(tmp_path):
         assert (tmp_path / name).read_bytes() == (ROOT / "fixtures" / name).read_bytes(), name
 
 
+def test_make_fixtures_refuses_a_boundary_no_draw_fits(tmp_path):
+    # two spanning trees over 8 boundary nodes need 14 edges, past the corpus bound of 12
+    out = tmp_path / "out"
+    proc = run_script("make_fixtures.py", "--out", str(out), "--max-n", "8")
+    assert proc.returncode == 2
+    assert "need at least 14 edges" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()  # every draw is made before anything is written
+
+
 def test_conmatrix_report_checks_every_inverse():
     proc = run_script("conmatrix_report.py", "--max-n", "4", "--check-inverse")
     assert proc.returncode == 0, proc.stderr

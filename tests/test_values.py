@@ -43,7 +43,7 @@ VALUES = {
     CoherentOrder: (fresh_order, "n"),
     ReliabilityPolynomial: (lambda: reliability_polynomial(bridge_graph()), "coefficients"),
     StateDistribution: (lambda: state_distribution(bridge_graph(), ("s", "t")), "boundary"),
-    FactorizationResult: (lambda: factorization_detail(bridge_decomposition()), "bundle"),
+    FactorizationResult: (lambda: factorization_detail(bridge_decomposition()), "side1"),
     ConnectivityBundle: (lambda: invert_connectivity_matrix(fresh_order()), "order"),
     InvariantFactors: (lambda: diagonal_smith_form([2, 6]), "snf_diagonal"),
     ClusterPolynomial: (lambda: partition_function(bridge_graph()), "node_count"),
