@@ -23,12 +23,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "tests"))  # the elimination references
+sys.path.insert(0, str(ROOT / "tests"))  # the elimination and lattice references
 
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
+from lattice import bell_number, orbits
 from relfact.conmatrix import MAX_BUNDLE_GROUND_SET, invert_connectivity_matrix
 from relfact.linalg import diagonal_smith_form
-from relfact.partitions import bell_number, coherent_order, orbits
+from relfact.partitions import coherent_order
 
 
 def torsion_text(factors) -> str:

@@ -16,10 +16,12 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the corpus generator
 
+from corpus import bridge_decomposition, corpus
 from relfact import jsonio
-from relfact.corpus import bridge_decomposition, corpus
 
 
 def main() -> int:

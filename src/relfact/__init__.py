@@ -15,36 +15,15 @@ from .conmatrix import (
     invert_connectivity_matrix,
     pi_vector,
 )
-from .graphs import (
-    CutDecomposition,
-    Edge,
-    StochasticGraph,
-    identify_nodes,
-    is_k_connected,
-    is_k_pathset,
-)
+from .graphs import CutDecomposition, Edge, StochasticGraph, identify_nodes, is_k_connected
 from .linalg import InvariantFactors, abelian_signature, diagonal_smith_form
-from .partitions import (
-    CoherentOrder,
-    Orbit,
-    Partition,
-    all_partitions,
-    bell_number,
-    coherent_order,
-    conjugate,
-    is_connected_pair,
-    join,
-    meet,
-    orbits,
-    refines,
-)
+from .partitions import CoherentOrder, Partition, all_partitions, coherent_order, is_connected_pair, join
 from .reliability import (
     FactorizationResult,
     ReliabilityPolynomial,
     StateDistribution,
     conditioned_reliability,
     factorization_detail,
-    gamma_graph,
     joint_reliability,
     n2_closed_form,
     reliability_bruteforce,

@@ -89,10 +89,6 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
             print(line)
 
 
-def _frac(x: Fraction) -> str:
-    return jsonio.fraction_to_str(x)
-
-
 def _listing(formatted: dict[str, str]) -> str:
     """Formatted partition -> value pairs as one line, sorted by partition."""
     return ", ".join(f"{p} -> {v}" for p, v in sorted(formatted.items()))
@@ -109,7 +105,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
             "warning: some terminal reaches no other terminal; reliability is 0",
             file=sys.stderr,
         )
-    text = _frac(value)
+    text = jsonio.fraction_to_str(value)
     payload = {"reliability": text, "route": args.route}
     _emit(args, payload, [f"reliability = {text}", f"route = {args.route}"])
     return EXIT_OK
@@ -123,7 +119,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     except Hypothesis2Error as exc:
         # unreachable terminals: reliability is 0, not an input error
         print(f"warning: {exc}", file=sys.stderr)
-        zero = _frac(Fraction(0))
+        zero = jsonio.fraction_to_str(Fraction(0))
         payload = {"route": route, "n": len(obj["boundary"]), "reliability": zero}
         _emit(args, payload, [f"reliability = {zero}"])
         return EXIT_OK
@@ -135,10 +131,10 @@ def cmd_factor(args: argparse.Namespace) -> int:
         detail = reliability.factorization_detail(d, jobs=args.jobs)
         value = detail.value
         sides = {
-            name: {str(p): _frac(v) for p, v in side.items()}
+            name: {str(p): jsonio.fraction_to_str(v) for p, v in side.items()}
             for name, side in (("g1", detail.side1), ("g2", detail.side2))
         }
-        b_matrix = [[_frac(x) for x in row] for row in bundle.A_inv]
+        b_matrix = [[jsonio.fraction_to_str(x) for x in row] for row in bundle.A_inv]
         payload["side_reliabilities"] = sides
         payload["b_matrix"] = b_matrix
         details.append(f"n = {d.n}  order = {args.order}")
@@ -155,17 +151,17 @@ def cmd_factor(args: argparse.Namespace) -> int:
         d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
         value = reliability.joint_reliability(d1, d2)
         payload["side_distributions"] = {
-            "g1": {str(p): _frac(v) for p, v in d1.probs.items()},
-            "g2": {str(p): _frac(v) for p, v in d2.probs.items()},
+            "g1": {str(p): jsonio.fraction_to_str(v) for p, v in d1.probs.items()},
+            "g2": {str(p): jsonio.fraction_to_str(v) for p, v in d2.probs.items()},
         }
     else:  # n2
         value = reliability.n2_closed_form(d)
-    payload["reliability"] = text = _frac(value)
+    payload["reliability"] = text = jsonio.fraction_to_str(value)
     lines = [f"reliability = {text}", *details]
 
     if args.verify:
         oracle = reliability.reliability_bruteforce(d.union, bound=args.bound)
-        payload["verified_against"] = checked = _frac(oracle)
+        payload["verified_against"] = checked = jsonio.fraction_to_str(oracle)
         if oracle != value:
             print(
                 f"verification mismatch: route {route} gave {text}, enumeration gave {checked}",
@@ -222,7 +218,8 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
     d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
     dists = {
-        name: {str(p): _frac(v) for p, v in dist.probs.items()} for name, dist in (("g1", d1), ("g2", d2))
+        name: {str(p): jsonio.fraction_to_str(v) for p, v in dist.probs.items()}
+        for name, dist in (("g1", d1), ("g2", d2))
     }
     lines = [f"n = {d.n}"] + [f"{name}: {_listing(dist)}" for name, dist in dists.items()]
     _emit(args, {"n": d.n, **dists}, lines)
@@ -234,8 +231,8 @@ def cmd_rcm(args: argparse.Namespace) -> int:
     z = cluster.partition_function(g, bound=args.bound)
     w1 = cluster.dq_at_zero(z)
     payload = {
-        "Z": {str(k): _frac(w) for k, w in sorted(z.coeffs.items())},
-        "dZdq_at_0": _frac(w1),
+        "Z": {str(k): jsonio.fraction_to_str(w) for k, w in sorted(z.coeffs.items())},
+        "dZdq_at_0": jsonio.fraction_to_str(w1),
     }
     lines = ["Z coefficients by cluster count:"]
     lines += [f"  q^{k}: {w}" for k, w in payload["Z"].items()]
@@ -284,7 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok, failures, value = _verify_one(d, args.bound, args.jobs)
         all_ok &= ok
         results.append(
-            {"file": path.name, "ok": ok, "reliability": _frac(value), "failures": failures}
+            {"file": path.name, "ok": ok, "reliability": jsonio.fraction_to_str(value), "failures": failures}
         )
     payload = {"ok": all_ok, "results": results}
     lines = []

@@ -20,7 +20,7 @@ diag(|alpha|).
 
 inverse_form reads r1^T * A^-1 * r2 off that diagonal, with no order and
 no dense matrix.  A bundle, which the CLI prints, stores alpha and the
-dense inverse; B, C and D are built only when read.  Every |alpha| =
+dense inverse; B and D are built only when read.  Every |alpha| =
 (blocks - 1)! divides L = (n - 1)!, so L * A^-1 is the integer matrix
 sum_k (L / alpha_k) * B[:, k] * B[:, k]^T, summed over the nonzeros of pi
 alone.  The build checks A * (L * A^-1) = L * I and symmetry in integers
@@ -117,8 +117,8 @@ def connectivity_matrix(order: CoherentOrder) -> list[list[int]]:
 
 class ConnectivityBundle(Value):
     """The connectivity matrix of one coherent order with its connectivity
-    numbers alpha, one per state, and its exact inverse.  The factors of
-    A_inv = B * C * D are views, built on every read."""
+    numbers alpha, one per state, and its exact inverse.  The factors B
+    and D = B^T of A_inv = B * C * D are views, built on every read."""
 
     __slots__ = FIELDS = ("order", "A", "alpha", "A_inv")
     order: CoherentOrder
@@ -154,15 +154,6 @@ class ConnectivityBundle(Value):
         """B transposed: column j holds xi(a) = sum over c <= a of
         mu(c, a) * c for the j-th state a."""
         return [list(col) for col in zip(*self.B)]
-
-    @property
-    def C(self) -> list[list[Fraction]]:
-        """The diagonal factor, holding 1 / alpha."""
-        m = len(self.alpha)
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for k, a in enumerate(self.alpha):
-            out[k][k] = Fraction(1, a)
-        return out
 
 
 # n = 6 (Bell(6) = 203 states) builds in ~0.2 s in process (Python 3.11, 2-core

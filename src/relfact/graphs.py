@@ -179,26 +179,11 @@ def components(g: StochasticGraph, edges: Iterable[Edge] | None = None) -> Union
     return uf
 
 
-def is_k_pathset(g: StochasticGraph, state: Mapping[int, int]) -> bool:
-    """True iff the operative edges of the state link all terminals together."""
-    if set(state) != set(g.edge_ids):
-        raise GraphError("state domain must equal the graph's edge-id set")
-    if len(g.terminals) <= 1:
-        return True
-    uf = components(g, (e for e in g.edges if state[e.id]))
-    root = None
-    for t in g.terminals:
-        r = uf.find(t)
-        if root is None:
-            root = r
-        elif r != root:
-            return False
-    return True
-
-
 def is_k_connected(g: StochasticGraph) -> bool:
-    """Connectivity of the terminals when every edge is operative."""
-    return is_k_pathset(g, {e.id: 1 for e in g.edges})
+    """Connectivity of the terminals when every edge is operative: every
+    terminal has the same root in the components of g."""
+    uf = components(g)
+    return len({uf.find(t) for t in g.terminals}) <= 1
 
 
 def identify_nodes(g: StochasticGraph, boundary: Iterable[str], a: Partition) -> StochasticGraph:

@@ -37,13 +37,6 @@ class InvariantFactors(Value):
     ) -> None:
         self._set(snf_diagonal, torsion_prime_powers)
 
-    @property
-    def determinant_magnitude(self) -> int:
-        out = 1
-        for d in self.snf_diagonal:
-            out *= d
-        return out
-
 
 def _prime_power_factors(d: int) -> list[tuple[int, int]]:
     out = []

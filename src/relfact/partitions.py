@@ -1,10 +1,9 @@
 """Set partitions of {1..n}: the connectivity states of a cut boundary.
 
 A partition records which boundary nodes end up linked inside one side of
-a decomposition.  This module provides the lattice structure on partitions
-(join and meet under the refinement order), the relabeling action of
-permutations together with its orbits, and the coherent linear orders that
-index connectivity matrices.
+a decomposition.  This module enumerates the partitions of {1..n}, joins
+two of them, and builds the coherent linear orders that index the printed
+connectivity matrices.
 
 It also holds Value, the base of the package's immutable value types.  Their
 comparison, hashing, repr, immutability and pickling are written out once
@@ -15,7 +14,7 @@ code at run time.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # Bell(8) = 4140 states.  The factorized, joint and distribution routes reach this
 # size: on a 14-edge n = 8 draw factorization_detail takes ~2 s and verify ~4.5 s in
@@ -24,19 +23,6 @@ from typing import Iterable, Sequence
 MAX_GROUND_SET = 8
 
 ORDER_VARIANTS = ("canonical", "reversed-levels")
-
-
-def bell_number(n: int) -> int:
-    """Count of set partitions of an n-set, by the Bell-triangle recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
 
 
 class Value:
@@ -211,77 +197,19 @@ def join(a: Partition, b: Partition) -> Partition:
     return Partition.from_labels(labels)
 
 
-def meet(a: Partition, b: Partition) -> Partition:
-    """Coarsest partition refining both: two elements share a block exactly
-    when they share one in a and one in b."""
-    _require_same_ground(a, b)
-    return Partition.from_labels(zip(a.labels, b.labels))
-
-
-def refines(a: Partition, b: Partition) -> bool:
-    """True iff every block of a lies inside a block of b (a <= b): each
-    label of a always meets the same label of b."""
-    _require_same_ground(a, b)
-    owner: dict[int, int] = {}
-    return all(owner.setdefault(i, j) == j for i, j in zip(a.labels, b.labels))
-
-
 def is_connected_pair(a: Partition, b: Partition) -> bool:
     """True iff merging both partitions links the whole boundary into one block."""
     return join(a, b).block_count == 1
-
-
-def conjugate(sigma: Sequence[int], a: Partition) -> Partition:
-    """Relabel a through the permutation sigma (sigma[i-1] is the image of i)."""
-    if sorted(sigma) != list(range(1, a.n + 1)):
-        raise ValueError(f"sigma is not a permutation of 1..{a.n}: {sigma!r}")
-    return Partition(tuple(tuple(sigma[x - 1] for x in blk) for blk in a.blocks))
-
-
-class Orbit(Value):
-    """One relabeling class of partitions: all members share a block-size multiset."""
-
-    __slots__ = FIELDS = ("members", "block_count", "signature")
-    members: tuple[Partition, ...]
-    block_count: int
-    signature: tuple[int, ...]
-
-    def __init__(
-        self, members: tuple[Partition, ...], block_count: int, signature: tuple[int, ...]
-    ) -> None:
-        self._set(members, block_count, signature)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@lru_cache(maxsize=None)
-def orbits(n: int) -> tuple[Orbit, ...]:
-    """Relabeling classes of the partitions of {1..n}.
-
-    Grouping is by block-size multiset, which is a complete invariant for
-    the permutation action on set partitions.  Orbits come out in the same
-    sequence the canonical coherent order uses: levels of decreasing block
-    count, then descending signature.
-    """
-    groups: dict[tuple[int, ...], list[Partition]] = {}
-    for p in all_partitions(n):
-        groups.setdefault(p.block_sizes, []).append(p)
-    out = []
-    for sig in sorted(groups, key=lambda s: (-len(s), tuple(-x for x in s))):
-        members = tuple(sorted(groups[sig], key=str))
-        out.append(Orbit(members=members, block_count=len(sig), signature=sig))
-    return tuple(out)
 
 
 class CoherentOrder(Value):
     """A linear order on all partitions of {1..n} extending refinement.
 
     Finer states always come before coarser ones, so any matrix indexed by
-    the order is triangular with respect to refinement.  Orbit members sit
-    in contiguous runs inside each block-count level.  index, each state's
-    position, is derived from states and takes no part in == or hash.
+    the order is triangular with respect to refinement.  The states of one
+    block-size multiset sit in a contiguous run inside each block-count
+    level.  index, each state's position, is derived from states and takes
+    no part in == or hash.
     """
 
     FIELDS = ("n", "variant", "states")
@@ -305,21 +233,21 @@ class CoherentOrder(Value):
 
 @lru_cache(maxsize=None)
 def coherent_order(n: int, variant: str = "canonical") -> CoherentOrder:
-    """Deterministic coherent order: finest level first, orbits by descending
-    signature, members in lexicographic label order.
+    """Deterministic coherent order: finest level first, then descending
+    block sizes, then lexicographic order of the "13|2" text.
 
-    The "reversed-levels" variant reverses the member sequence inside every
+    The "reversed-levels" variant reverses the state sequence inside every
     block-count level; states in one level are pairwise incomparable, so the
     result is still coherent.
     """
     _check_ground_set(n)
     if variant not in ORDER_VARIANTS:
         raise ValueError(f"unknown order variant {variant!r}; expected one of {ORDER_VARIANTS}")
-    states: list[Partition] = []
-    for m in range(n, 0, -1):
-        level = [p for o in orbits(n) if o.block_count == m for p in o.members]
-        if variant == "reversed-levels":
-            level.reverse()
-        states.extend(level)
+    states = sorted(
+        all_partitions(n), key=lambda p: (-p.block_count, tuple(-x for x in p.block_sizes), str(p))
+    )
+    if variant == "reversed-levels":
+        # the sort is stable: levels back in place, each one reversed
+        states = sorted(reversed(states), key=lambda p: -p.block_count)
     index = {p: i for i, p in enumerate(states)}
     return CoherentOrder(n=n, variant=variant, states=tuple(states), index=index)

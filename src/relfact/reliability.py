@@ -30,19 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
 from operator import and_, mul
 from typing import Iterable
 
 from .conmatrix import inverse_form
-from .graphs import (
-    CutDecomposition,
-    Edge,
-    StochasticGraph,
-    identify_nodes,
-    relevant_edges,
-)
+from .graphs import CutDecomposition, StochasticGraph, identify_nodes, relevant_edges
 from .partitions import Partition, Value, all_partitions, is_connected_pair
 
 DEFAULT_ENUMERATION_BOUND = 24
@@ -516,17 +510,6 @@ class ReliabilityPolynomial(Value):
                 out[j] += c * (-1) ** (j - i) * comb(m - i, j - i)
         return out
 
-    def degree(self) -> int:
-        mono = self.monomial_coefficients()
-        for j in range(len(mono) - 1, -1, -1):
-            if mono[j]:
-                return j
-        return -1
-
-    def leading_coefficient(self) -> int:
-        d = self.degree()
-        return self.monomial_coefficients()[d] if d >= 0 else 0
-
 
 def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> ReliabilityPolynomial:
     """Count terminal-linking states by operative edge count.
@@ -695,17 +678,3 @@ def n2_closed_form(d: CutDecomposition) -> Fraction:
     r2_hat = conditioned_reliability(d.g2, d.boundary, top)
     return r1 * r2_hat + r1_hat * r2 - r1 * r2
 
-
-def gamma_graph(n: int, a: Partition, p: Fraction = Fraction(1, 2)) -> StochasticGraph:
-    """Complete graph on n nodes with equal edge probability p, its nodes
-    identified through a, and every resulting node terminal."""
-    if a.n != n:
-        raise ValueError(f"partition of {a.n} labels for a {n}-node graph")
-    names = tuple(str(i) for i in range(1, n + 1))
-    edges = tuple(
-        Edge(k + 1, names[i - 1], names[j - 1], p)
-        for k, (i, j) in enumerate(combinations(range(1, n + 1), 2))
-    )
-    base = StochasticGraph(nodes=frozenset(names), edges=edges, terminals=frozenset(names))
-    out = identify_nodes(base, names, a)
-    return StochasticGraph(nodes=out.nodes, edges=out.edges, terminals=out.nodes)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from relfact.corpus import random_probability
+from corpus import random_probability
 from relfact.graphs import Edge, StochasticGraph
 from relfact.partitions import Partition
 

@@ -3,7 +3,8 @@
 Every generated decomposition satisfies the cut hypotheses by construction:
 the sides share exactly the boundary nodes, both sides are connected, and
 the boundary is terminal on both sides.  Unions are kept small enough for
-the enumeration oracle.
+the enumeration oracle.  The tests and scripts/make_fixtures.py draw
+from it; the package does not.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graphs import CutDecomposition, Edge, StochasticGraph
+from relfact.graphs import CutDecomposition, Edge, StochasticGraph
 
 
 def random_probability(rng: random.Random) -> Fraction:

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import relfact
+from corpus import bridge_decomposition, bridge_graph, corpus
 from relfact import cli, conmatrix, jsonio
-from relfact.corpus import bridge_decomposition, bridge_graph, corpus
 from relfact.graphs import Edge, StochasticGraph
 
 
@@ -599,6 +600,33 @@ class TestStartup:
         assert "inspect" not in added
         modules = ("cli", "cluster", "conmatrix", "graphs", "jsonio", "linalg", "partitions", "reliability")
         assert {f"relfact.{m}" for m in modules} <= added
+
+    def test_the_package_ships_only_what_the_cli_reaches(self):
+        # every module file is loaded by the command's import, and the
+        # helpers that only tests and scripts call live beside the tests
+        expected = {
+            "relfact" if p.stem == "__init__" else f"relfact.{p.stem}"
+            for p in Path(cli.__file__).parent.glob("*.py")
+            if p.stem != "__main__"
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, relfact.cli; print(*sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(expected - set(proc.stdout.split())) == []
+        moved = {
+            relfact: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits",
+                      "is_k_pathset", "gamma_graph", "corpus"],
+            relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
+            relfact.graphs: ["is_k_pathset"],
+            relfact.reliability: ["gamma_graph"],
+            relfact.ConnectivityBundle: ["C"],
+            relfact.ReliabilityPolynomial: ["degree", "leading_coefficient"],
+            relfact.InvariantFactors: ["determinant_magnitude"],
+        }
+        assert [(owner, n) for owner, names in moved.items() for n in names if hasattr(owner, n)] == []
 
 
 class TestDeterminism:

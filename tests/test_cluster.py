@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_graph
+from corpus import bridge_graph, corpus
 from relfact.cluster import (
     ClusterPolynomial,
     DisconnectedGraphError,
@@ -10,7 +11,6 @@ from relfact.cluster import (
     factorized_dq,
     partition_function,
 )
-from relfact.corpus import bridge_graph, corpus
 from relfact.graphs import Edge, StochasticGraph
 from relfact.reliability import EnumerationBoundError, reliability_bruteforce
 

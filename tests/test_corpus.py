@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from relfact.corpus import TERMINAL_MODES, corpus, random_decomposition
+from corpus import TERMINAL_MODES, corpus, random_decomposition
 
 
 class TestCorpus:

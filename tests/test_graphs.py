@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import adjacency, random_graph, with_prob
-from relfact.corpus import bridge_graph, bridge_decomposition
+from corpus import bridge_graph, bridge_decomposition
+from lattice import is_k_pathset
 from relfact.graphs import (
     CutDecomposition,
     Edge,
@@ -16,7 +17,6 @@ from relfact.graphs import (
     StochasticGraph,
     identify_nodes,
     is_k_connected,
-    is_k_pathset,
     relevant_edges,
     union_graph,
 )
@@ -138,6 +138,17 @@ class TestPathsets:
     def test_all_operative_connected(self):
         g = graph([(1, "a", "b"), (2, "b", "c")], {"a", "c"})
         assert is_k_pathset(g, {1: 1, 2: 1})
+        assert is_k_connected(g)
+        # is_k_connected reads components; the reference tests the all-up state
+        rng = random.Random(17)
+        for _ in range(500):
+            nodes = [f"n{i}" for i in range(rng.randint(1, 7))]  # some left isolated
+            edges = [(i, rng.choice(nodes), rng.choice(nodes)) for i in range(1, rng.randint(0, 8) + 1)]
+            if edges and rng.random() < 0.5:
+                edges.append((len(edges) + 1, *edges[0][1:]))  # a parallel, or a second loop
+            terminals = rng.sample(nodes, min(len(nodes), rng.randint(0, 4)))
+            g = graph(edges, terminals, extra_nodes=nodes)
+            assert is_k_connected(g) == is_k_pathset(g, {e.id: 1 for e in g.edges})
 
     def test_all_down_two_terminals(self):
         g = graph([(1, "a", "b")], {"a", "b"})

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import bridge_decomposition, bridge_graph, corpus
 from relfact import jsonio
-from relfact.corpus import bridge_decomposition, bridge_graph, corpus
 from relfact.graphs import GraphError
 
 

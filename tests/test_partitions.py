@@ -6,18 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfact.partitions import (
-    Partition,
-    all_partitions,
-    bell_number,
-    coherent_order,
-    conjugate,
-    is_connected_pair,
-    join,
-    meet,
-    orbits,
-    refines,
-)
+from lattice import bell_number, conjugate, meet, orbits, refines
+from relfact.partitions import Partition, all_partitions, coherent_order, is_connected_pair, join
 
 
 def P(text):
@@ -312,9 +302,17 @@ class TestCoherentOrder:
                 assert order.position(b) < order.position(a)
 
     @pytest.mark.parametrize("variant", ["canonical", "reversed-levels"])
-    def test_orbits_contiguous_within_levels(self, variant):
-        order = coherent_order(4, variant)
-        for o in orbits(4):
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_orbits_contiguous_within_levels(self, n, variant):
+        # the reference order: each level's orbits in sequence, every level
+        # reversed for "reversed-levels"
+        expected = []
+        for m in range(n, 0, -1):
+            level = [p for o in orbits(n) if o.block_count == m for p in o.members]
+            expected += level[::-1] if variant == "reversed-levels" else level
+        order = coherent_order(n, variant)
+        assert list(order.states) == expected
+        for o in orbits(n):
             positions = sorted(order.position(p) for p in o.members)
             assert positions == list(range(positions[0], positions[0] + len(positions)))
 

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from corpus import TERMINAL_MODES, corpus
 from relfact import cli, jsonio
-from relfact.corpus import TERMINAL_MODES, corpus
 from relfact.partitions import ORDER_VARIANTS
 
 HERE = Path(__file__).resolve().parent

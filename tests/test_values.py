@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import bridge_decomposition, bridge_graph
+from lattice import Orbit, orbits
 from relfact.cluster import ClusterPolynomial, partition_function
 from relfact.conmatrix import ConnectivityBundle, invert_connectivity_matrix
-from relfact.corpus import bridge_decomposition, bridge_graph
 from relfact.graphs import CutDecomposition, Edge, StochasticGraph
 from relfact.linalg import InvariantFactors, diagonal_smith_form
-from relfact.partitions import CoherentOrder, Orbit, Partition, coherent_order, orbits
+from relfact.partitions import CoherentOrder, Partition, coherent_order
 from relfact.reliability import (
     FactorizationResult,
     ReliabilityPolynomial,
