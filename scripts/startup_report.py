@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Start-up cost of each relfact command, cold, above the interpreter's floor.
+
+Each command runs on a small fixed input (fixtures/cut2_0.json, or its
+union graph) in a fresh `python -m relfact` process, alternating with a
+spawn of `python -c pass`; a command's share is its spawn time minus that
+of the floor spawn just before it.  Every spawn reads its bytecode from a
+temporary -X pycache_prefix and writes none, so a __pycache__ left in
+src/relfact cannot make it read fast and the package compiles on every
+spawn, as in a fresh checkout under PYTHONDONTWRITEBYTECODE=1.  The
+standard library stays warm: one untimed run of each command caches its
+bytecode in the prefix, and the package's entries are then deleted.
+
+Prints, per command, the median and quartiles of the share in ms, the
+median -X importtime total of the package (the cumulative times of the
+imports made from the package's own onward, the standard modules it pulls
+in included) over as many more spawns, and the package modules it loads.
+
+Usage:
+  python3 scripts/startup_report.py [--repeat 15]
+"""
+
+import argparse
+import json
+import os
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DOC = ROOT / "fixtures" / "cut2_0.json"
+
+COMMANDS = (
+    ("--help",),
+    ("reliability", "--route", "factoring", "--input", "GRAPH"),
+    ("reliability", "--route", "bruteforce", "--input", "GRAPH"),
+    ("polynomial", "--input", "GRAPH"),
+    ("rcm", "--input", "GRAPH"),
+    ("factor", "--route", "n2", "--input", "DOC"),
+    ("factor", "--route", "factorized", "--input", "DOC"),
+    ("factor", "--route", "joint", "--input", "DOC"),
+    ("distribution", "--input", "DOC"),
+    ("conmatrix", "--n", "3"),
+    ("verify", "--input", "DOC"),
+)
+
+
+def spawn(argv: list[str], env: dict[str, str], *flags: str) -> tuple[float, str]:
+    """Seconds from spawn to exit of one interpreter, and its stderr."""
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - started
+    if proc.returncode:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr[-500:]}")
+    return seconds, proc.stderr
+
+
+def importtime_ms(stderr: str) -> float:
+    """Sum of the top-level cumulative times from the package's import on."""
+    rows = re.findall(r"^import time:\s+\d+ \|\s+(\d+) \|( *)(\S+)$", stderr, re.MULTILINE)
+    names = [name for _, _, name in rows]
+    start = names.index("relfact")
+    return sum(int(us) for us, indent, _ in rows[start:] if len(indent) == 1) / 1000
+
+
+def loaded_modules(stderr: str) -> list[str]:
+    """The package modules that `python -v` reports importing."""
+    return [m for m in re.findall(r"^import '([\w.]+)'", stderr, re.MULTILINE) if m.startswith("relfact.")]
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=15, help="alternated spawn pairs per command")
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        prefix = tmp / "pycache"
+        graph = tmp / "union.json"
+        g1, g2 = (json.loads(DOC.read_text())[side] for side in ("g1", "g2"))
+        union = {key: sorted(set(g1[key]) | set(g2[key])) for key in ("nodes", "terminals")}
+        graph.write_text(json.dumps({**union, "edges": g1["edges"] + g2["edges"]}))
+        paths = {"DOC": str(DOC), "GRAPH": str(graph)}
+        commands = [[paths.get(x, x) for x in c] for c in COMMANDS]
+
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("RELFACT_BOUND", None)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        cache = ("-X", f"pycache_prefix={prefix}")
+        spawn(["-c", "pass"], env, *cache)
+        for argv in commands:
+            spawn(["-m", "relfact", *argv], env, *cache)
+        shutil.rmtree(prefix / SRC.relative_to(SRC.anchor), ignore_errors=True)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+
+        floors: list[float] = []
+        shares: list[list[float]] = [[] for _ in commands]
+        imports: list[list[float]] = [[] for _ in commands]
+        for _ in range(args.repeat):
+            for k, argv in enumerate(commands):
+                floor, _ = spawn(["-c", "pass"], env, *cache)
+                seconds, _ = spawn(["-m", "relfact", *argv], env, *cache)
+                _, timed = spawn(["-m", "relfact", *argv], env, *cache, "-X", "importtime")
+                floors.append(floor)
+                shares[k].append(seconds - floor)
+                imports[k].append(importtime_ms(timed))
+
+        q1, med, q3 = quartiles(floors)
+        print(f"floor `python -c pass`: {1000 * med:.1f} ms [{1000 * q1:.1f}, {1000 * q3:.1f}], {len(floors)} spawns")
+        print(f"{'command':<48} {'share_ms':>8} {'q1':>6} {'q3':>6} {'import_ms':>9}  modules")
+        for name, argv, xs, ys in zip(COMMANDS, commands, shares, imports):
+            _, verbose = spawn(["-m", "relfact", *argv], env, *cache, "-v")
+            modules = " ".join(sorted(m.removeprefix("relfact.") for m in loaded_modules(verbose)))
+            q1, med, q3 = quartiles(xs)
+            print(
+                f"{' '.join(name):<48} {1000 * med:>8.1f} {1000 * q1:>6.1f} {1000 * q3:>6.1f} "
+                f"{statistics.median(ys):>9.1f}  {modules}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

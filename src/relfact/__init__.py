@@ -3,33 +3,42 @@
 Everything runs in exact rational arithmetic.  The public surface mirrors
 the module layout: partition lattice, stochastic graphs, connectivity
 matrices, the reliability routes, and the random cluster model.
+
+Each name is imported from its module on first use (PEP 562), so importing
+the package, or the command line through it, loads no module that the
+caller does not reach.
 """
 
-from .cluster import ClusterPolynomial, dq_at_zero, factorized_dq, partition_function
-from .conmatrix import (
-    ConnectivityBundle,
-    connectivity_matrix,
-    connectivity_matrix_det,
-    connectivity_number,
-    inverse_form,
-    invert_connectivity_matrix,
-    pi_vector,
-)
-from .graphs import CutDecomposition, Edge, StochasticGraph, identify_nodes, is_k_connected
-from .linalg import InvariantFactors, abelian_signature, diagonal_smith_form
-from .partitions import CoherentOrder, Partition, all_partitions, coherent_order, is_connected_pair, join
-from .reliability import (
-    FactorizationResult,
-    ReliabilityPolynomial,
-    StateDistribution,
-    conditioned_reliability,
-    factorization_detail,
-    joint_reliability,
-    n2_closed_form,
-    reliability_bruteforce,
-    reliability_factoring,
-    reliability_polynomial,
-    state_distribution,
-)
+from importlib import import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# module -> the public names it defines
+_EXPORTS = {
+    "cluster": "ClusterPolynomial dq_at_zero factorized_dq partition_function",
+    "conmatrix": "ConnectivityBundle connectivity_matrix connectivity_number inverse_form "
+    "invert_connectivity_matrix pi_vector",
+    "graphs": "CutDecomposition Edge StochasticGraph identify_nodes is_k_connected",
+    "linalg": "InvariantFactors abelian_signature diagonal_smith_form",
+    "partitions": "CoherentOrder Partition all_partitions coherent_order is_connected_pair join",
+    "reliability": "FactorizationResult conditioned_reliability factorization_detail n2_closed_form "
+    "reliability_factoring",
+    "states": "ReliabilityPolynomial StateDistribution joint_reliability reliability_bruteforce "
+    "reliability_polynomial state_distribution",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+# the submodules the package has always exported by name
+_MODULES = ("cluster", "conmatrix", "graphs", "linalg", "partitions", "reliability")
+
+__all__ = sorted([*_HOME, *_MODULES])
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -7,6 +7,11 @@ indicate an implementation bug).
 
 stdout is byte-identical across runs and across --jobs settings for the
 same input; timing goes to stderr so it cannot perturb that contract.
+
+Each command imports the modules of its own route when it runs, so a
+process compiles only what its command reaches: the factoring route needs
+no partition lattice, and the connectivity matrix needs no reliability
+kernel.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from fractions import Fraction
 from math import prod
 from pathlib import Path
 
-from . import cluster, conmatrix, jsonio, reliability
+from . import jsonio, reliability
+from .base import ORDER_VARIANTS
 from .graphs import GraphError, Hypothesis2Error, is_k_connected
-from .linalg import diagonal_smith_form
-from .partitions import ORDER_VARIANTS, coherent_order
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -97,7 +101,9 @@ def _listing(formatted: dict[str, str]) -> str:
 def cmd_reliability(args: argparse.Namespace) -> int:
     g = jsonio.graph_from_obj(_load_json(args.input))
     if args.route == "bruteforce":
-        value = reliability.reliability_bruteforce(g, bound=args.bound)
+        from .states import reliability_bruteforce
+
+        value = reliability_bruteforce(g, bound=args.bound)
     else:
         value = reliability.reliability_factoring(g)
     if value == 0 and not is_k_connected(g):
@@ -126,8 +132,11 @@ def cmd_factor(args: argparse.Namespace) -> int:
     payload = {"route": route, "n": d.n}
     details: list[str] = []
     if route == "factorized":
+        from .conmatrix import invert_connectivity_matrix
+        from .partitions import coherent_order
+
         # built only to be printed, before any side solve: past n = 6 it exits 3
-        bundle = conmatrix.invert_connectivity_matrix(coherent_order(d.n, args.order))
+        bundle = invert_connectivity_matrix(coherent_order(d.n, args.order))
         detail = reliability.factorization_detail(d, jobs=args.jobs)
         value = detail.value
         sides = {
@@ -147,9 +156,11 @@ def cmd_factor(args: argparse.Namespace) -> int:
             raise GraphError(
                 f"the joint route needs every terminal on the boundary; {off_cut} are not"
             )
-        d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
-        d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
-        value = reliability.joint_reliability(d1, d2)
+        from .states import joint_reliability, state_distribution
+
+        d1 = state_distribution(d.g1, d.boundary, bound=args.bound)
+        d2 = state_distribution(d.g2, d.boundary, bound=args.bound)
+        value = joint_reliability(d1, d2)
         payload["side_distributions"] = {
             "g1": {str(p): jsonio.fraction_to_str(v) for p, v in d1.probs.items()},
             "g2": {str(p): jsonio.fraction_to_str(v) for p, v in d2.probs.items()},
@@ -160,7 +171,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
     lines = [f"reliability = {text}", *details]
 
     if args.verify:
-        oracle = reliability.reliability_bruteforce(d.union, bound=args.bound)
+        from .states import reliability_bruteforce
+
+        oracle = reliability_bruteforce(d.union, bound=args.bound)
         payload["verified_against"] = checked = jsonio.fraction_to_str(oracle)
         if oracle != value:
             print(
@@ -174,11 +187,15 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_conmatrix(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= conmatrix.MAX_BUNDLE_GROUND_SET:
-        print(f"n must be in 1..{conmatrix.MAX_BUNDLE_GROUND_SET}, got {args.n}", file=sys.stderr)
+    from .conmatrix import MAX_BUNDLE_GROUND_SET, invert_connectivity_matrix
+    from .linalg import diagonal_smith_form
+    from .partitions import coherent_order
+
+    if not 1 <= args.n <= MAX_BUNDLE_GROUND_SET:
+        print(f"n must be in 1..{MAX_BUNDLE_GROUND_SET}, got {args.n}", file=sys.stderr)
         return EXIT_FORMAT
     order = coherent_order(args.n, args.order)
-    bundle = conmatrix.invert_connectivity_matrix(order)
+    bundle = invert_connectivity_matrix(order)
     # B^T * A * B = diag(alpha) with B unimodular: det A and the Smith form
     # of A are those of the diagonal
     det = prod(bundle.alpha)
@@ -197,8 +214,10 @@ def cmd_conmatrix(args: argparse.Namespace) -> int:
 
 
 def cmd_polynomial(args: argparse.Namespace) -> int:
+    from .states import reliability_polynomial
+
     g = jsonio.graph_from_obj(_load_json(args.input))
-    poly = reliability.reliability_polynomial(g, bound=args.bound)
+    poly = reliability_polynomial(g, bound=args.bound)
     payload = {
         "edge_count": poly.edge_count,
         "coefficients": list(poly.coefficients),
@@ -214,9 +233,11 @@ def cmd_polynomial(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
+    from .states import state_distribution
+
     d = jsonio.decomposition_from_obj(_load_json(args.input))
-    d1 = reliability.state_distribution(d.g1, d.boundary, bound=args.bound)
-    d2 = reliability.state_distribution(d.g2, d.boundary, bound=args.bound)
+    d1 = state_distribution(d.g1, d.boundary, bound=args.bound)
+    d2 = state_distribution(d.g2, d.boundary, bound=args.bound)
     dists = {
         name: {str(p): jsonio.fraction_to_str(v) for p, v in dist.probs.items()}
         for name, dist in (("g1", d1), ("g2", d2))
@@ -227,9 +248,11 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_rcm(args: argparse.Namespace) -> int:
+    from .cluster import dq_at_zero, partition_function
+
     g = jsonio.graph_from_obj(_load_json(args.input))
-    z = cluster.partition_function(g, bound=args.bound)
-    w1 = cluster.dq_at_zero(z)
+    z = partition_function(g, bound=args.bound)
+    w1 = dq_at_zero(z)
     payload = {
         "Z": {str(k): jsonio.fraction_to_str(w) for k, w in sorted(z.coeffs.items())},
         "dZdq_at_0": jsonio.fraction_to_str(w1),
@@ -242,9 +265,12 @@ def cmd_rcm(args: argparse.Namespace) -> int:
 
 
 def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
+    from .cluster import dq_at_zero, factorized_dq, partition_function
+    from .states import joint_reliability, reliability_bruteforce, state_distribution
+
     union = d.union
     failures: list[str] = []
-    brute = reliability.reliability_bruteforce(union, bound=bound)
+    brute = reliability_bruteforce(union, bound=bound)
     factored = reliability.reliability_factoring(union)
     if factored != brute:
         failures.append("factoring != enumeration")
@@ -253,17 +279,17 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
     if union.terminals <= set(d.boundary):
         # the boundary-state sum equals the reliability only when every
         # terminal sits on the cut
-        d1 = reliability.state_distribution(d.g1, d.boundary, bound=bound)
-        d2 = reliability.state_distribution(d.g2, d.boundary, bound=bound)
-        if reliability.joint_reliability(d1, d2) != brute:
+        d1 = state_distribution(d.g1, d.boundary, bound=bound)
+        d2 = state_distribution(d.g2, d.boundary, bound=bound)
+        if joint_reliability(d1, d2) != brute:
             failures.append("joint-state sum != enumeration")
     if d.n == 2 and reliability.n2_closed_form(d) != brute:
         failures.append("two-node closed form != enumeration")
     if union.terminals == union.nodes:
-        w1 = cluster.dq_at_zero(cluster.partition_function(union, bound=bound))
+        w1 = dq_at_zero(partition_function(union, bound=bound))
         if w1 != brute:
             failures.append("cluster-model q-linear weight != enumeration")
-        if cluster.factorized_dq(d, jobs=jobs, bound=bound) != w1:
+        if factorized_dq(d, jobs=jobs, bound=bound) != w1:
             failures.append("factorized cluster derivative != direct")
     return (not failures, failures, brute)
 

@@ -4,7 +4,7 @@ Z(q, G) collects state probabilities weighted by q raised to the number of
 connected components of the operative subgraph (isolated vertices count).
 Its linear coefficient in q is exactly the all-terminal reliability, which
 carries the cut factorization over to the q -> 0 derivative.  Z is summed
-by reliability's frontier kernel, which counts a cluster each time a block
+by the frontier kernel of states, which counts a cluster each time a block
 leaves the frontier, as integer numerators per cluster count, divided by
 the common denominator once, at the end.  The derivative is factored
 through reliability's cut-factorization combine, which reads the inverse
@@ -18,10 +18,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from typing import TYPE_CHECKING
 
+from .base import Value
 from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes
-from .partitions import Partition, Value
-from .reliability import _cut_factorization, _frontier_walk
+from .reliability import _cut_factorization
+from .states import _frontier_walk
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 
 class DisconnectedGraphError(ValueError):
@@ -47,10 +52,6 @@ class ClusterPolynomial(Value):
             raise ValueError("weights must be non-negative")
         if sum(coeffs.values(), Fraction(0)) != 1:
             raise ValueError("weights must sum to 1")
-
-    def evaluate(self, q: Fraction) -> Fraction:
-        q = Fraction(q)
-        return sum((w * q**k for k, w in self.coeffs.items()), Fraction(0))
 
 
 def partition_function(g: StochasticGraph, bound: int | None = None) -> ClusterPolynomial:

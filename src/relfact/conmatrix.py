@@ -33,14 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from .linalg import is_symmetric
-from .partitions import (
-    CoherentOrder,
-    Partition,
-    Value,
-    all_partitions,
-    is_connected_pair,
-)
+from .base import Value
+from .partitions import CoherentOrder, Partition, all_partitions, is_connected_pair
 
 # Sparse vector in the partition algebra: absent entries are 0.
 AlgebraVector = dict[Partition, int]
@@ -156,6 +150,11 @@ class ConnectivityBundle(Value):
         return [list(col) for col in zip(*self.B)]
 
 
+def is_symmetric(m: list[list[int]]) -> bool:
+    n = len(m)
+    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+
+
 # n = 6 (Bell(6) = 203 states) builds in ~0.2 s in process (Python 3.11, 2-core
 # Xeon); at n = 7 (877 states) the check A * M = L * I alone is ~675M multiply-adds.
 MAX_BUNDLE_GROUND_SET = 6
@@ -212,9 +211,3 @@ def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
     A_inv = [[entries[x] for x in row] for row in M]
     return ConnectivityBundle(order=order, A=A, alpha=tuple(alphas), A_inv=A_inv)
 
-
-def connectivity_matrix_det(n: int) -> int:
-    """Determinant of the connectivity matrix over n nodes, in any coherent
-    order.  B^T * A * B = diag(alpha) with det B = 1, so det A is the
-    product of alpha(a) = mu(a, top) over the partitions a."""
-    return prod(_mu(a.block_count) for a in all_partitions(n))

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .partitions import MAX_GROUND_SET, Partition, Value
+from .base import MAX_GROUND_SET, Value
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 
 class GraphError(ValueError):
@@ -52,13 +55,6 @@ class Edge(Value):
         self._set(id, u, v, prob)
         if not 0 <= prob <= 1:
             raise GraphError(f"edge {id}: probability {prob} outside [0,1]")
-
-    @property
-    def is_loop(self) -> bool:
-        return self.u == self.v
-
-    def endpoints(self) -> tuple[str, str]:
-        return (self.u, self.v)
 
 
 class StochasticGraph(Value):

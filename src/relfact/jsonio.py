@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .graphs import CutDecomposition, Edge, StochasticGraph
-from .linalg import InvariantFactors
-from .conmatrix import ConnectivityBundle
+
+if TYPE_CHECKING:
+    from .conmatrix import ConnectivityBundle
+    from .linalg import InvariantFactors
 
 
 # CPython's default limit on the digits of an int converted to or from str

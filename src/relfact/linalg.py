@@ -11,12 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Sequence
 
-from .partitions import Value
-
-
-def is_symmetric(m: Sequence[Sequence]) -> bool:
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+from .base import Value
 
 
 class InvariantFactors(Value):

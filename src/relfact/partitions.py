@@ -3,12 +3,10 @@
 A partition records which boundary nodes end up linked inside one side of
 a decomposition.  This module enumerates the partitions of {1..n}, joins
 two of them, and builds the coherent linear orders that index the printed
-connectivity matrices.
-
-It also holds Value, the base of the package's immutable value types.  Their
-comparison, hashing, repr, immutability and pickling are written out once
-there, as plain methods, so loading the package generates and compiles no
-code at run time.
+connectivity matrices.  Every route that reads the states of a boundary
+loads it: the cut factorizations, the boundary-state and count kernels
+(states) and the connectivity matrices.  The plain factoring route does
+not, so the value base, MAX_GROUND_SET and the order variants live in base.
 """
 
 from __future__ import annotations
@@ -16,62 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-# Bell(8) = 4140 states.  The factorized, joint and distribution routes reach this
-# size: on a 14-edge n = 8 draw factorization_detail takes ~2 s and verify ~4.5 s in
-# process (Python 3.11, 2-core Xeon).  Only a printed dense inverse stops earlier, at
-# conmatrix.MAX_BUNDLE_GROUND_SET.
-MAX_GROUND_SET = 8
-
-ORDER_VARIANTS = ("canonical", "reversed-levels")
-
-
-class Value:
-    """Base of an immutable value type.
-
-    A subclass lists its attributes in __slots__, FIELDS first, and in
-    FIELDS the ones that define the value, in constructor order; an
-    attribute derived from them (an index, a cached graph) sits in
-    __slots__ only.  Its __init__ stores the slots with _set.  ==, hash and
-    repr read FIELDS: equal values have the same type and equal fields, and
-    the hash is the hash of the field tuple.  Assignment and deletion raise
-    AttributeError, and pickling saves and restores every slot without
-    running __init__ again.
-    """
-
-    __slots__ = ()
-    FIELDS: tuple[str, ...] = ()
-
-    def _set(self, *values) -> None:
-        """Set the first len(values) slots, in __slots__ order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.FIELDS])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
-        return f"{type(self).__name__}({args})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __getstate__(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setstate__(self, state: tuple) -> None:
-        self._set(*state)
+from .base import MAX_GROUND_SET, ORDER_VARIANTS, Value
 
 
 def _check_ground_set(n: int) -> None:

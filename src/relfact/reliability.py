@@ -1,43 +1,37 @@
-"""Exact reliability computation by independent routes.
+"""Exact reliability by factoring, and the cut factorization.
 
-Routes: full state enumeration (the oracle), contraction/deletion factoring
-with series/parallel reductions and irrelevant-block pruning, the joint
-boundary-state sum, and the cut factorization, whose bilinear form in the
-inverse connectivity matrix is read off the Moebius diagonal (conmatrix).
-All routes work in exact rational arithmetic and must agree bit for bit;
-the test suite leans on that equality everywhere.
+Routes here: contraction/deletion factoring with series/parallel reductions
+and irrelevant-block pruning, the cut factorization, whose bilinear form in
+the inverse connectivity matrix is read off the Moebius diagonal
+(conmatrix), and the two-node closed form.  The routes that count edge
+states, the enumeration oracle among them, live in states and sit behind
+this module's enumeration bound (_check_bound).  All routes work in exact
+rational arithmetic and must agree bit for bit; the test suite leans on
+that equality everywhere.
 
-The two 2^m routes, reliability_bruteforce and state_distribution, stay
-the oracle: short accumulators over one bit-parallel kernel, _state_masks,
-which holds up to 2^16 edge states as the bits of one int and decides
-their connectivity at once by a reachability fixpoint, merging and pruning
-none.  The counts, reliability_polynomial here and
-cluster.partition_function, are short accumulators over one frontier
-kernel, _frontier_walk, which merges equal partial states (Carlier & Lucet
-1996; Hardy, Lucet & Limnios 2007), so its work is O(m * states on the
-frontier) rather than 2^m.  Both kernels sit behind the same enumeration
-bound (_check_bound) and run in integers over one common denominator, the
-product of the edge denominators; each route sums integer numerators and
-builds its Fractions once, at the end.  Every quantity that factors over a
-cut (factorization_detail here and cluster.factorized_dq) goes through one
-combine, _cut_factorization.  It takes no coherent order and builds no
-dense inverse, so it runs at every boundary size a decomposition allows.
-A CutDecomposition checks itself when it is built (see graphs), so the cut
-routes take it as it is; a stranded terminal never reaches them.
+Every quantity that factors over a cut (factorization_detail here and
+cluster.factorized_dq) goes through one combine, _cut_factorization.  It
+takes no coherent order and builds no dense inverse, so it runs at every
+boundary size a decomposition allows.  A CutDecomposition checks itself
+when it is built (see graphs), so the cut routes take it as it is; a
+stranded terminal never reaches them.
+
+Every command loads this module, so at load time it imports only graphs
+and base: the cut routes import partitions and conmatrix when they run, as
+ordered_parallel_map imports the process pool, and the factoring route
+compiles neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import product
-from math import comb, prod
-from operator import and_, mul
-from typing import Iterable
+from typing import TYPE_CHECKING
 
-from .conmatrix import inverse_form
+from .base import Value
 from .graphs import CutDecomposition, StochasticGraph, identify_nodes, relevant_edges
-from .partitions import Partition, Value, all_partitions, is_connected_pair
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 DEFAULT_ENUMERATION_BOUND = 24
 
@@ -56,250 +50,6 @@ def _check_bound(g: StochasticGraph, bound: int | None) -> None:
             f"{len(g.edges)} edges exceed the enumeration bound {limit}; "
             "raise it with --bound or RELFACT_BOUND"
         )
-
-
-_CHUNK = 16  # low edges: a mask over their states is one int of 2^16 bits
-
-
-def _products(edges: list[tuple]) -> list[int]:
-    """The weight of each state of edges, bit i of the index for edge i."""
-    out = [1]
-    for _, _, up, down in edges:
-        out = [x * down for x in out] + [x * up for x in out]
-    return out
-
-
-def _state_masks(g: StochasticGraph):
-    """The bit-parallel kernel behind the 2^m oracle routes: the edge states
-    of g as masks, (index, D, full, mass, states).
-
-    index numbers the nodes in sorted order.  With p_i = a_i/d_i, a state's
-    probability is its integer weight prod(a_i or d_i - a_i) over
-    D = prod d_i.  The first _CHUNK edges with 0 < p < 1 are the low edges:
-    bit s of a mask is the state whose up low edges are the set bits of s,
-    full holds all 2^k of them, and mass(mask) sums their weights.  The
-    other edges, p in {0, 1} among them, are high: states yields each of
-    their states of nonzero weight as (weight, ops), where ops lists the
-    operative non-loop edges as (u, v, mask of the states where it is up).
-    """
-    index = {v: i for i, v in enumerate(sorted(g.nodes))}
-    denom = 1
-    low, high = [], []
-    for e in g.edges:
-        a, d = e.prob.numerator, e.prob.denominator
-        denom *= d
-        (low if 0 < a < d and len(low) < _CHUNK else high).append((index[e.u], index[e.v], a, d - a))
-    k = len(low)
-    size = 1 << max(k - 3, 0)  # bytes per mask
-    full = (1 << (1 << k)) - 1
-    ops = []
-    for i, (u, v, _, _) in enumerate(low):
-        # edge i is up in the states whose bit i is set: a byte pattern
-        # for i < 3, runs of 2^(i-3) zero and 0xff bytes above
-        pattern = bytes([(0xAA, 0xCC, 0xF0)[i]]) if i < 3 else bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
-        if u != v:
-            ops.append((u, v, int.from_bytes(pattern * (size // len(pattern)), "little") & full))
-    # byte j of a mask holds the states 8j..8j+7: the lowest 3 edges vary
-    # inside it, as table[byte] sums; the others are j's bits, split in
-    # two small tables, so byte j weighs rows[j // len(cols)] * cols[j % len(cols)]
-    table = [0]
-    for w in _products(low[:3]):
-        table += [x + w for x in table]
-    half = (max(k - 3, 0) + 1) // 2
-    cols, rows = _products(low[3 : 3 + half]), _products(low[3 + half :])
-
-    def mass(mask: int) -> int:
-        data, n = mask.to_bytes(size, "little"), len(cols)
-        sums = (sum(map(mul, cols, map(table.__getitem__, data[j : j + n]))) for j in range(0, size, n))
-        return sum(map(mul, rows, sums))
-
-    # a high edge is down, or up and operative in every low state
-    branches = [
-        [(w, [(u, v, full)] if is_up and u != v else []) for is_up, w in ((False, down), (True, up)) if w]
-        for u, v, up, down in high
-    ]
-    states = (
-        (prod(w for w, _ in pick), ops + [op for _, more in pick for op in more]) for pick in product(*branches)
-    )
-    return index, denom, full, mass, states
-
-
-def _linked_masks(ops: list[tuple], source: int, full: int) -> dict[int, int]:
-    """Per node, the mask of the states in which ops link it to source, by a
-    fixpoint over the edges; a node reached in no state is absent."""
-    reach = {source: full}
-    changed = True
-    while changed:
-        changed = False
-        for u, v, m in ops:
-            ru, rv = reach.get(u, 0), reach.get(v, 0)
-            if (ru ^ rv) & m:
-                x = (ru | rv) & m
-                reach[u], reach[v] = ru | x, rv | x
-                changed = True
-    return reach
-
-
-def _frontier_plan(g: StochasticGraph, terminals: frozenset[str]) -> list[tuple]:
-    """The fixed schedule of the frontier kernel, one operation per entry.
-
-    Vertices enter in BFS order: each search starts at the least unvisited
-    node name and visits neighbours in name order.  After a vertex enters,
-    the edges whose later endpoint it is follow, sorted by earlier endpoint
-    and then edge id; then every frontier vertex whose last edge that was
-    leaves.  Operations are ("enter", is terminal), ("edge", i, j, edge)
-    and ("leave", i), with i and j indices into the frontier, which is the
-    same for every state at a given point of the schedule.
-    """
-    adj: dict[str, set[str]] = {v: set() for v in g.nodes}
-    for e in g.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-    order: list[str] = []
-    pos: dict[str, int] = {}
-    for root in sorted(g.nodes):
-        if root in pos:
-            continue
-        k = pos[root] = len(order)
-        order.append(root)
-        while k < len(order):
-            for y in sorted(adj[order[k]]):
-                if y not in pos:
-                    pos[y] = len(order)
-                    order.append(y)
-            k += 1
-    later: list[list] = [[] for _ in order]
-    last = list(range(len(order)))
-    for e in g.edges:
-        i, j = sorted((pos[e.u], pos[e.v]))
-        later[j].append((i, e.id, e))
-        last[i] = max(last[i], j)
-    plan: list[tuple] = []
-    frontier: list[int] = []
-    for s, v in enumerate(order):
-        frontier.append(s)
-        plan.append(("enter", v in terminals))
-        for i, _, e in sorted(later[s]):
-            plan.append(("edge", frontier.index(i), len(frontier) - 1, e))
-        for u in [u for u in frontier if last[u] == s]:
-            plan.append(("leave", frontier.index(u)))
-            frontier.remove(u)
-    return plan
-
-
-def _relabel(labels: tuple, marks: tuple) -> tuple[tuple, tuple]:
-    """Renumber labels 0, 1, ... in order of first occurrence and carry each
-    block's mark along; a label no longer used drops its mark."""
-    first: dict = {}
-    labels = tuple([first.setdefault(x, len(first)) for x in labels])
-    return labels, tuple([marks[x] for x in first])
-
-
-def _add(acc: dict, state, counts: dict[int, int], factor: int, shift: int) -> None:
-    """acc[state] += factor * counts, every key of counts moved up by shift."""
-    out = acc.get(state)
-    if out is None:
-        acc[state] = {k + shift: w * factor for k, w in counts.items()}
-        return
-    for k, w in counts.items():
-        out[k + shift] = out.get(k + shift, 0) + w * factor
-
-
-def _frontier_walk(
-    g: StochasticGraph, bound: int | None, weighted: bool, terminals: frozenset[str] | None
-) -> tuple[int, dict[int, int]]:
-    """The frontier kernel behind the polynomial and cluster counts.
-
-    Checks the bound, then runs _frontier_plan's schedule over states of
-    the frontier: the component labels of its vertices as a restricted-
-    growth tuple, and one mark per block that holds a terminal.  States
-    that become equal merge, so the work is O(m * states on the frontier)
-    rather than 2^m.  Each state carries its weights keyed by a count.
-    Weights are integers over one common denominator D, as in _state_masks:
-    with weighted, an edge p = a/d multiplies by a up and by d - a down and
-    D is the product of the d; without, every edge state weighs 1 and D = 1.
-    A block that leaves the frontier closes one cluster.
-
-    With terminals, the key is the number of operative edges, and only the
-    states that link every terminal count.  When a marked block leaves,
-    either it holds every terminal (all have entered and no other block is
-    marked) and the state becomes the linked state, which absorbs every
-    later edge, or some terminal is cut off and the state dies.  With
-    terminals None, the key is the number of closed clusters, and every
-    state counts.  Returns D and the summed weights by key, in key order.
-    """
-    _check_bound(g, bound)
-    counting_edges = terminals is not None
-    total = len(terminals) if counting_edges else 0
-    seen = 0
-    denom = 1
-    # the state None is the linked state: its frontier no longer matters
-    states: dict = {((), ()): {0: 1}}
-    for op in _frontier_plan(g, terminals or frozenset()):
-        nxt: dict = {}
-        if op[0] == "enter":
-            mark = op[1]
-            seen += mark
-            for state, counts in states.items():
-                if state is not None:
-                    labels, marks = state
-                    state = (labels + (len(marks),), marks + (mark,))
-                nxt[state] = counts
-        elif op[0] == "edge":
-            _, i, j, e = op
-            up = down = 1
-            if weighted:
-                up, d = e.prob.numerator, e.prob.denominator
-                down = d - up
-                denom *= d
-            for state, counts in states.items():
-                if down:
-                    _add(nxt, state, counts, down, 0)
-                if up:
-                    if state is not None:
-                        labels, marks = state
-                        x, y = sorted((labels[i], labels[j]))
-                        if x != y:
-                            merged = marks[:x] + (marks[x] or marks[y],) + marks[x + 1 :]
-                            state = _relabel(tuple([x if z == y else z for z in labels]), merged)
-                    _add(nxt, state, counts, up, int(counting_edges))
-        else:
-            i = op[1]
-            for state, counts in states.items():
-                closes = False
-                if state is not None:
-                    labels, marks = state
-                    x = labels[i]
-                    rest = labels[:i] + labels[i + 1 :]
-                    closes = x not in rest
-                    if closes and marks[x]:
-                        if seen < total or sum(marks) > 1:
-                            continue
-                        state = None
-                    else:
-                        state = _relabel(rest, marks)
-                _add(nxt, state, counts, 1, int(closes and not counting_edges))
-        states = nxt
-    # every vertex has left, so at most one state remains: the linked state,
-    # or with no terminal to mark, the empty frontier
-    counts = next(iter(states.values()), {})
-    return denom, dict(sorted(counts.items()))
-
-
-def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Fraction:
-    """Sum of state probabilities over every terminal-linking state: the
-    states in which the least terminal reaches every other."""
-    _check_bound(g, bound)
-    if len(g.terminals) <= 1:
-        return Fraction(1)
-    index, denom, full, mass, states = _state_masks(g)
-    source, *targets = sorted(index[t] for t in g.terminals)
-    total = 0
-    for weight, ops in states:
-        reach = _linked_masks(ops, source, full)
-        if linked := reduce(and_, [reach.get(t, 0) for t in targets], full):
-            total += weight * mass(linked)
-    return Fraction(total, denom)
 
 
 class _Subproblem:
@@ -477,125 +227,6 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     return total
 
 
-class ReliabilityPolynomial(Value):
-    """Pathset counts by number of operative edges, for equal edge
-    probability p: R(p) = sum_i C_i p^i (1-p)^(m-i)."""
-
-    __slots__ = FIELDS = ("coefficients",)
-    coefficients: tuple[int, ...]
-
-    def __init__(self, coefficients: tuple[int, ...]) -> None:
-        self._set(coefficients)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, p: Fraction) -> Fraction:
-        p = Fraction(p)
-        m = self.edge_count
-        return sum(
-            (c * p**i * (1 - p) ** (m - i) for i, c in enumerate(self.coefficients)),
-            Fraction(0),
-        )
-
-    def monomial_coefficients(self) -> list[int]:
-        """Coefficients of R(p) expanded in powers of p."""
-        m = self.edge_count
-        out = [0] * (m + 1)
-        for i, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            for j in range(i, m + 1):
-                out[j] += c * (-1) ** (j - i) * comb(m - i, j - i)
-        return out
-
-
-def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> ReliabilityPolynomial:
-    """Count terminal-linking states by operative edge count.
-
-    The counts come from the frontier kernel run unweighted, so they ignore
-    the edge probabilities: states with a p = 0 or p = 1 edge are counted
-    like any other."""
-    _, counts = _frontier_walk(g, bound, weighted=False, terminals=g.terminals)
-    return ReliabilityPolynomial(tuple(counts.get(i, 0) for i in range(len(g.edges) + 1)))
-
-
-class StateDistribution(Value):
-    """Exact probability of each boundary partition induced by one side."""
-
-    __slots__ = FIELDS = ("boundary", "probs")
-    boundary: tuple[str, ...]
-    probs: dict[Partition, Fraction]
-
-    def __init__(self, boundary: Iterable[str], probs: dict[Partition, Fraction]) -> None:
-        self._set(tuple(boundary), probs)
-        total = sum(probs.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"state distribution mass {total} != 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.boundary)
-
-    def prob(self, a: Partition) -> Fraction:
-        return self.probs.get(a, Fraction(0))
-
-
-def state_distribution(
-    g: StochasticGraph, boundary: list[str] | tuple[str, ...], bound: int | None = None
-) -> StateDistribution:
-    """Distribution over boundary partitions: labels i and j share a block
-    exactly when the operative edges join boundary[i-1] to boundary[j-1]."""
-    boundary = tuple(boundary)
-    for b in boundary:
-        if b not in g.nodes:
-            raise ValueError(f"boundary node {b!r} not in graph")
-    _check_bound(g, bound)
-    index, denom, full, mass, states = _state_masks(g)
-    bix = [index[b] for b in boundary]
-    acc: dict[tuple[int, ...], int] = {}
-    for weight, ops in states:
-        # the last boundary node opens no block that a later one could join
-        reach = [_linked_masks(ops, b, full) for b in bix[:-1]]
-        split = [((), full)]
-        for b in bix:
-            nxt = []
-            for labels, mask in split:
-                # b joins the block of the first earlier node it reaches, or opens one
-                firsts = [labels.index(c) for c in range(len(set(labels)))]
-                for c, f in enumerate(firsts):
-                    sub = mask & reach[f].get(b, 0)
-                    if sub:
-                        nxt.append((labels + (c,), sub))
-                        mask ^= sub
-                if mask:
-                    nxt.append((labels + (len(firsts),), mask))
-            split = nxt
-        for labels, mask in split:
-            acc[labels] = acc.get(labels, 0) + weight * mass(mask)
-    probs = {Partition.from_labels(key): Fraction(w, denom) for key, w in acc.items()}
-    return StateDistribution(boundary=boundary, probs=probs)
-
-
-def joint_reliability(d1: StateDistribution, d2: StateDistribution) -> Fraction:
-    """Mass of the pairs of side states that jointly link the boundary.
-
-    This is the quadratic pre-factorization route: it sums P1(A) * P2(B)
-    over connected pairs rather than going through the inverse matrix.
-    """
-    if d1.n != d2.n:
-        raise ValueError(f"boundary sizes differ: {d1.n} vs {d2.n}")
-    total = Fraction(0)
-    for a, pa in d1.probs.items():
-        if pa == 0:
-            continue
-        for b, pb in d2.probs.items():
-            if pb and is_connected_pair(a, b):
-                total += pa * pb
-    return total
-
-
 def conditioned_reliability(
     g: StochasticGraph, boundary: list[str] | tuple[str, ...], a: Partition
 ) -> Fraction:
@@ -645,6 +276,9 @@ def _cut_factorization(d: CutDecomposition, jobs: int, solve) -> FactorizationRe
     conmatrix.inverse_form combines them as r1^T * A^-1 * r2.  solve must
     be picklable (a module-level function or a partial of one) when jobs > 1.
     """
+    from .conmatrix import inverse_form
+    from .partitions import all_partitions
+
     states = all_partitions(d.n)
     tasks = [(solve, g, d.boundary, a) for g in (d.g1, d.g2) for a in states]
     vals = ordered_parallel_map(_side_task, tasks, jobs)
@@ -670,6 +304,8 @@ def n2_closed_form(d: CutDecomposition) -> Fraction:
     """
     if d.n != 2:
         raise ValueError(f"closed form needs a boundary of size 2, got {d.n}")
+    from .partitions import Partition
+
     bottom = Partition.singletons(2)
     top = Partition.top(2)
     r1 = conditioned_reliability(d.g1, d.boundary, bottom)

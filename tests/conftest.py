@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from corpus import random_probability
+from lattice import is_loop
 from relfact.graphs import Edge, StochasticGraph
 from relfact.partitions import Partition
 
@@ -39,7 +40,7 @@ def adjacency(g: StochasticGraph) -> dict[str, list[tuple[int, str]]]:
     the input of graphs.relevant_edges."""
     adj: dict[str, list[tuple[int, str]]] = {v: [] for v in g.nodes}
     for e in g.edges:
-        if not e.is_loop:
+        if not is_loop(e):
             adj[e.u].append((e.id, e.v))
             adj[e.v].append((e.id, e.u))
     return adj

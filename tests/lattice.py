@@ -1,8 +1,11 @@
 """The partition-lattice and graph helpers that only the tests and scripts
 call, a test reference: Bell numbers, meet and the refinement order, the
 relabeling action of permutations with its orbits, the pathset test of one
-edge state, the diagonal factor C of a connectivity bundle, and the
-identified complete graphs with the leading term of their polynomials.
+edge state, the diagonal factor C of a connectivity bundle and the
+determinant of the connectivity matrix, the identified complete graphs with
+the leading term of their polynomials, the values of the reliability and
+cluster polynomials at a point, one state's probability, and an edge's
+endpoints and loop test.
 
 The package reaches none of them: a coherent order sorts the partitions by
 block sizes directly, the factorizations read alpha in closed form, and
@@ -15,12 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Mapping, Sequence
 
-from relfact.conmatrix import ConnectivityBundle
+from relfact.base import Value
+from relfact.cluster import ClusterPolynomial
+from relfact.conmatrix import ConnectivityBundle, _mu
 from relfact.graphs import Edge, GraphError, StochasticGraph, components, identify_nodes
-from relfact.partitions import Partition, Value, _require_same_ground, all_partitions
-from relfact.reliability import ReliabilityPolynomial
+from relfact.partitions import Partition, _require_same_ground, all_partitions
+from relfact.states import ReliabilityPolynomial, StateDistribution
 
 
 def bell_number(n: int) -> int:
@@ -144,3 +150,39 @@ def leading_term(poly: ReliabilityPolynomial) -> tuple[int, int]:
         if mono[j]:
             return j, mono[j]
     return -1, 0
+
+
+def connectivity_matrix_det(n: int) -> int:
+    """Determinant of the connectivity matrix over n nodes, in any coherent
+    order.  B^T * A * B = diag(alpha) with det B = 1, so det A is the
+    product of alpha(a) = mu(a, top) over the partitions a."""
+    return prod(_mu(a.block_count) for a in all_partitions(n))
+
+
+def evaluate_polynomial(poly: ReliabilityPolynomial, p: Fraction) -> Fraction:
+    """R(p) = sum_i C_i p^i (1-p)^(m-i) at one edge probability p."""
+    p = Fraction(p)
+    m = poly.edge_count
+    return sum(
+        (c * p**i * (1 - p) ** (m - i) for i, c in enumerate(poly.coefficients)),
+        Fraction(0),
+    )
+
+
+def evaluate_cluster(z: ClusterPolynomial, q: Fraction) -> Fraction:
+    """Z(q) = sum_k w_k q^k at one q."""
+    q = Fraction(q)
+    return sum((w * q**k for k, w in z.coeffs.items()), Fraction(0))
+
+
+def state_prob(dist: StateDistribution, a: Partition) -> Fraction:
+    """The probability of boundary state a; 0 for a state the side never induces."""
+    return dist.probs.get(a, Fraction(0))
+
+
+def is_loop(e: Edge) -> bool:
+    return e.u == e.v
+
+
+def endpoints(e: Edge) -> tuple[str, str]:
+    return (e.u, e.v)

@@ -18,27 +18,15 @@ import reference_matrices as ref
 from conftest import dense_inverse_form
 from corpus import bridge_decomposition, corpus
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
-from lattice import diagonal_factor, gamma_graph, leading_term, orbits
+from lattice import connectivity_matrix_det, diagonal_factor, gamma_graph, leading_term, orbits
 from relfact import jsonio
 from relfact.cluster import dq_at_zero, factorized_dq, partition_function
-from relfact.conmatrix import (
-    connectivity_matrix,
-    connectivity_matrix_det,
-    connectivity_number,
-    invert_connectivity_matrix,
-)
+from relfact.conmatrix import connectivity_matrix, connectivity_number, invert_connectivity_matrix
 from relfact.graphs import CutDecomposition
 from relfact.linalg import abelian_signature, diagonal_smith_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order
-from relfact.reliability import (
-    factorization_detail,
-    joint_reliability,
-    n2_closed_form,
-    reliability_bruteforce,
-    reliability_factoring,
-    reliability_polynomial,
-    state_distribution,
-)
+from relfact.reliability import factorization_detail, n2_closed_form, reliability_factoring
+from relfact.states import joint_reliability, reliability_bruteforce, reliability_polynomial, state_distribution
 
 ACCEPT_SEED = 2027
 PER_N = 100

@@ -581,49 +581,77 @@ class TestVerifyCommand:
         assert run_cli("verify", "--input", str(empty)).returncode == 2
 
 
+# The package modules each route loads, beyond the ones every command
+# loads: the command line, the wire format, the graphs, the factoring route
+# and the value base.  GRAPH is the union of DOC; DOC has a two-node
+# boundary that holds every terminal, so every route of factor takes it.
+EVERY_COMMAND = {"cli", "jsonio", "graphs", "reliability", "base"}
+ROUTE_MODULES = {
+    ("--help",): set(),
+    ("reliability", "--route", "factoring", "--input", "GRAPH"): set(),
+    ("factor", "--route", "n2", "--input", "DOC"): {"partitions"},
+    ("factor", "--route", "factorized", "--input", "DOC"): {"partitions", "conmatrix"},
+    ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {"partitions", "states"},
+    ("polynomial", "--input", "GRAPH"): {"partitions", "states"},
+    ("distribution", "--input", "DOC"): {"partitions", "states"},
+    ("factor", "--route", "joint", "--input", "DOC"): {"partitions", "states"},
+    ("rcm", "--input", "GRAPH"): {"partitions", "states", "cluster"},
+    ("conmatrix", "--n", "3"): {"partitions", "conmatrix", "linalg"},
+    ("verify", "--input", "DOC"): {"partitions", "conmatrix", "states", "cluster"},
+}
+
+
+def in_process(argv):
+    """Exit code and stdout of cli.main(argv) in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue()
+
+
 class TestStartup:
-    def test_cli_import_leaves_the_process_pool_unloaded(self):
-        # the pool is imported only when --jobs > 1 needs it; the value types
-        # generate no code, so the import adds no dataclasses (nor the
-        # inspect it pulls in), whatever site loaded before it; the package
-        # itself still loads every module eagerly
-        code = (
-            "import sys, json; before = set(sys.modules); import relfact.cli; "
-            "print(json.dumps([sorted(sys.modules), sorted(set(sys.modules) - before)]))"
+    @pytest.mark.parametrize("route", ROUTE_MODULES, ids=" ".join)
+    def test_a_command_loads_only_its_route(self, tmp_path, route):
+        # a fresh `python -v -m relfact` lists every module it imports, in
+        # order, on stderr; what follows the package is the command's doing.
+        # The pool is imported only when --jobs > 1 needs it, and the value
+        # types generate no code, so neither dataclasses nor the inspect it
+        # pulls in load, whatever site loaded before
+        doc = FIXTURES / "cut2_0.json"
+        d = jsonio.decomposition_from_obj(json.loads(doc.read_text()))
+        paths = {"DOC": str(doc), "GRAPH": write_graph(tmp_path / "union.json", d.union)}
+        argv = [paths.get(x, x) for x in route]
+        proc = subprocess.run(
+            [sys.executable, "-v", "-m", "relfact", *argv], capture_output=True, text=True
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        loaded, added = map(set, json.loads(proc.stdout))
-        assert "concurrent.futures" not in loaded
-        assert "multiprocessing" not in loaded
-        assert "dataclasses" not in added
-        assert "inspect" not in added
-        modules = ("cli", "cluster", "conmatrix", "graphs", "jsonio", "linalg", "partitions", "reliability")
-        assert {f"relfact.{m}" for m in modules} <= added
+        imported = re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)
+        added = imported[imported.index("relfact") :]
+        assert {m for m in added if m.startswith("relfact.")} == {
+            f"relfact.{m}" for m in EVERY_COMMAND | ROUTE_MODULES[route]
+        }
+        assert [m for m in ("concurrent.futures", "multiprocessing", "dataclasses", "inspect") if m in added] == []
+        assert (proc.returncode, proc.stdout) == in_process(argv)
 
     def test_the_package_ships_only_what_the_cli_reaches(self):
-        # every module file is loaded by the command's import, and the
-        # helpers that only tests and scripts call live beside the tests
-        expected = {
-            "relfact" if p.stem == "__init__" else f"relfact.{p.stem}"
-            for p in Path(cli.__file__).parent.glob("*.py")
-            if p.stem != "__main__"
-        }
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, relfact.cli; print(*sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert sorted(expected - set(proc.stdout.split())) == []
+        # every module file is loaded by some command, and the helpers that
+        # only tests and scripts call live beside the tests
+        files = {p.stem for p in Path(cli.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+        assert files == EVERY_COMMAND.union(*ROUTE_MODULES.values())
         moved = {
             relfact: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits",
-                      "is_k_pathset", "gamma_graph", "corpus"],
+                      "is_k_pathset", "gamma_graph", "corpus", "connectivity_matrix_det"],
             relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
             relfact.graphs: ["is_k_pathset"],
             relfact.reliability: ["gamma_graph"],
+            relfact.conmatrix: ["connectivity_matrix_det"],
             relfact.ConnectivityBundle: ["C"],
-            relfact.ReliabilityPolynomial: ["degree", "leading_coefficient"],
+            relfact.ReliabilityPolynomial: ["degree", "leading_coefficient", "evaluate"],
+            relfact.ClusterPolynomial: ["evaluate"],
+            relfact.StateDistribution: ["prob"],
+            relfact.Edge: ["endpoints", "is_loop"],
             relfact.InvariantFactors: ["determinant_magnitude"],
         }
         assert [(owner, n) for owner, names in moved.items() for n in names if hasattr(owner, n)] == []

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_graph
 from corpus import bridge_graph, corpus
+from lattice import evaluate_cluster
 from relfact.cluster import (
     ClusterPolynomial,
     DisconnectedGraphError,
@@ -12,7 +13,8 @@ from relfact.cluster import (
     partition_function,
 )
 from relfact.graphs import Edge, StochasticGraph
-from relfact.reliability import EnumerationBoundError, reliability_bruteforce
+from relfact.reliability import EnumerationBoundError
+from relfact.states import reliability_bruteforce
 
 H = Fraction(1, 2)
 
@@ -47,7 +49,7 @@ class TestPartitionFunction:
                 z = partition_function(g)
             except DisconnectedGraphError:
                 continue
-            assert z.evaluate(Fraction(1)) == 1
+            assert evaluate_cluster(z, Fraction(1)) == 1
 
     def test_disconnected_rejected(self):
         g = StochasticGraph(

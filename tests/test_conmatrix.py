@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 import reference_matrices as ref
 from conftest import dense_inverse_form, mat_mul
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
-from lattice import bell_number, conjugate, diagonal_factor, meet, orbits, refines
+from lattice import bell_number, conjugate, connectivity_matrix_det, diagonal_factor, meet, orbits, refines
 from relfact import cli, conmatrix
 from relfact.conmatrix import (
     connectivity_matrix,
-    connectivity_matrix_det,
     connectivity_number,
     inverse_form,
     invert_connectivity_matrix,
+    is_symmetric,
     pi_vector,
 )
-from relfact.linalg import abelian_signature, diagonal_smith_form, is_symmetric
+from relfact.linalg import abelian_signature, diagonal_smith_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
 
 

@@ -1,13 +1,17 @@
-"""stdout of the commands that read a decomposition, pinned by sha256.
+"""stdout of the commands, pinned by sha256.
 
-The digests in pinned_stdout.json were taken from the build that combined
-the two sides through the dense inverse of one coherent order, and whose
-verify ran the factorized route once per order.  The combine read off the
-Moebius diagonal must print the same bytes.  The cases are every file of
-fixtures/ plus corpus draws at n = 4 and 5, in every terminal mode.  Each
-case runs factor by the factorized route in both orders, by the joint route
-where every terminal is on the cut and by n2 at n = 2, each with and
-without --verify; then distribution and verify; each in text and json.
+The digests of the commands that read a decomposition were taken from the
+build that combined the two sides through the dense inverse of one
+coherent order, and whose verify ran the factorized route once per order.
+The combine read off the Moebius diagonal must print the same bytes.  The
+digests of the commands that read a graph were taken from the build that
+kept every counting kernel in reliability and imported every module at
+start-up.  The inputs are every file of fixtures/ plus corpus draws at
+n = 4 and 5, in every terminal mode.  Each decomposition runs factor by the
+factorized route in both orders, by the joint route where every terminal is
+on the cut and by n2 at n = 2, each with and without --verify; then
+distribution and verify.  Its union graph runs reliability by both routes,
+polynomial and rcm.  Each runs in text and json.
 To print the digests of the code on the path, for an intended change of
 output only:
 
@@ -33,17 +37,31 @@ PINS_PATH = HERE / "pinned_stdout.json"
 PIN_SEED = 2031
 
 
+GRAPH_COMMANDS = [
+    ("reliability", "--route", "factoring"),
+    ("reliability", "--route", "bruteforce"),
+    ("polynomial",),
+    ("rcm",),
+]
+
+
 def documents() -> dict[str, dict]:
-    """Name -> decomposition document of every pinned input."""
+    """Name -> document of every pinned input: each decomposition, and as
+    name_union its union graph."""
     docs = {path.stem: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
     for n in (4, 5):
         for mode in TERMINAL_MODES:
             (d,) = corpus(PIN_SEED, n, 1, terminal_mode=mode)
             docs[f"corpus{n}_{mode}"] = jsonio.decomposition_to_obj(d)
+    for name, doc in list(docs.items()):
+        docs[f"{name}_union"] = jsonio.graph_to_obj(jsonio.decomposition_from_obj(doc).union)
     return docs
 
 
-def commands(d) -> list[tuple[str, ...]]:
+def commands(name: str, doc: dict) -> list[tuple[str, ...]]:
+    if name.endswith("_union"):
+        return GRAPH_COMMANDS
+    d = jsonio.decomposition_from_obj(doc)
     factor = [("factor", "--route", "factorized", "--order", order) for order in ORDER_VARIANTS]
     if d.union.terminals <= set(d.boundary):
         factor.append(("factor", "--route", "joint"))
@@ -56,7 +74,7 @@ DOCS = documents()
 CASES = {
     f"{name} {' '.join(argv)} --output {output}": (name, argv, output)
     for name, doc in DOCS.items()
-    for argv in commands(jsonio.decomposition_from_obj(doc))
+    for argv in commands(name, doc)
     for output in ("text", "json")
 }
 

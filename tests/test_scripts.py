@@ -1,5 +1,6 @@
 """The scripts under scripts/, run as a user would run them."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +58,26 @@ def test_conmatrix_report_refuses_sizes_without_a_bundle():
     proc = run_script("conmatrix_report.py", "--max-n", "7")
     assert proc.returncode == 2
     assert "at most 6" in proc.stderr
+
+
+def test_startup_report_lists_each_command_and_its_modules():
+    proc = run_script("startup_report.py", "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    floor, header, *rows = proc.stdout.splitlines()
+    assert floor.startswith("floor `python -c pass`:") and floor.endswith(", 22 spawns")
+    assert header.split()[:5] == ["command", "share_ms", "q1", "q3", "import_ms"]
+    assert len(rows) == 11
+    modules = {}
+    for row in rows:
+        command, numbers = re.match(r"(.+?)\s+(-?\d+\.\d.*)$", row).groups()
+        fields = numbers.split()
+        assert float(fields[3]) > 0  # the package's import time
+        modules[command] = set(fields[4:])
+    assert modules["--help"] == {"base", "cli", "graphs", "jsonio", "reliability"}
+    assert modules["conmatrix --n 3"] == {"base", "cli", "graphs", "jsonio", "reliability", "partitions", "conmatrix", "linalg"}
+
+
+def test_startup_report_refuses_no_repetitions():
+    proc = run_script("startup_report.py", "--repeat", "0")
+    assert proc.returncode == 2
+    assert "at least 1" in proc.stderr

@@ -18,14 +18,8 @@ from relfact.conmatrix import ConnectivityBundle, invert_connectivity_matrix
 from relfact.graphs import CutDecomposition, Edge, StochasticGraph
 from relfact.linalg import InvariantFactors, diagonal_smith_form
 from relfact.partitions import CoherentOrder, Partition, coherent_order
-from relfact.reliability import (
-    FactorizationResult,
-    ReliabilityPolynomial,
-    StateDistribution,
-    factorization_detail,
-    reliability_polynomial,
-    state_distribution,
-)
+from relfact.reliability import FactorizationResult, factorization_detail
+from relfact.states import ReliabilityPolynomial, StateDistribution, reliability_polynomial, state_distribution
 
 
 def fresh_order():
