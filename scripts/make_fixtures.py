@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))  # the corpus generator
 
-from corpus import bridge_decomposition, corpus
+from corpus import bridge_decomposition, corpus, decomposition_to_obj
 from relfact import jsonio
 
 
@@ -47,7 +47,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, d in docs.items():
         path = out / f"{name}.json"
-        path.write_text(jsonio.dumps_canonical(jsonio.decomposition_to_obj(d)))
+        path.write_text(jsonio.dumps_canonical(decomposition_to_obj(d)))
         print(f"wrote {path}")
     print(f"done; run: relfact verify --input {out}")
     return 0

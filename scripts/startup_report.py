@@ -15,6 +15,9 @@ Prints, per command, the median and quartiles of the share in ms, the
 median -X importtime total of the package (the cumulative times of the
 imports made from the package's own onward, the standard modules it pulls
 in included) over as many more spawns, and the package modules it loads.
+A second table lists, per command, the standard modules `python -v`
+reports imported after the package, so that a heavy import (argparse,
+say) that comes back shows up by name.
 
 Usage:
   python3 scripts/startup_report.py [--repeat 15]
@@ -69,9 +72,12 @@ def importtime_ms(stderr: str) -> float:
     return sum(int(us) for us, indent, _ in rows[start:] if len(indent) == 1) / 1000
 
 
-def loaded_modules(stderr: str) -> list[str]:
-    """The package modules that `python -v` reports importing."""
-    return [m for m in re.findall(r"^import '([\w.]+)'", stderr, re.MULTILINE) if m.startswith("relfact.")]
+def loaded_modules(stderr: str) -> tuple[list[str], list[str]]:
+    """The package modules that `python -v` reports importing, and the
+    other modules imported from the package's import on, in import order."""
+    imported = re.findall(r"^import '([\w.]+)'", stderr, re.MULTILINE)
+    after = imported[imported.index("relfact") :]
+    return [m for m in after if m.startswith("relfact.")], [m for m in after if m.split(".")[0] != "relfact"]
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -123,14 +129,20 @@ def main() -> int:
         q1, med, q3 = quartiles(floors)
         print(f"floor `python -c pass`: {1000 * med:.1f} ms [{1000 * q1:.1f}, {1000 * q3:.1f}], {len(floors)} spawns")
         print(f"{'command':<48} {'share_ms':>8} {'q1':>6} {'q3':>6} {'import_ms':>9}  modules")
+        standard = []
         for name, argv, xs, ys in zip(COMMANDS, commands, shares, imports):
             _, verbose = spawn(["-m", "relfact", *argv], env, *cache, "-v")
-            modules = " ".join(sorted(m.removeprefix("relfact.") for m in loaded_modules(verbose)))
+            package, others = loaded_modules(verbose)
+            modules = " ".join(sorted(m.removeprefix("relfact.") for m in package))
+            standard.append(f"{' '.join(name):<48} {' '.join(others)}")
             q1, med, q3 = quartiles(xs)
             print(
                 f"{' '.join(name):<48} {1000 * med:>8.1f} {1000 * q1:>6.1f} {1000 * q3:>6.1f} "
                 f"{statistics.median(ys):>9.1f}  {modules}"
             )
+        print()
+        print(f"{'command':<48} standard modules loaded after the package, in import order")
+        print("\n".join(standard))
     return 0
 
 

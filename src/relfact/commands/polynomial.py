@@ -1,0 +1,25 @@
+"""relfact polynomial: the equal-probability reliability polynomial."""
+
+from __future__ import annotations
+
+from .. import jsonio
+from ..cli import EXIT_OK, _emit, _load_json
+
+
+def run(args) -> int:
+    from ..states import reliability_polynomial
+
+    g = jsonio.graph_from_obj(_load_json(args.input))
+    poly = reliability_polynomial(g, bound=args.bound)
+    payload = {
+        "edge_count": poly.edge_count,
+        "coefficients": list(poly.coefficients),
+        "monomial_coefficients": poly.monomial_coefficients(),
+    }
+    lines = [
+        f"edge count = {poly.edge_count}",
+        "pathset counts by operative edges: " + " ".join(str(c) for c in poly.coefficients),
+        "monomial coefficients: " + " ".join(str(c) for c in poly.monomial_coefficients()),
+    ]
+    _emit(args, payload, lines)
+    return EXIT_OK

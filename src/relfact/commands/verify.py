@@ -1,0 +1,65 @@
+"""relfact verify: every route on a directory of decomposition fixtures."""
+
+from __future__ import annotations
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from .. import jsonio, reliability
+from ..cli import EXIT_FORMAT, EXIT_OK, EXIT_VERIFY, _emit, _load_json
+
+
+def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
+    from ..cluster import dq_at_zero, factorized_dq, partition_function
+    from ..states import joint_reliability, reliability_bruteforce, state_distribution
+
+    union = d.union
+    failures: list[str] = []
+    brute = reliability_bruteforce(union, bound=bound)
+    factored = reliability.reliability_factoring(union)
+    if factored != brute:
+        failures.append("factoring != enumeration")
+    if reliability.factorization_detail(d, jobs=jobs).value != brute:
+        failures.append("factorized != enumeration")
+    if union.terminals <= set(d.boundary):
+        # the boundary-state sum equals the reliability only when every
+        # terminal sits on the cut
+        d1 = state_distribution(d.g1, d.boundary, bound=bound)
+        d2 = state_distribution(d.g2, d.boundary, bound=bound)
+        if joint_reliability(d1, d2) != brute:
+            failures.append("joint-state sum != enumeration")
+    if d.n == 2 and reliability.n2_closed_form(d) != brute:
+        failures.append("two-node closed form != enumeration")
+    if union.terminals == union.nodes:
+        w1 = dq_at_zero(partition_function(union, bound=bound))
+        if w1 != brute:
+            failures.append("cluster-model q-linear weight != enumeration")
+        if factorized_dq(d, jobs=jobs, bound=bound) != w1:
+            failures.append("factorized cluster derivative != direct")
+    return (not failures, failures, brute)
+
+
+def run(args) -> int:
+    root = Path(args.input)
+    files = sorted(root.glob("*.json")) if root.is_dir() else [root]
+    if not files:
+        print(f"no fixtures found under {root}", file=sys.stderr)
+        return EXIT_FORMAT
+    results = []
+    all_ok = True
+    for path in files:
+        d = jsonio.decomposition_from_obj(_load_json(str(path)))
+        ok, failures, value = _verify_one(d, args.bound, args.jobs)
+        all_ok &= ok
+        results.append(
+            {"file": path.name, "ok": ok, "reliability": jsonio.fraction_to_str(value), "failures": failures}
+        )
+    payload = {"ok": all_ok, "results": results}
+    lines = []
+    for r in results:
+        status = "OK" if r["ok"] else "FAIL " + "; ".join(r["failures"])
+        lines.append(f"{r['file']}: {status} (R = {r['reliability']})")
+    lines.append("all routes agree" if all_ok else "MISMATCHES FOUND")
+    _emit(args, payload, lines)
+    return EXIT_OK if all_ok else EXIT_VERIFY

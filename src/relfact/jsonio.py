@@ -1,4 +1,4 @@
-"""Wire formats: graphs, decompositions, matrices, and exact rationals.
+"""Wire formats: graphs, decompositions, canonical JSON, and exact rationals.
 
 Rationals travel as reduced "num/den" strings with the sign on the
 numerator.  Probabilities are accepted as "num/den", as decimal strings
@@ -12,14 +12,9 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .graphs import CutDecomposition, Edge, StochasticGraph
-
-if TYPE_CHECKING:
-    from .conmatrix import ConnectivityBundle
-    from .linalg import InvariantFactors
-
 
 # CPython's default limit on the digits of an int converted to or from str
 _DEFAULT_DIGIT_LIMIT = 4300
@@ -121,17 +116,6 @@ def graph_from_obj(obj: Any) -> StochasticGraph:
     return StochasticGraph(nodes=frozenset(nodes), edges=tuple(edges), terminals=frozenset(terminals))
 
 
-def graph_to_obj(g: StochasticGraph) -> dict:
-    return {
-        "nodes": sorted(g.nodes),
-        "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "p": fraction_to_str(e.prob)}
-            for e in sorted(g.edges, key=lambda e: e.id)
-        ],
-        "terminals": sorted(g.terminals),
-    }
-
-
 def decomposition_from_obj(obj: Any) -> CutDecomposition:
     if not isinstance(obj, dict):
         raise FormatError("decomposition document must be an object")
@@ -143,26 +127,6 @@ def decomposition_from_obj(obj: Any) -> CutDecomposition:
         g2=graph_from_obj(_require(obj, "g2", dict)),
         boundary=tuple(boundary),
     )
-
-
-def decomposition_to_obj(d: CutDecomposition) -> dict:
-    return {
-        "g1": graph_to_obj(d.g1),
-        "g2": graph_to_obj(d.g2),
-        "boundary": list(d.boundary),
-    }
-
-
-def conmatrix_to_obj(bundle: ConnectivityBundle, det: int, factors: InvariantFactors) -> dict:
-    return {
-        "n": bundle.n,
-        "order": [str(p) for p in bundle.order.states],
-        "A": [list(row) for row in bundle.A],
-        "A_inv": [[fraction_to_str(x) for x in row] for row in bundle.A_inv],
-        "det": str(det),
-        "invariant_factors": [str(d) for d in factors.snf_diagonal],
-        "torsion_prime_powers": [list(t) for t in factors.torsion_prime_powers],
-    }
 
 
 def dumps_canonical(obj: Any) -> str:

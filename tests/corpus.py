@@ -4,7 +4,8 @@ Every generated decomposition satisfies the cut hypotheses by construction:
 the sides share exactly the boundary nodes, both sides are connected, and
 the boundary is terminal on both sides.  Unions are kept small enough for
 the enumeration oracle.  The tests and scripts/make_fixtures.py draw
-from it; the package does not.
+from it, and write graphs and decompositions as JSON documents with it;
+the package does neither.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 from relfact.graphs import CutDecomposition, Edge, StochasticGraph
+from relfact.jsonio import fraction_to_str
 
 
 def random_probability(rng: random.Random) -> Fraction:
@@ -131,3 +133,27 @@ def bridge_decomposition(p: Fraction = Fraction(1, 2)) -> CutDecomposition:
         terminals=frozenset({"u", "v"}),
     )
     return CutDecomposition(g1=g1, g2=g2, boundary=("u", "v"))
+
+
+# -- documents -----------------------------------------------------------------
+# The writers of the wire format.  No command writes a graph, so they live
+# here, beside the generators whose draws they serialise.
+
+
+def graph_to_obj(g: StochasticGraph) -> dict:
+    return {
+        "nodes": sorted(g.nodes),
+        "edges": [
+            {"id": e.id, "u": e.u, "v": e.v, "p": fraction_to_str(e.prob)}
+            for e in sorted(g.edges, key=lambda e: e.id)
+        ],
+        "terminals": sorted(g.terminals),
+    }
+
+
+def decomposition_to_obj(d: CutDecomposition) -> dict:
+    return {
+        "g1": graph_to_obj(d.g1),
+        "g2": graph_to_obj(d.g2),
+        "boundary": list(d.boundary),
+    }

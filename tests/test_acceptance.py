@@ -16,7 +16,7 @@ import pytest
 
 import reference_matrices as ref
 from conftest import dense_inverse_form
-from corpus import bridge_decomposition, corpus
+from corpus import bridge_decomposition, corpus, decomposition_to_obj
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
 from lattice import connectivity_matrix_det, diagonal_factor, gamma_graph, leading_term, orbits
 from relfact import jsonio
@@ -273,12 +273,12 @@ def test_criterion_10_parallel_determinism(tmp_path):
     fixtures.mkdir()
     paths = []
     d = bridge_decomposition()
-    (fixtures / "bridge.json").write_text(jsonio.dumps_canonical(jsonio.decomposition_to_obj(d)))
+    (fixtures / "bridge.json").write_text(jsonio.dumps_canonical(decomposition_to_obj(d)))
     paths.append(fixtures / "bridge.json")
     for n in (1, 2, 3):
         for i, dd in enumerate(corpus(ACCEPT_SEED + 2, n, 2)):
             p = fixtures / f"n{n}_{i}.json"
-            p.write_text(jsonio.dumps_canonical(jsonio.decomposition_to_obj(dd)))
+            p.write_text(jsonio.dumps_canonical(decomposition_to_obj(dd)))
             paths.append(p)
 
     def run(*argv):

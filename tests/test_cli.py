@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import relfact
-from corpus import bridge_decomposition, bridge_graph, corpus
+from corpus import bridge_decomposition, bridge_graph, corpus, decomposition_to_obj, graph_to_obj
 from relfact import cli, conmatrix, jsonio
 from relfact.graphs import Edge, StochasticGraph
 
@@ -34,12 +34,12 @@ def run_cli(*argv, env=None):
 
 
 def write_graph(path, g):
-    path.write_text(jsonio.dumps_canonical(jsonio.graph_to_obj(g)))
+    path.write_text(jsonio.dumps_canonical(graph_to_obj(g)))
     return str(path)
 
 
 def write_decomposition(path, d):
-    path.write_text(jsonio.dumps_canonical(jsonio.decomposition_to_obj(d)))
+    path.write_text(jsonio.dumps_canonical(decomposition_to_obj(d)))
     return str(path)
 
 
@@ -286,8 +286,8 @@ class TestFactorCommand:
     def test_hypothesis1_violation_exit_3(self, tmp_path):
         d = bridge_decomposition()
         broken = {
-            "g1": jsonio.graph_to_obj(d.g1),
-            "g2": jsonio.graph_to_obj(d.g2),
+            "g1": graph_to_obj(d.g1),
+            "g2": graph_to_obj(d.g2),
             "boundary": ["u"],
         }
         path = tmp_path / "broken.json"
@@ -583,32 +583,35 @@ class TestVerifyCommand:
 
 # The package modules each route loads, beyond the ones every command
 # loads: the command line, the wire format, the graphs, the factoring route
-# and the value base.  GRAPH is the union of DOC; DOC has a two-node
-# boundary that holds every terminal, so every route of factor takes it.
+# and the value base.  Each command also loads its own module of
+# relfact.commands and no other.  GRAPH is the union of DOC; DOC has a
+# two-node boundary that holds every terminal, so every route of factor
+# takes it.
 EVERY_COMMAND = {"cli", "jsonio", "graphs", "reliability", "base"}
 ROUTE_MODULES = {
     ("--help",): set(),
-    ("reliability", "--route", "factoring", "--input", "GRAPH"): set(),
-    ("factor", "--route", "n2", "--input", "DOC"): {"partitions"},
-    ("factor", "--route", "factorized", "--input", "DOC"): {"partitions", "conmatrix"},
-    ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {"partitions", "states"},
-    ("polynomial", "--input", "GRAPH"): {"partitions", "states"},
-    ("distribution", "--input", "DOC"): {"partitions", "states"},
-    ("factor", "--route", "joint", "--input", "DOC"): {"partitions", "states"},
-    ("rcm", "--input", "GRAPH"): {"partitions", "states", "cluster"},
-    ("conmatrix", "--n", "3"): {"partitions", "conmatrix", "linalg"},
-    ("verify", "--input", "DOC"): {"partitions", "conmatrix", "states", "cluster"},
+    ("reliability", "--route", "factoring", "--input", "GRAPH"): {"commands", "commands.reliability"},
+    ("factor", "--route", "n2", "--input", "DOC"): {"commands", "commands.factor", "partitions"},
+    ("factor", "--route", "factorized", "--input", "DOC"): {"commands", "commands.factor", "partitions", "conmatrix"},
+    ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {
+        "commands", "commands.reliability", "partitions", "states"},
+    ("polynomial", "--input", "GRAPH"): {"commands", "commands.polynomial", "partitions", "states"},
+    ("distribution", "--input", "DOC"): {"commands", "commands.distribution", "partitions", "states"},
+    ("factor", "--route", "joint", "--input", "DOC"): {"commands", "commands.factor", "partitions", "states"},
+    ("rcm", "--input", "GRAPH"): {"commands", "commands.rcm", "partitions", "states", "cluster"},
+    ("conmatrix", "--n", "3"): {"commands", "commands.conmatrix", "partitions", "conmatrix", "linalg"},
+    ("verify", "--input", "DOC"): {"commands", "commands.verify", "partitions", "conmatrix", "states", "cluster"},
 }
+# standard modules no command loads at --jobs 1: argparse, with the gettext
+# and locale it pulls in; the process pool; dataclasses, with its inspect
+UNLOADED = ("argparse", "gettext", "locale", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
 
 
 def in_process(argv):
     """Exit code and stdout of cli.main(argv) in this process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # --help
-            code = exc.code
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
@@ -617,9 +620,9 @@ class TestStartup:
     def test_a_command_loads_only_its_route(self, tmp_path, route):
         # a fresh `python -v -m relfact` lists every module it imports, in
         # order, on stderr; what follows the package is the command's doing.
-        # The pool is imported only when --jobs > 1 needs it, and the value
-        # types generate no code, so neither dataclasses nor the inspect it
-        # pulls in load, whatever site loaded before
+        # The command line is parsed without argparse, the pool is imported
+        # only when --jobs > 1 needs it, and the value types generate no
+        # code, so none of UNLOADED loads, whatever site loaded before
         doc = FIXTURES / "cut2_0.json"
         d = jsonio.decomposition_from_obj(json.loads(doc.read_text()))
         paths = {"DOC": str(doc), "GRAPH": write_graph(tmp_path / "union.json", d.union)}
@@ -632,13 +635,15 @@ class TestStartup:
         assert {m for m in added if m.startswith("relfact.")} == {
             f"relfact.{m}" for m in EVERY_COMMAND | ROUTE_MODULES[route]
         }
-        assert [m for m in ("concurrent.futures", "multiprocessing", "dataclasses", "inspect") if m in added] == []
+        assert [m for m in UNLOADED if m in added] == []
         assert (proc.returncode, proc.stdout) == in_process(argv)
 
     def test_the_package_ships_only_what_the_cli_reaches(self):
         # every module file is loaded by some command, and the helpers that
         # only tests and scripts call live beside the tests
-        files = {p.stem for p in Path(cli.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+        package = Path(cli.__file__).parent
+        files = {".".join(p.relative_to(package).with_suffix("").parts) for p in package.rglob("*.py")}
+        files = {f.removesuffix(".__init__") for f in files} - {"__init__", "__main__"}
         assert files == EVERY_COMMAND.union(*ROUTE_MODULES.values())
         moved = {
             relfact: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits",
@@ -647,6 +652,8 @@ class TestStartup:
             relfact.graphs: ["is_k_pathset"],
             relfact.reliability: ["gamma_graph"],
             relfact.conmatrix: ["connectivity_matrix_det"],
+            jsonio: ["graph_to_obj", "decomposition_to_obj", "conmatrix_to_obj"],
+            cli: ["build_parser", "_listing", "_verify_one", *(f"cmd_{c}" for c in cli.COMMANDS)],
             relfact.ConnectivityBundle: ["C"],
             relfact.ReliabilityPolynomial: ["degree", "leading_coefficient", "evaluate"],
             relfact.ClusterPolynomial: ["evaluate"],
@@ -655,6 +662,131 @@ class TestStartup:
             relfact.InvariantFactors: ["determinant_magnitude"],
         }
         assert [(owner, n) for owner, names in moved.items() for n in names if hasattr(owner, n)] == []
+
+
+# Command lines with the exit code and stdout each gave at the argparse
+# parser this table replaced; RELFACT_BOUND is unset unless given.  DOC is
+# fixtures/cut2_0.json and GRAPH its union graph, 6 edges.
+FACTORIZED_TEXT = (
+    "reliability = 5/9\nn = 2  order = {order}\nb matrix (inverse connectivity matrix):\n"
+    "  -1/1  1/1\n  1/1  0/1\nside g1: 12 -> 1/1, 1|2 -> 1/3\nside g2: 12 -> 1/1, 1|2 -> 1/3\n"
+)
+ARGV_CASES = [
+    # (argv, RELFACT_BOUND, exit code, stdout)
+    (("reliability", "--input=GRAPH"), None, 0, "reliability = 5/9\nroute = factoring\n"),
+    (("reliability", "--inp", "GRAPH", "--out", "json"), None, 0, '{"reliability":"5/9","route":"factoring"}\n'),
+    (("reliability", "--input", "GRAPH", "--route=bruteforce", "--output=json"), None, 0,
+     '{"reliability":"5/9","route":"bruteforce"}\n'),
+    (("reliability", "--in=GRAPH", "--ro", "bruteforce", "--b", "6"), None, 0, "reliability = 5/9\nroute = bruteforce\n"),
+    (("reliability", "--input", "GRAPH", "--output", "json", "--output", "text"), None, 0,
+     "reliability = 5/9\nroute = factoring\n"),
+    (("reliability", "--input", "missing.json", "--input", "GRAPH"), None, 0, "reliability = 5/9\nroute = factoring\n"),
+    (("reliability", "--input", "GRAPH", "--jobs", "auto"), None, 0, "reliability = 5/9\nroute = factoring\n"),
+    (("reliability", "--input", "GRAPH", "--route", "bruteforce"), "5", 3, ""),
+    (("reliability", "--input", "GRAPH", "--route", "bruteforce", "--bound", "6"), "x", 0,
+     "reliability = 5/9\nroute = bruteforce\n"),
+    (("factor", "--input", "DOC", "--verify"), None, 0,
+     FACTORIZED_TEXT.format(order="canonical") + "verified against enumeration: 5/9\n"),
+    (("factor", "--input", "DOC", "--ver", "--route", "joint", "--output", "json"), None, 0,
+     '{"n":2,"reliability":"5/9","route":"joint","side_distributions":{"g1":{"12":"1/3","1|2":"2/3"},'
+     '"g2":{"12":"1/3","1|2":"2/3"}},"verified_against":"5/9"}\n'),
+    (("factor", "--input", "DOC", "--route", "n2", "--verify", "--verify", "--jobs=2"), None, 0,
+     "reliability = 5/9\nverified against enumeration: 5/9\n"),
+    (("factor", "--input", "DOC", "--ord", "reversed-levels", "--jobs", "auto"), None, 0,
+     FACTORIZED_TEXT.format(order="reversed-levels")),
+    (("conmatrix", "--n=2"), "x", 0,
+     "n = 2  states = 2  order = canonical\norder: 1|2 12\ndet = -1\ninvariant factors: 1 1\n"
+     "torsion prime powers (p, k, multiplicity): \n"),
+    (("conmatrix", "--n", "+2", "--order=reversed-levels", "--output", "json"), None, 0,
+     '{"A":[[0,1],[1,1]],"A_inv":[["-1/1","1/1"],["1/1","0/1"]],"det":"-1","invariant_factors":["1","1"],'
+     '"n":2,"order":["1|2","12"],"torsion_prime_powers":[]}\n'),
+    (("conmatrix", "--n", "-1"), None, 2, ""),
+    (("polynomial", "--input", "GRAPH", "--bound", "30", "--bound", "6"), None, 0,
+     "edge count = 6\npathset counts by operative edges: 0 0 2 8 11 6 1\nmonomial coefficients: 0 0 2 0 -1 0 0\n"),
+    (("distribution", "--input", "DOC"), "6", 0, "n = 2\ng1: 12 -> 1/3, 1|2 -> 2/3\ng2: 12 -> 1/3, 1|2 -> 2/3\n"),
+    (("rcm", "--input", "GRAPH", "--output", "json"), None, 0,
+     '{"Z":{"1":"11/54","2":"221/486","3":"67/243","4":"16/243"},"dZdq_at_0":"11/54"}\n'),
+    (("verify", "--input", "DOC", "--jobs", "1"), None, 0, "cut2_0.json: OK (R = 5/9)\nall routes agree\n"),
+    # usage errors: exit 2, nothing on stdout
+    ((), None, 2, ""),
+    (("--input", "GRAPH", "reliability"), None, 2, ""),
+    (("reliablity", "--input", "GRAPH"), None, 2, ""),
+    (("reliability", "--input", "GRAPH", "--order", "canonical"), None, 2, ""),
+    (("reliability", "--input", "GRAPH", "--fast"), None, 2, ""),
+    (("factor", "--input", "DOC", "--o", "json"), None, 2, ""),
+    (("reliability", "--input"), None, 2, ""),
+    (("reliability", "--input", "--output", "json"), None, 2, ""),
+    (("factor", "--input", "DOC", "--verify=yes"), None, 2, ""),
+    (("reliability", "--input", "GRAPH", "--route", "fast"), None, 2, ""),
+    (("factor", "--input", "DOC", "--order", "random"), None, 2, ""),
+    (("reliability", "--input", "GRAPH", "--output", "yaml"), None, 2, ""),
+    (("conmatrix", "--n", "three"), None, 2, ""),
+    (("reliability", "--input", "GRAPH", "--bound", "0"), None, 2, ""),
+    (("reliability", "--input", "GRAPH", "--jobs", "many"), None, 2, ""),
+    (("reliability", "--route", "factoring"), None, 2, ""),
+    (("conmatrix", "--order", "canonical"), None, 2, ""),
+    (("conmatrix", "--n", "2", "--bound", "5"), None, 2, ""),
+    (("reliability", "GRAPH"), None, 2, ""),
+    (("reliability", "--input", "GRAPH", "extra"), None, 2, ""),
+    (("reliability", "--", "--input", "GRAPH"), None, 2, ""),
+    (("reliability", "--input", "GRAPH"), "x", 2, ""),
+]
+HELP_CASES = [
+    ("--help",),
+    ("-h",),
+    ("--he", "reliability"),
+    ("factor", "--help"),
+    ("reliability", "--input", "GRAPH", "--h"),
+    ("conmatrix", "-h", "--n", "three"),
+]
+
+
+class TestArgv:
+    @pytest.fixture
+    def paths(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("RELFACT_BOUND", raising=False)
+        doc = FIXTURES / "cut2_0.json"
+        union = jsonio.decomposition_from_obj(json.loads(doc.read_text())).union
+        return {"DOC": str(doc), "GRAPH": write_graph(tmp_path / "union.json", union)}
+
+    @staticmethod
+    def argv(tokens, paths):
+        return [re.sub(r"\b(DOC|GRAPH)\b", lambda m: paths[m.group()], t) for t in tokens]
+
+    @pytest.mark.parametrize(
+        "tokens, env, code, stdout",
+        ARGV_CASES,
+        ids=[" ".join(argv or ["(none)"]) + (f" RELFACT_BOUND={env}" if env else "") for argv, env, _, _ in ARGV_CASES],
+    )
+    def test_exit_code_and_stdout(self, paths, capsys, monkeypatch, tokens, env, code, stdout):
+        if env is not None:
+            monkeypatch.setenv("RELFACT_BOUND", env)
+        assert cli.main(self.argv(tokens, paths)) == code
+        out, err = capsys.readouterr()
+        assert out == stdout
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tokens", HELP_CASES, ids=" ".join)
+    def test_help_exits_0_with_usage_on_stdout(self, paths, capsys, tokens):
+        assert cli.main(self.argv(tokens, paths)) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: relfact ") and err == ""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_help_lists_every_option_and_choice(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for name, (convert, *_) in cli.COMMANDS[command][1].items():
+            assert f"--{name}" in out
+            assert all(choice in out for choice in (convert if isinstance(convert, tuple) else ()))
+
+    def test_usage_error_names_the_command(self, paths, capsys):
+        assert cli.main(["factor", "--input", paths["DOC"], "--o", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "usage: relfact factor [options]\n"
+            "relfact factor: error: ambiguous option: --o could match --output, --order\n"
+        )
 
 
 class TestDeterminism:
@@ -855,13 +987,9 @@ POOL_DOC = json.loads((FIXTURES / "cut2_0.json").read_text())
 
 
 def main_exit_code(argv):
-    """cli.main's exit code with its output swallowed; argparse's SystemExit
-    for a bad option value counts as the code it carries."""
+    """cli.main's exit code with its output swallowed."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return cli.main(argv)
-        except SystemExit as exc:
-            return exc.code
+        return cli.main(argv)
 
 
 class TestCliFuzz:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import bridge_decomposition, bridge_graph, corpus
+from corpus import bridge_decomposition, bridge_graph, corpus, decomposition_to_obj, graph_to_obj
 from relfact import jsonio
 from relfact.graphs import GraphError
 
@@ -38,7 +38,7 @@ class TestRationals:
                 jsonio.prob_from_json(text)
 
     def test_boolean_edge_id_rejected(self):
-        doc = jsonio.graph_to_obj(bridge_graph())
+        doc = graph_to_obj(bridge_graph())
         doc["edges"][0]["id"] = True
         with pytest.raises(jsonio.FormatError):
             jsonio.graph_from_obj(doc)
@@ -47,17 +47,17 @@ class TestRationals:
 class TestGraphDocuments:
     def test_roundtrip(self):
         g = bridge_graph()
-        assert jsonio.graph_from_obj(jsonio.graph_to_obj(g)) == g
+        assert jsonio.graph_from_obj(graph_to_obj(g)) == g
 
     def test_decomposition_roundtrip(self):
         d = bridge_decomposition()
-        back = jsonio.decomposition_from_obj(jsonio.decomposition_to_obj(d))
+        back = jsonio.decomposition_from_obj(decomposition_to_obj(d))
         assert back == d
 
     def test_corpus_roundtrip(self):
         for n in (1, 2, 3):
             for d in corpus(91, n, 3):
-                assert jsonio.decomposition_from_obj(jsonio.decomposition_to_obj(d)) == d
+                assert jsonio.decomposition_from_obj(decomposition_to_obj(d)) == d
 
     def test_missing_key(self):
         with pytest.raises(jsonio.FormatError):
@@ -76,7 +76,7 @@ class TestGraphDocuments:
             jsonio.graph_from_obj(doc)
 
     def test_canonical_dump_is_stable(self):
-        obj = jsonio.graph_to_obj(bridge_graph())
+        obj = graph_to_obj(bridge_graph())
         text = jsonio.dumps_canonical(obj)
         assert text == jsonio.dumps_canonical(json.loads(text))
         assert text.endswith("\n")

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import TERMINAL_MODES, corpus
+from corpus import TERMINAL_MODES, corpus, decomposition_to_obj, graph_to_obj
 from relfact import cli, jsonio
 from relfact.partitions import ORDER_VARIANTS
 
@@ -52,9 +52,9 @@ def documents() -> dict[str, dict]:
     for n in (4, 5):
         for mode in TERMINAL_MODES:
             (d,) = corpus(PIN_SEED, n, 1, terminal_mode=mode)
-            docs[f"corpus{n}_{mode}"] = jsonio.decomposition_to_obj(d)
+            docs[f"corpus{n}_{mode}"] = decomposition_to_obj(d)
     for name, doc in list(docs.items()):
-        docs[f"{name}_union"] = jsonio.graph_to_obj(jsonio.decomposition_from_obj(doc).union)
+        docs[f"{name}_union"] = graph_to_obj(jsonio.decomposition_from_obj(doc).union)
     return docs
 
 

@@ -63,7 +63,8 @@ def test_conmatrix_report_refuses_sizes_without_a_bundle():
 def test_startup_report_lists_each_command_and_its_modules():
     proc = run_script("startup_report.py", "--repeat", "2")
     assert proc.returncode == 0, proc.stderr
-    floor, header, *rows = proc.stdout.splitlines()
+    shares, standard = proc.stdout.split("\n\n")
+    floor, header, *rows = shares.splitlines()
     assert floor.startswith("floor `python -c pass`:") and floor.endswith(", 22 spawns")
     assert header.split()[:5] == ["command", "share_ms", "q1", "q3", "import_ms"]
     assert len(rows) == 11
@@ -74,7 +75,16 @@ def test_startup_report_lists_each_command_and_its_modules():
         assert float(fields[3]) > 0  # the package's import time
         modules[command] = set(fields[4:])
     assert modules["--help"] == {"base", "cli", "graphs", "jsonio", "reliability"}
-    assert modules["conmatrix --n 3"] == {"base", "cli", "graphs", "jsonio", "reliability", "partitions", "conmatrix", "linalg"}
+    assert modules["conmatrix --n 3"] == {
+        "base", "cli", "graphs", "jsonio", "reliability", "partitions", "conmatrix", "linalg",
+        "commands", "commands.conmatrix",
+    }
+    header, *rows = standard.splitlines()
+    assert header.split()[:3] == ["command", "standard", "modules"]
+    assert len(rows) == 11
+    for row in rows:  # the command line is parsed without argparse
+        assert not {"argparse", "gettext", "locale"} & set(row.split())
+    assert "fractions" in rows[0].split()  # --help: the wire format's rationals
 
 
 def test_startup_report_refuses_no_repetitions():
