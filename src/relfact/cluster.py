@@ -77,10 +77,10 @@ def _conditioned_dq(
     """dq_at_zero of one side after identifying its boundary through a; 0
     when the identified side is disconnected, as no state of it is a single
     cluster (its all-terminal reliability is 0 too)."""
-    side = identify_nodes(g, boundary, a)
-    if components(side).component_count() > 1:
+    try:
+        return dq_at_zero(partition_function(identify_nodes(g, boundary, a), bound))
+    except DisconnectedGraphError:
         return Fraction(0)
-    return dq_at_zero(partition_function(side, bound))
 
 
 def factorized_dq(d: CutDecomposition, jobs: int = 1, bound: int | None = None) -> Fraction:

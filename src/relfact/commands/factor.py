@@ -8,11 +8,7 @@ from fractions import Fraction
 from .. import jsonio, reliability
 from ..cli import EXIT_OK, EXIT_VERIFY, _emit, _load_json
 from ..graphs import GraphError, Hypothesis2Error
-
-
-def _listing(formatted: dict[str, str]) -> str:
-    """Formatted partition -> value pairs as one line, sorted by partition."""
-    return ", ".join(f"{p} -> {v}" for p, v in sorted(formatted.items()))
+from . import _formatted, _listing
 
 
 def run(args) -> int:
@@ -37,10 +33,7 @@ def run(args) -> int:
         bundle = invert_connectivity_matrix(coherent_order(d.n, args.order))
         detail = reliability.factorization_detail(d, jobs=args.jobs)
         value = detail.value
-        sides = {
-            name: {str(p): jsonio.fraction_to_str(v) for p, v in side.items()}
-            for name, side in (("g1", detail.side1), ("g2", detail.side2))
-        }
+        sides = {"g1": _formatted(detail.side1), "g2": _formatted(detail.side2)}
         b_matrix = [[jsonio.fraction_to_str(x) for x in row] for row in bundle.A_inv]
         payload["side_reliabilities"] = sides
         payload["b_matrix"] = b_matrix
@@ -59,10 +52,7 @@ def run(args) -> int:
         d1 = state_distribution(d.g1, d.boundary, bound=args.bound)
         d2 = state_distribution(d.g2, d.boundary, bound=args.bound)
         value = joint_reliability(d1, d2)
-        payload["side_distributions"] = {
-            "g1": {str(p): jsonio.fraction_to_str(v) for p, v in d1.probs.items()},
-            "g2": {str(p): jsonio.fraction_to_str(v) for p, v in d2.probs.items()},
-        }
+        payload["side_distributions"] = {"g1": _formatted(d1.probs), "g2": _formatted(d2.probs)}
     else:  # n2
         value = reliability.n2_closed_form(d)
     payload["reliability"] = text = jsonio.fraction_to_str(value)

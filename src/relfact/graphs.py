@@ -12,7 +12,6 @@ exists is valid and carries its union graph.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -209,36 +208,44 @@ def identify_nodes(g: StochasticGraph, boundary: Iterable[str], a: Partition) ->
     )
 
 
-def _biconnected_blocks(adj: Mapping, root) -> tuple[list[tuple[set[int], set]], set, set]:
-    """Blocks and cut nodes of the component of root.
+def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
+    """Edge ids that some simple path between two terminals crosses, or None
+    when the terminals are not all connected.
 
-    adj maps every node to its (edge id, neighbour) pairs, loops left out.
-    Returns each biconnected block as (edge ids, nodes), the cut nodes, and
-    the nodes reached from root.  Multigraph-aware: traversal is tracked per
-    edge id, so a parallel edge to the DFS parent counts as a cycle, not a
-    revisit.  The DFS keeps its frames on an explicit stack, so the depth of
-    the graph is not limited by the interpreter's recursion limit.
+    adj maps every node to its (edge id, neighbour) pairs, loops left out;
+    nodes may be any mutually comparable values.  At least two terminals.
+    One biconnected DFS from the least terminal decides it: each block
+    closes at a node p over the search subtree of p's child u, and p
+    separates that subtree from the rest of the graph, the root terminal
+    included, so the block's edges are relevant exactly when the subtree
+    holds a terminal.  Multigraph-aware: traversal is tracked per edge id,
+    so a parallel edge to the DFS parent counts as a cycle, not a revisit.
+    The DFS keeps its frames on an explicit stack, so the depth of the
+    graph is not limited by the interpreter's recursion limit.
     """
+    terminals = set(terminals)
+    root = min(terminals)
     disc = {root: 0}
     low = {root: 0}
+    below = {root: 1}  # terminals in each node's search subtree
     used: set[int] = set()
-    pending: list[tuple[int, object, object]] = []  # edges not yet in a block
-    blocks: list[tuple[set[int], set]] = []
-    cut: set = set()
-    root_children = 0
-    frames = [(root, None, iter(adj[root]))]  # (node, edge from its parent, edges left)
+    pending: list[int] = []  # edge ids not yet in a block
+    relevant: set[int] = set()
+    # (node, index in pending of the edge from its parent, edges left)
+    frames = [(root, 0, iter(adj[root]))]
     while frames:
-        u, parent_eid, rest = frames[-1]
+        u, start, rest = frames[-1]
         for eid, w in rest:
             if eid in used:
                 continue
             used.add(eid)
-            pending.append((eid, u, w))
+            pending.append(eid)
             if w in disc:
                 low[u] = min(low[u], disc[w])
             else:
                 disc[w] = low[w] = len(disc)
-                frames.append((w, eid, iter(adj[w])))
+                below[w] = int(w in terminals)
+                frames.append((w, len(pending) - 1, iter(adj[w])))
                 break
         else:
             frames.pop()
@@ -246,72 +253,12 @@ def _biconnected_blocks(adj: Mapping, root) -> tuple[list[tuple[set[int], set]],
                 break
             p = frames[-1][0]
             low[p] = min(low[p], low[u])
+            below[p] += below[u]
             if low[u] >= disc[p]:
-                if p == root:
-                    root_children += 1
-                if p != root or root_children > 1:
-                    cut.add(p)
-                block_edges: set[int] = set()
-                block_nodes: set = set()
-                while True:
-                    eid, a, b = pending.pop()
-                    block_edges.add(eid)
-                    block_nodes.update((a, b))
-                    if eid == parent_eid:
-                        break
-                blocks.append((block_edges, block_nodes))
-    return blocks, cut, set(disc)
-
-
-def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
-    """Edge ids that some simple path between two terminals crosses, or None
-    when the terminals are not all connected.
-
-    adj maps every node to its (edge id, neighbour) pairs, loops left out;
-    nodes may be any mutually comparable values.  At least two terminals.
-    A non-loop edge is relevant exactly when its biconnected block sits on a
-    block-cut-tree path between two terminal locations.
-    """
-    terminals = set(terminals)
-    blocks, cut, reached = _biconnected_blocks(adj, min(terminals))
-    if not terminals <= reached:
-        return None
-
-    # block-cut tree: block nodes ("b", i) joined to their cut vertices ("c", v)
-    tree: dict[tuple, set[tuple]] = defaultdict(set)
-    home: dict = {}
-    for i, (_, verts) in enumerate(blocks):
-        bnode = ("b", i)
-        tree.setdefault(bnode, set())
-        for v in verts:
-            if v in cut:
-                cnode = ("c", v)
-                tree[bnode].add(cnode)
-                tree[cnode].add(bnode)
-            else:
-                home[v] = bnode
-    locations = {("c", t) if t in cut else home[t] for t in terminals}
-
-    # Steiner subtree spanning the terminal locations: strip non-terminal leaves
-    alive = set(tree)
-    degree = {x: len(tree[x]) for x in tree}
-    frontier = [x for x in alive if degree[x] <= 1 and x not in locations]
-    while frontier:
-        x = frontier.pop()
-        if x not in alive or x in locations:
-            continue
-        alive.discard(x)
-        for y in tree[x]:
-            if y in alive:
-                degree[y] -= 1
-                if degree[y] <= 1 and y not in locations:
-                    frontier.append(y)
-
-    relevant: set[int] = set()
-    for i, (blk, _) in enumerate(blocks):
-        if ("b", i) in alive:
-            relevant |= blk
-    return relevant
+                if below[u]:
+                    relevant.update(pending[start:])
+                del pending[start:]
+    return relevant if below[root] == len(terminals) else None
 
 
 def union_graph(g1: StochasticGraph, g2: StochasticGraph) -> StochasticGraph:

@@ -199,8 +199,9 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     contracted, parallel edges merged (1 - (1-p)(1-q)), non-terminal
     degree-2 nodes spliced out (p * q), non-terminal degree-1 nodes dropped,
     a degree-1 terminal folded into its neighbour (weight * p) while two or
-    more terminals remain, and blocks off every terminal-to-terminal path
-    pruned (see graphs.relevant_edges).  The pivot is an edge touching a
+    more terminals remain, and biconnected blocks off every
+    terminal-to-terminal path pruned, as one DFS from the least terminal
+    finds them (see graphs.relevant_edges).  The pivot is an edge touching a
     terminal with the smallest id; a merged edge keeps the smaller of its
     ids.  Agrees exactly with enumeration wherever both run.
     """

@@ -21,6 +21,7 @@ from relfact.graphs import (
     union_graph,
 )
 from relfact.partitions import Partition
+from relfact.reliability import reliability_factoring
 from relfact.states import reliability_bruteforce
 
 H = Fraction(1, 2)
@@ -221,9 +222,38 @@ class TestIdentifyNodes:
             identify_nodes(g, ("u", "v"), Partition.top(3))
 
 
+def k4(first_id, a, b, c, d):
+    """The six edges of a complete graph on a, b, c, d, ids from first_id."""
+    pairs = [(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)]
+    return [(first_id + i, u, v) for i, (u, v) in enumerate(pairs)]
+
+
 class TestIrrelevantEdges:
     """graphs.relevant_edges, the pruning rule of the factoring kernel: an
-    edge is irrelevant when no minimal terminal-linking state uses it."""
+    edge is irrelevant when no minimal terminal-linking state uses it, which
+    one biconnected DFS from the least terminal decides block by block."""
+
+    # K4 blocks hang off a triangle of terminals: no series, parallel or
+    # degree rule removes either, so only the pruning rule can drop a block.
+    # "s" is the least terminal, the search root
+    TRIANGLE = [(1, "s", "t"), (2, "t", "w"), (3, "s", "w")]
+    BLOCKS = {
+        "K4 off a terminal cut node": (TRIANGLE + k4(4, "t", "x", "y", "z"), {"s", "t", "w"}, {1, 2, 3}),
+        "K4 off the search root": (TRIANGLE + k4(4, "s", "x", "y", "z"), {"s", "t", "w"}, {1, 2, 3}),
+        "two blocks chained through a non-terminal": (
+            TRIANGLE + k4(4, "t", "x", "y", "z") + k4(10, "z", "p", "q", "r"), {"s", "t", "w"}, {1, 2, 3}
+        ),
+        "K4 holding a terminal": (TRIANGLE + k4(4, "t", "x", "y", "z"), {"s", "w", "y"}, set(range(1, 10))),
+    }
+
+    @pytest.mark.parametrize("case", BLOCKS)
+    def test_dangling_blocks(self, case):
+        edges, terminals, expected = self.BLOCKS[case]
+        g = graph(edges, terminals)
+        assert relevant_edges(adjacency(g), g.terminals) == expected
+        assert minpath_relevant_edges(g) == expected
+        # the factoring kernel prunes the terminal-free blocks
+        assert reliability_factoring(g) == reliability_bruteforce(g)
 
     def test_self_loop_irrelevant(self):
         g = StochasticGraph(
