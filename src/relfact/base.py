@@ -10,9 +10,9 @@ generates and compiles no code at run time.
 from __future__ import annotations
 
 # Bell(8) = 4140 states.  The factorized, joint and distribution routes reach this
-# size: on a 14-edge n = 8 draw factorization_detail takes ~2 s and verify ~4.5 s in
-# process (Python 3.11, 2-core Xeon).  Only a printed dense inverse stops earlier, at
-# conmatrix.MAX_BUNDLE_GROUND_SET.
+# size: on a 14-edge n = 8 draw factorization_detail takes ~1.0 s and verify ~2.5 s
+# in process (Python 3.11, 2-core Xeon).  Only a printed dense inverse stops earlier,
+# at conmatrix.MAX_BUNDLE_GROUND_SET.
 MAX_GROUND_SET = 8
 
 ORDER_VARIANTS = ("canonical", "reversed-levels")

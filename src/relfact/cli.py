@@ -19,6 +19,7 @@ connectivity matrix needs no reliability kernel.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -278,5 +279,13 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> int:
+    """The process entry of `python -m relfact` and the relfact script: main,
+    then gc.freeze().  At exit the interpreter runs full collections over
+    every object the garbage collector tracks; frozen objects are skipped,
+    and a process about to exit has nothing left for them to free.  main
+    itself leaves the collector alone, since tests and tools call it many
+    times in one process."""
+    code = main()
+    gc.freeze()
+    return code

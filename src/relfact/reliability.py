@@ -5,9 +5,11 @@ and irrelevant-block pruning, the cut factorization, whose bilinear form in
 the inverse connectivity matrix is read off the Moebius diagonal
 (conmatrix), and the two-node closed form.  The routes that count edge
 states, the enumeration oracle among them, live in states and sit behind
-this module's enumeration bound (_check_bound).  All routes work in exact
-rational arithmetic and must agree bit for bit; the test suite leans on
-that equality everywhere.
+this module's enumeration bound (_check_bound).  All routes are exact and
+must agree bit for bit; the test suite leans on that equality everywhere.
+Factoring, like the counting kernels, works in integers over one common
+denominator, the product of the edge denominators, and builds its
+Fraction once, at the end.
 
 Every quantity that factors over a cut (factorization_detail here and
 cluster.factorized_dq) goes through one combine, _cut_factorization.  It
@@ -24,6 +26,7 @@ compiles neither.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -55,36 +58,53 @@ def _check_bound(g: StochasticGraph, bound: int | None) -> None:
 class _Subproblem:
     """One factoring subproblem on integer nodes, reduced in place.
 
-    edges maps an edge id to (u, v, p); adj maps every node to its incident
-    edges as {edge id: neighbour}.  Every reduction keeps
-    weight * R(edges, terms) equal to the subproblem's share of the answer.
+    edges maps an edge id to (u, v, up, down), the edge working with
+    probability up / (up + down); adj maps every node to its incident edges
+    as {edge id: neighbour}.  weight is an integer.  With N(edges, terms)
+    the sum, over the edge states that link the terminals, of the product
+    of up for each working edge and down for each failed one, every
+    reduction keeps weight * N equal to D times the subproblem's share of
+    the answer, D being the product of the input's edge denominators.  So
+    an edge that leaves multiplies the weight by up when it works, by down
+    when it fails, and by its mass up + down when its state does not
+    matter.
     """
 
-    def __init__(self, weight: Fraction, edges: dict, terms: set[int]) -> None:
+    def __init__(self, weight: int, edges: dict, terms: set[int]) -> None:
         self.weight = weight
         self.edges = edges
         self.terms = terms
         self.adj: dict[int, dict[int, int]] = {t: {} for t in terms}
-        for eid, (u, v, _) in edges.items():
+        for eid, (u, v, _, _) in edges.items():
             self.adj.setdefault(u, {})[eid] = v
             self.adj.setdefault(v, {})[eid] = u
 
-    def _drop(self, eid: int) -> tuple[int, int]:
-        u, v, _ = self.edges.pop(eid)
+    def _drop(self, eid: int) -> tuple[int, int, int, int]:
+        edge = self.edges.pop(eid)
+        u, v, _, _ = edge
         del self.adj[u][eid]
         if v != u:
             del self.adj[v][eid]
+        return edge
+
+    def _discard(self, eid: int) -> tuple[int, int]:
+        """Drop an edge whose state does not matter: weight times its mass."""
+        u, v, up, down = self._drop(eid)
+        self.weight *= up + down
         return u, v
 
     def _contract(self, keep: int, gone: int) -> None:
-        """Merge node gone into keep; edges between them disappear."""
+        """Merge node gone into keep; edges between them become loops and
+        leave with their mass (a p = 1 edge's mass is its up)."""
         adj, edges = self.adj, self.edges
         for eid, w in adj.pop(gone).items():
             if w == gone or w == keep:
                 adj[keep].pop(eid, None)
-                del edges[eid]
+                _, _, up, down = edges.pop(eid)
+                self.weight *= up + down
                 continue
-            edges[eid] = (keep, w, edges[eid][2])
+            _, _, up, down = edges[eid]
+            edges[eid] = (keep, w, up, down)
             adj[w][eid] = keep
             adj[keep][eid] = w
         if gone in self.terms:
@@ -114,21 +134,22 @@ class _Subproblem:
             for eid, y in list(inc.items()):
                 if eid not in inc:
                     continue
-                p = edges[eid][2]
-                if y == x or p == 0:
-                    self._drop(eid)
+                _, _, up, down = edges[eid]
+                if y == x or not up:
+                    self._discard(eid)
                     push(y)
-                elif p == 1:
+                elif not down:
                     self._contract(x, y)
                     push(x)
                     break
                 elif y in by_neighbour:
                     # parallel edges: one edge that works when either does
                     f = by_neighbour[y]
-                    q = edges[f][2]
+                    _, _, up2, down2 = edges[f]
                     keep, gone = min(eid, f), max(eid, f)
                     self._drop(gone)
-                    edges[keep] = (x, y, 1 - (1 - p) * (1 - q))
+                    fails = down * down2
+                    edges[keep] = (x, y, (up + down) * (up2 + down2) - fails, fails)
                     by_neighbour[y] = keep
                     push(y)
                 else:
@@ -149,18 +170,18 @@ class _Subproblem:
                         push(y)
                 elif degree <= 1:
                     for eid, y in list(inc.items()):
-                        self._drop(eid)
+                        self._discard(eid)
                         push(y)
                     del adj[x]
                 elif degree == 2:
                     # two edges in series through a non-terminal node
                     (e, a), (f, b) = inc.items()
-                    p = edges[e][2] * edges[f][2]
-                    self._drop(e)
-                    self._drop(f)
+                    _, _, up, down = self._drop(e)
+                    _, _, up2, down2 = self._drop(f)
                     del adj[x]
                     keep = min(e, f)
-                    edges[keep] = (a, b, p)
+                    works = up * up2
+                    edges[keep] = (a, b, works, (up + down) * (up2 + down2) - works)
                     adj[a][keep] = b
                     adj[b][keep] = a
                     push(a)
@@ -185,47 +206,61 @@ class _Subproblem:
             if not junk:
                 return True
             for eid in junk:
-                work.extend(self._drop(eid))
+                work.extend(self._discard(eid))
 
 
 def reliability_factoring(g: StochasticGraph) -> Fraction:
     """Contraction/deletion factoring with exact reductions before every branch.
 
-    g is converted once to integer nodes and (u, v, p) edges keyed by edge
-    id.  Subproblems (weight, edges, terminals) wait on an explicit stack,
-    so the depth of a graph never meets the interpreter's recursion limit.
-    Before it branches, each subproblem is reduced to a fixpoint by a
-    worklist of exact rules: loops and p = 0 edges are deleted, p = 1 edges
-    contracted, parallel edges merged (1 - (1-p)(1-q)), non-terminal
-    degree-2 nodes spliced out (p * q), non-terminal degree-1 nodes dropped,
-    a degree-1 terminal folded into its neighbour (weight * p) while two or
-    more terminals remain, and biconnected blocks off every
+    g is converted once to integer nodes and edges keyed by edge id, an
+    edge p = a/d held as (u, v, up, down) = (u, v, a, d - a).  The
+    arithmetic is in integers over one common denominator D, the product
+    of the edge denominators, as in the enumeration and frontier kernels:
+    each subproblem carries an integer weight (see _Subproblem), each leaf
+    adds its weight times the masses up + down of the edges it has left,
+    and one Fraction(total, D) is built at the end.  Subproblems (weight,
+    edges, terminals) wait on an explicit stack, so the depth of a graph
+    never meets the interpreter's recursion limit.  Before it branches,
+    each subproblem is reduced to a fixpoint by a worklist of exact rules:
+    loops and p = 0 edges are deleted, p = 1 edges contracted, parallel
+    edges merged (their downs multiply), non-terminal degree-2 nodes
+    spliced out (their ups multiply), non-terminal degree-1 nodes dropped,
+    a degree-1 terminal folded into its neighbour (weight times up) while
+    two or more terminals remain, and biconnected blocks off every
     terminal-to-terminal path pruned, as one DFS from the least terminal
-    finds them (see graphs.relevant_edges).  The pivot is an edge touching a
-    terminal with the smallest id; a merged edge keeps the smaller of its
+    finds them (see graphs.relevant_edges).  The pivot is an edge touching
+    a terminal with the smallest id; a merged edge keeps the smaller of its
     ids.  Agrees exactly with enumeration wherever both run.
     """
     if len(g.terminals) <= 1:
         return Fraction(1)
     index = {v: i for i, v in enumerate(sorted(g.nodes))}
-    edges = {e.id: (index[e.u], index[e.v], e.prob) for e in g.edges}
-    stack = [(Fraction(1), edges, {index[t] for t in g.terminals})]
-    total = Fraction(0)
+    edges = {}
+    denom = 1
+    for e in g.edges:
+        up, d = e.prob.numerator, e.prob.denominator
+        edges[e.id] = (index[e.u], index[e.v], up, d - up)
+        denom *= d
+    stack = [(1, edges, {index[t] for t in g.terminals})]
+    total = 0
     while stack:
         sub = _Subproblem(*stack.pop())
         if not sub.reduce():
             continue
         if len(sub.terms) < 2:
-            total += sub.weight
+            leaf = sub.weight
+            for _, _, up, down in sub.edges.values():
+                leaf *= up + down
+            total += leaf
             continue
         pivot = min(eid for t in sub.terms for eid in sub.adj[t])
-        u, v, p = sub.edges[pivot]
+        u, v, up, down = sub.edges[pivot]
         works = dict(sub.edges)
-        works[pivot] = (u, v, Fraction(1))  # contracted by the p = 1 rule
+        works[pivot] = (u, v, up, 0)  # contracted by the p = 1 rule, weight times up
         del sub.edges[pivot]
-        stack.append((sub.weight * (1 - p), sub.edges, sub.terms))
-        stack.append((sub.weight * p, works, set(sub.terms)))
-    return total
+        stack.append((sub.weight * down, sub.edges, sub.terms))
+        stack.append((sub.weight, works, set(sub.terms)))
+    return Fraction(total, denom)
 
 
 def conditioned_reliability(
@@ -238,13 +273,16 @@ def conditioned_reliability(
 def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
     """Deterministic map: results come back in task order regardless of the
     worker count, so parallel and sequential runs are bitwise identical.
-    The pool starts no more workers than there are tasks."""
+    The pool starts no more workers than there are tasks or CPUs: under
+    fork it starts every worker up front, so an uncapped --jobs would
+    start one process per task."""
     if jobs > 1 and len(tasks) > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # single-process run never needs to load
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -664,6 +665,46 @@ class TestStartup:
         assert [(owner, n) for owner, names in moved.items() for n in names if hasattr(owner, n)] == []
 
 
+class TestEntry:
+    """`python -m relfact` and the relfact script exit through cli.entry,
+    which runs main and then freezes the collector for the exit."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("factor", "--input", "DOC", "--output", "json"), 0),
+            (("factor", "--input", "MISSING"), 2),
+            (("factor", "--route", "n2", "--input", "ONE"), 3),
+            (("conmatrix", "--n", "6", "--output", "json"), 0),  # a large stdout
+        ],
+        ids=lambda case: " ".join(case) if isinstance(case, tuple) else f"exit{case}",
+    )
+    def test_a_spawned_process_matches_main(self, tmp_path, monkeypatch, argv, code):
+        monkeypatch.delenv("RELFACT_BOUND", raising=False)
+        paths = {
+            "DOC": str(FIXTURES / "cut2_0.json"),
+            "ONE": str(FIXTURES / "cut1_0.json"),  # a one-node boundary
+            "MISSING": str(tmp_path / "missing.json"),
+        }
+        argv = [paths.get(x, x) for x in argv]
+        proc = run_cli(*argv)
+        assert proc.returncode == code
+        assert (proc.returncode, proc.stdout) == in_process(argv)
+
+    def test_the_script_and_the_module_share_one_entry(self):
+        package = Path(cli.__file__).parent
+        pyproject = (package.parent.parent / "pyproject.toml").read_text()
+        assert re.search(r'^relfact = "relfact\.cli:entry"$', pyproject, re.MULTILINE)
+        assert "from .cli import entry\n" in (package / "__main__.py").read_text()
+        assert "sys.exit(entry())" in (package / "__main__.py").read_text()
+
+    def test_main_leaves_the_collector_unfrozen(self):
+        before = gc.get_freeze_count()
+        for argv in (["conmatrix", "--n", "3"], ["--help"]):
+            assert in_process(argv)[0] == 0
+        assert gc.get_freeze_count() == before
+
+
 # Command lines with the exit code and stdout each gave at the argparse
 # parser this table replaced; RELFACT_BOUND is unset unless given.  DOC is
 # fixtures/cut2_0.json and GRAPH its union graph, 6 edges.
@@ -825,7 +866,8 @@ class TestDeterminism:
         for jobs in ("1", "500"):
             assert cli.main(["factor", "--input", str(path), "--jobs", jobs, "--output", "json"]) == 0
             outs.append(capsys.readouterr().out)
-        assert sizes == [10]  # Bell(3) = 5 states on each side
+        # Bell(3) = 5 states on each side, and no more workers than CPUs
+        assert sizes == [min(10, os.cpu_count() or 1)]
         assert outs[0] == outs[1]
 
     def test_counts_do_not_depend_on_the_hash_seed(self, tmp_path):

@@ -127,8 +127,16 @@ PROBABILITIES = st.sampled_from(
 )
 
 
+# large prime denominators, so that the integer kernel's common denominator
+# has factors no other edge cancels, mixed with p = 0 and p = 1
+PRIME_PROBABILITIES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.builds(Fraction, st.integers(1, 10006), st.sampled_from([10007, 10009, 65537])),
+)
+
+
 @st.composite
-def reducible_multigraphs(draw):
+def reducible_multigraphs(draw, probabilities=PROBABILITIES):
     """Multigraphs of at most 12 edges that exercise every reduction: loops,
     parallel edges, p in {0, 1}, pendant terminals, terminals of degree 2,
     and non-terminal blocks hanging off a cut vertex."""
@@ -151,10 +159,38 @@ def reducible_multigraphs(draw):
         ends += [(cut, "x"), ("x", "y"), ("y", cut)]
     ends = ends[:12]
     used = {v for uv in ends for v in uv} | set(nodes)
-    edges = tuple(Edge(i + 1, u, v, draw(PROBABILITIES)) for i, (u, v) in enumerate(ends))
+    edges = tuple(Edge(i + 1, u, v, draw(probabilities)) for i, (u, v) in enumerate(ends))
     return StochasticGraph(
         nodes=frozenset(used), edges=edges, terminals=frozenset(terminals & used)
     )
+
+
+def graph_of(edges, terminals):
+    """A graph from (u, v, p) triples, edge ids in order from 1."""
+    return StochasticGraph(
+        nodes=frozenset(x for u, v, _ in edges for x in (u, v)) | frozenset(terminals),
+        edges=tuple(Edge(i, u, v, p) for i, (u, v, p) in enumerate(edges, 1)),
+        terminals=frozenset(terminals),
+    )
+
+
+# CORE is a K4 on the terminals a, b and two other nodes: no local rule
+# applies to it, and contracting its first pivot, a-b, leaves one terminal
+# and five edges, which the leaf multiplies out by their masses up + down.
+# Each other case adds edges that one rule removes by their mass, their
+# state not mattering there; with prime denominators R comes out wrong
+# unless each mass is booked against the common denominator
+CORE = [("a", "b", Fraction(2, 7)), ("a", "c", Fraction(3, 11)), ("a", "d", Fraction(5, 13)),
+        ("b", "c", Fraction(1, 17)), ("b", "d", Fraction(2, 19)), ("c", "d", Fraction(3, 23))]
+MASS_CASES = {
+    # name: (edges added to CORE, whether R stays that of CORE)
+    "loop": ([("c", "c", Fraction(4, 29))], True),
+    "p = 0 edge": ([("a", "c", Fraction(0))], True),
+    "pendant non-terminal": ([("c", "x", Fraction(4, 29))], True),
+    "pruned K4 block": ([(u, v, Fraction(k, 31)) for k, (u, v) in enumerate(combinations("cxyz", 2), 1)], True),
+    "parallel edge of a contraction": ([("c", "d", Fraction(1))], False),
+    "leaf with edges left": ([], True),
+}
 
 
 class TestFactoringKernel:
@@ -162,6 +198,25 @@ class TestFactoringKernel:
     @given(g=reducible_multigraphs())
     def test_matches_enumeration(self, g):
         assert reliability_factoring(g) == reliability_bruteforce(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=reducible_multigraphs(PRIME_PROBABILITIES))
+    def test_matches_enumeration_over_prime_denominators(self, g):
+        assert reliability_factoring(g) == reliability_bruteforce(g)
+
+    @pytest.mark.parametrize("case", MASS_CASES)
+    def test_each_mass_factor(self, case):
+        extra, same_as_core = MASS_CASES[case]
+        g = graph_of(CORE + extra, "ab")
+        assert reliability_factoring(g) == reliability_bruteforce(g)
+        if same_as_core:
+            assert reliability_factoring(g) == reliability_bruteforce(graph_of(CORE, "ab"))
+
+    def test_long_path_over_prime_denominators(self):
+        primes = (10007, 10009, 10037, 10039)
+        probs = [Fraction(i % 10000 + 1, primes[i % 4]) for i in range(1499)]
+        g = graph_of([(f"v{i}", f"v{i + 1}", p) for i, p in enumerate(probs)], ("v0", "v1499"))
+        assert reliability_factoring(g) == math.prod(probs)
 
     def test_twenty_bead_necklace(self):
         # beads of two parallel edges in series: R = prod 1 - (1-p)(1-q)
