@@ -9,14 +9,12 @@ the package, or the command line through it, loads no module that the
 caller does not reach.
 """
 
-from importlib import import_module
-
 # module -> the public names it defines
 _EXPORTS = {
     "cluster": "ClusterPolynomial dq_at_zero factorized_dq partition_function",
     "conmatrix": "ConnectivityBundle connectivity_matrix connectivity_number inverse_form "
     "invert_connectivity_matrix pi_vector",
-    "graphs": "CutDecomposition Edge StochasticGraph identify_nodes is_k_connected",
+    "graphs": "CutDecomposition Edge StochasticGraph is_k_connected",
     "linalg": "InvariantFactors abelian_signature diagonal_smith_form",
     "partitions": "CoherentOrder Partition all_partitions coherent_order is_connected_pair join",
     "reliability": "FactorizationResult conditioned_reliability factorization_detail n2_closed_form "
@@ -32,12 +30,13 @@ __all__ = sorted([*_HOME, *_MODULES])
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
-        return import_module(f".{name}", __name__)
-    if name not in _HOME:
+    if name not in _MODULES and name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
-    return value
+    # __import__ binds the module here; -X importtime does not report importlib.import_module
+    __import__(f"{__name__}.{_HOME.get(name, name)}")
+    if name in _HOME:
+        globals()[name] = getattr(globals()[_HOME[name]], name)
+    return globals()[name]
 
 
 def __dir__() -> list[str]:

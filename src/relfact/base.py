@@ -10,7 +10,7 @@ generates and compiles no code at run time.
 from __future__ import annotations
 
 # Bell(8) = 4140 states.  The factorized, joint and distribution routes reach this
-# size: on a 14-edge n = 8 draw factorization_detail takes ~1.0 s and verify ~2.5 s
+# size: on a 14-edge n = 8 draw factorization_detail takes ~0.6 s and verify ~1.8 s
 # in process (Python 3.11, 2-core Xeon).  Only a printed dense inverse stops earlier,
 # at conmatrix.MAX_BUNDLE_GROUND_SET.
 MAX_GROUND_SET = 8

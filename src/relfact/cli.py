@@ -25,7 +25,6 @@ import os
 import re
 import sys
 import time
-from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -263,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         sys.stdout.write(help_text(command))
         return EXIT_OK
-    run = import_module(f"{__package__}.commands.{command}").run
+    # not importlib.import_module, whose imports -X importtime does not report
+    run = __import__(f"{__package__}.commands.{command}", fromlist=["run"]).run
     started = time.perf_counter()
     try:
         code = run(args)

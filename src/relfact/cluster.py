@@ -9,9 +9,9 @@ leaves the frontier, as integer numerators per cluster count, divided by
 the common denominator once, at the end.  The derivative is factored
 through reliability's cut-factorization combine, which reads the inverse
 connectivity matrix off the Moebius diagonal, so it takes no coherent
-order and runs at every boundary size a decomposition allows.  The
-decomposition was checked when it was built and carries its union; a side
-that an identification disconnects contributes 0 there.
+order and runs at every boundary size a decomposition allows.  Each side
+solve reads its integer form with the boundary identified, and a side that
+this disconnects, having no single-cluster state, contributes 0.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from .base import Value
-from .graphs import CutDecomposition, StochasticGraph, components, identify_nodes
-from .reliability import _cut_factorization
+from .graphs import CutDecomposition, StochasticGraph, components, integer_form
+from .reliability import _check_bound, _cut_factorization
 from .states import _frontier_walk
 
 if TYPE_CHECKING:
@@ -60,9 +60,17 @@ def partition_function(g: StochasticGraph, bound: int | None = None) -> ClusterP
         raise ValueError("the partition function needs a node; the graph has an empty node set")
     if components(g).component_count() > 1:
         raise DisconnectedGraphError("underlying graph is not connected")
-    denom, weights = _frontier_walk(g, bound, weighted=True, terminals=None)
+    return _cluster_polynomial(integer_form(g), bound)
+
+
+def _cluster_polynomial(form: tuple, bound: int | None) -> ClusterPolynomial:
+    """Z of an integer form (graphs.integer_form), connected or not."""
+    index, edges, _, denom = form
+    _check_bound(edges, bound)
+    nodes = set(index.values())
+    weights = _frontier_walk(nodes, edges, None)
     coeffs = {k: Fraction(w, denom) for k, w in weights.items()}
-    return ClusterPolynomial(node_count=len(g.nodes), coeffs=coeffs)
+    return ClusterPolynomial(node_count=len(nodes), coeffs=coeffs)
 
 
 def dq_at_zero(z: ClusterPolynomial) -> Fraction:
@@ -77,10 +85,7 @@ def _conditioned_dq(
     """dq_at_zero of one side after identifying its boundary through a; 0
     when the identified side is disconnected, as no state of it is a single
     cluster (its all-terminal reliability is 0 too)."""
-    try:
-        return dq_at_zero(partition_function(identify_nodes(g, boundary, a), bound))
-    except DisconnectedGraphError:
-        return Fraction(0)
+    return dq_at_zero(_cluster_polynomial(integer_form(g, boundary, a), bound))
 
 
 def factorized_dq(d: CutDecomposition, jobs: int = 1, bound: int | None = None) -> Fraction:

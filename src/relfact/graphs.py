@@ -1,19 +1,19 @@
 """Stochastic multigraphs with exact rational edge probabilities.
 
-Graphs are immutable values; every operation returns a new graph.  Parallel
-edges and self-loops are first class: identifying boundary nodes creates
-them and keeps them, and only the factoring kernel, on its own integer copy
-of a graph, reduces them away.  Node identifiers are strings; identifying
-boundary nodes merges them transitively, and each merged node is named after
-one of its members, so a quotient never invents a name.  A CutDecomposition
-checks the paper's hypotheses on the cut when it is built, so one that
-exists is valid and carries its union graph.
+Graphs are immutable values, and parallel edges and self-loops are first
+class.  integer_form is the one place that turns a graph into the integers
+every kernel reads, and the one place that identifies a cut side's boundary
+through a partition: merged nodes share a member's number, so a side solve
+builds no graph, and the loops and parallel edges an identification makes
+stay until the factoring kernel, on its own copy, reduces them away.  A
+CutDecomposition checks the paper's hypotheses on the cut when it is built,
+so one that exists is valid and carries its union graph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .base import MAX_GROUND_SET, Value
 
@@ -181,31 +181,37 @@ def is_k_connected(g: StochasticGraph) -> bool:
     return len({uf.find(t) for t in g.terminals}) <= 1
 
 
-def identify_nodes(g: StochasticGraph, boundary: Iterable[str], a: Partition) -> StochasticGraph:
-    """Merge boundary nodes that share a block of a, transitively (a boundary
-    may list a node twice), and name each merged node after one of its
-    members; everything else is mapped through the quotient.  All edges are
-    retained (loops included)."""
-    boundary = tuple(boundary)
-    if a.n != len(boundary):
-        raise GraphError(f"partition of {a.n} labels against boundary of size {len(boundary)}")
-    for x in boundary:
-        if x not in g.nodes:
-            raise GraphError(f"boundary node {x!r} not in graph")
-    uf = UnionFind(boundary)
-    for blk in a.blocks:
-        for i in blk[1:]:
-            uf.union(boundary[i - 1], boundary[blk[0] - 1])
-    rename = {x: uf.find(x) for x in boundary}
+def integer_form(g: StochasticGraph, boundary: Sequence[str] = (), a: Partition | None = None) -> tuple:
+    """g in the integers every kernel reads: (index, edges, terminals, D).
 
-    def q(x: str) -> str:
-        return rename.get(x, x)
-
-    return StochasticGraph(
-        nodes=frozenset(q(x) for x in g.nodes),
-        edges=tuple(Edge(e.id, q(e.u), q(e.v), e.prob) for e in g.edges),
-        terminals=frozenset(q(t) for t in g.terminals),
-    )
+    index numbers the nodes in name order; edges lists (id, u, v, up, down)
+    in g.edges order, an edge p = n/d as up = n and down = d - n; terminals
+    holds the terminals' numbers, and D is the product of the d.  With a
+    partition a of the boundary, the boundary nodes that share a block of
+    a, transitively (a boundary may list a node twice), take one member's
+    number, so g is read with its boundary identified through a, every
+    edge kept.  Raises GraphError when a is not over the boundary's
+    positions or a boundary node is not in g.
+    """
+    index = {v: i for i, v in enumerate(sorted(g.nodes))}
+    if a is not None:
+        if a.n != len(boundary):
+            raise GraphError(f"partition of {a.n} labels against boundary of size {len(boundary)}")
+        for x in boundary:
+            if x not in g.nodes:
+                raise GraphError(f"boundary node {x!r} not in graph")
+        uf = UnionFind(boundary)
+        for x, k in zip(boundary, a.labels):  # x joins the first member of its block
+            uf.union(x, boundary[a.labels.index(k)])
+        for x in boundary:
+            index[x] = index[uf.find(x)]
+    edges = []
+    denom = 1
+    for e in g.edges:
+        up, d = e.prob.numerator, e.prob.denominator
+        edges.append((e.id, index[e.u], index[e.v], up, d - up))
+        denom *= d
+    return index, edges, {index[t] for t in g.terminals}, denom
 
 
 def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:

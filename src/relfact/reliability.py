@@ -7,9 +7,9 @@ the inverse connectivity matrix is read off the Moebius diagonal
 states, the enumeration oracle among them, live in states and sit behind
 this module's enumeration bound (_check_bound).  All routes are exact and
 must agree bit for bit; the test suite leans on that equality everywhere.
-Factoring, like the counting kernels, works in integers over one common
-denominator, the product of the edge denominators, and builds its
-Fraction once, at the end.
+Factoring, like the counting kernels, reads the graph's integer form
+(graphs.integer_form), a conditioned side's with its boundary identified,
+and builds one Fraction over the form's common denominator, at the end.
 
 Every quantity that factors over a cut (factorization_detail here and
 cluster.factorized_dq) goes through one combine, _cut_factorization.  It
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sized
 
 from .base import Value
-from .graphs import CutDecomposition, StochasticGraph, identify_nodes, relevant_edges
+from .graphs import CutDecomposition, StochasticGraph, integer_form, relevant_edges
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -43,14 +43,14 @@ class EnumerationBoundError(ValueError):
     """Too many edges for state enumeration under the current bound."""
 
 
-def _check_bound(g: StochasticGraph, bound: int | None) -> None:
+def _check_bound(edges: Sized, bound: int | None) -> None:
     """The enumeration bound of every state-counting route: more edges than
     the bound (DEFAULT_ENUMERATION_BOUND when None) raise
     EnumerationBoundError."""
     limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    if len(g.edges) > limit:
+    if len(edges) > limit:
         raise EnumerationBoundError(
-            f"{len(g.edges)} edges exceed the enumeration bound {limit}; "
+            f"{len(edges)} edges exceed the enumeration bound {limit}; "
             "raise it with --bound or RELFACT_BOUND"
         )
 
@@ -212,8 +212,8 @@ class _Subproblem:
 def reliability_factoring(g: StochasticGraph) -> Fraction:
     """Contraction/deletion factoring with exact reductions before every branch.
 
-    g is converted once to integer nodes and edges keyed by edge id, an
-    edge p = a/d held as (u, v, up, down) = (u, v, a, d - a).  The
+    g is read once as graphs.integer_form, edges keyed by id, an edge
+    p = a/d held as (u, v, up, down) = (u, v, a, d - a).  The
     arithmetic is in integers over one common denominator D, the product
     of the edge denominators, as in the enumeration and frontier kernels:
     each subproblem carries an integer weight (see _Subproblem), each leaf
@@ -232,16 +232,20 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     a terminal with the smallest id; a merged edge keeps the smaller of its
     ids.  Agrees exactly with enumeration wherever both run.
     """
-    if len(g.terminals) <= 1:
-        return Fraction(1)
-    index = {v: i for i, v in enumerate(sorted(g.nodes))}
-    edges = {}
-    denom = 1
-    for e in g.edges:
-        up, d = e.prob.numerator, e.prob.denominator
-        edges[e.id] = (index[e.u], index[e.v], up, d - up)
-        denom *= d
-    stack = [(1, edges, {index[t] for t in g.terminals})]
+    return _factored(integer_form(g))
+
+
+def conditioned_reliability(
+    g: StochasticGraph, boundary: list[str] | tuple[str, ...], a: Partition
+) -> Fraction:
+    """Reliability of one side after identifying its boundary through a."""
+    return _factored(integer_form(g, boundary, a))
+
+
+def _factored(form: tuple) -> Fraction:
+    """The factoring loop of reliability_factoring over an integer form."""
+    _, edges, terms, denom = form
+    stack = [(1, {eid: (u, v, up, down) for eid, u, v, up, down in edges}, terms)]
     total = 0
     while stack:
         sub = _Subproblem(*stack.pop())
@@ -261,13 +265,6 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
         stack.append((sub.weight * down, sub.edges, sub.terms))
         stack.append((sub.weight, works, set(sub.terms)))
     return Fraction(total, denom)
-
-
-def conditioned_reliability(
-    g: StochasticGraph, boundary: list[str] | tuple[str, ...], a: Partition
-) -> Fraction:
-    """Reliability of one side after identifying its boundary through a."""
-    return reliability_factoring(identify_nodes(g, tuple(boundary), a))
 
 
 def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:

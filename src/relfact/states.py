@@ -12,8 +12,8 @@ cluster.partition_function, are short accumulators over one frontier
 kernel, _frontier_walk, which merges equal partial states (Carlier & Lucet
 1996; Hardy, Lucet & Limnios 2007), so its work is O(m * states on the
 frontier) rather than 2^m.  Both kernels sit behind the enumeration bound
-of reliability._check_bound and run in integers over one common
-denominator, the product of the edge denominators; each route sums integer
+of reliability._check_bound and read the graph's integer form
+(graphs.integer_form), over one common denominator; each route sums integer
 numerators and builds its Fractions once, at the end.  Only the commands
 that count states load this module; the factoring and cut routes, in
 reliability, do not.
@@ -29,7 +29,7 @@ from operator import and_, mul
 from typing import Iterable
 
 from .base import Value
-from .graphs import StochasticGraph
+from .graphs import StochasticGraph, integer_form
 from .partitions import Partition, is_connected_pair
 from .reliability import _check_bound
 
@@ -44,26 +44,22 @@ def _products(edges: list[tuple]) -> list[int]:
     return out
 
 
-def _state_masks(g: StochasticGraph):
-    """The bit-parallel kernel behind the 2^m oracle routes: the edge states
-    of g as masks, (index, D, full, mass, states).
+def _state_masks(edges: list[tuple]):
+    """The bit-parallel kernel behind the 2^m oracle routes: the states of
+    an integer form's edges (graphs.integer_form) as masks, (full, mass, states).
 
-    index numbers the nodes in sorted order.  With p_i = a_i/d_i, a state's
-    probability is its integer weight prod(a_i or d_i - a_i) over
-    D = prod d_i.  The first _CHUNK edges with 0 < p < 1 are the low edges:
-    bit s of a mask is the state whose up low edges are the set bits of s,
-    full holds all 2^k of them, and mass(mask) sums their weights.  The
-    other edges, p in {0, 1} among them, are high: states yields each of
-    their states of nonzero weight as (weight, ops), where ops lists the
-    operative non-loop edges as (u, v, mask of the states where it is up).
+    A state's probability is its integer weight, the product of up for
+    each working edge and down for each failed one, over the form's D.  The
+    first _CHUNK edges with 0 < p < 1 are the low edges: bit s of a mask is
+    the state whose up low edges are the set bits of s, full holds all 2^k
+    of them, and mass(mask) sums their weights.  The other edges, p in
+    {0, 1} among them, are high: states yields each of their states of
+    nonzero weight as (weight, ops), where ops lists the operative non-loop
+    edges as (u, v, mask of the states where it is up).
     """
-    index = {v: i for i, v in enumerate(sorted(g.nodes))}
-    denom = 1
     low, high = [], []
-    for e in g.edges:
-        a, d = e.prob.numerator, e.prob.denominator
-        denom *= d
-        (low if 0 < a < d and len(low) < _CHUNK else high).append((index[e.u], index[e.v], a, d - a))
+    for _, u, v, up, down in edges:
+        (low if up and down and len(low) < _CHUNK else high).append((u, v, up, down))
     k = len(low)
     size = 1 << max(k - 3, 0)  # bytes per mask
     full = (1 << (1 << k)) - 1
@@ -96,7 +92,7 @@ def _state_masks(g: StochasticGraph):
     states = (
         (prod(w for w, _ in pick), ops + [op for _, more in pick for op in more]) for pick in product(*branches)
     )
-    return index, denom, full, mass, states
+    return full, mass, states
 
 
 def _linked_masks(ops: list[tuple], source: int, full: int) -> dict[int, int]:
@@ -118,11 +114,12 @@ def _linked_masks(ops: list[tuple], source: int, full: int) -> dict[int, int]:
 def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Fraction:
     """Sum of state probabilities over every terminal-linking state: the
     states in which the least terminal reaches every other."""
-    _check_bound(g, bound)
+    _check_bound(g.edges, bound)
     if len(g.terminals) <= 1:
         return Fraction(1)
-    index, denom, full, mass, states = _state_masks(g)
-    source, *targets = sorted(index[t] for t in g.terminals)
+    _, edges, terminals, denom = integer_form(g)
+    full, mass, states = _state_masks(edges)
+    source, *targets = sorted(terminals)
     total = 0
     for weight, ops in states:
         reach = _linked_masks(ops, source, full)
@@ -131,24 +128,26 @@ def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Frac
     return Fraction(total, denom)
 
 
-def _frontier_plan(g: StochasticGraph, terminals: frozenset[str]) -> list[tuple]:
-    """The fixed schedule of the frontier kernel, one operation per entry.
+def _frontier_plan(nodes: Iterable[int], edges: list[tuple], terminals: set[int]) -> list[tuple]:
+    """The fixed schedule of the frontier kernel over an integer form's node
+    numbers and edges (graphs.integer_form), one operation per entry.
 
     Vertices enter in BFS order: each search starts at the least unvisited
-    node name and visits neighbours in name order.  After a vertex enters,
-    the edges whose later endpoint it is follow, sorted by earlier endpoint
-    and then edge id; then every frontier vertex whose last edge that was
-    leaves.  Operations are ("enter", is terminal), ("edge", i, j, edge)
-    and ("leave", i), with i and j indices into the frontier, which is the
-    same for every state at a given point of the schedule.
+    node number and visits neighbours in number order, which is name order.
+    After a vertex enters, the edges whose later endpoint it is follow,
+    sorted by earlier endpoint and then edge id; then every frontier vertex
+    whose last edge that was leaves.  Operations are ("enter", is
+    terminal), ("edge", i, j, up, down) and ("leave", i), with i and j
+    indices into the frontier, which is the same for every state at a
+    given point of the schedule.
     """
-    adj: dict[str, set[str]] = {v: set() for v in g.nodes}
-    for e in g.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-    order: list[str] = []
-    pos: dict[str, int] = {}
-    for root in sorted(g.nodes):
+    adj: dict[int, set[int]] = {v: set() for v in nodes}
+    for _, u, v, _, _ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order: list[int] = []
+    pos: dict[int, int] = {}
+    for root in sorted(adj):
         if root in pos:
             continue
         k = pos[root] = len(order)
@@ -161,17 +160,17 @@ def _frontier_plan(g: StochasticGraph, terminals: frozenset[str]) -> list[tuple]
             k += 1
     later: list[list] = [[] for _ in order]
     last = list(range(len(order)))
-    for e in g.edges:
-        i, j = sorted((pos[e.u], pos[e.v]))
-        later[j].append((i, e.id, e))
+    for eid, u, v, up, down in edges:
+        i, j = sorted((pos[u], pos[v]))
+        later[j].append((i, eid, up, down))
         last[i] = max(last[i], j)
     plan: list[tuple] = []
     frontier: list[int] = []
     for s, v in enumerate(order):
         frontier.append(s)
         plan.append(("enter", v in terminals))
-        for i, _, e in sorted(later[s]):
-            plan.append(("edge", frontier.index(i), len(frontier) - 1, e))
+        for i, _, up, down in sorted(later[s]):
+            plan.append(("edge", frontier.index(i), len(frontier) - 1, up, down))
         for u in [u for u in frontier if last[u] == s]:
             plan.append(("leave", frontier.index(u)))
             frontier.remove(u)
@@ -196,19 +195,17 @@ def _add(acc: dict, state, counts: dict[int, int], factor: int, shift: int) -> N
         out[k + shift] = out.get(k + shift, 0) + w * factor
 
 
-def _frontier_walk(
-    g: StochasticGraph, bound: int | None, weighted: bool, terminals: frozenset[str] | None
-) -> tuple[int, dict[int, int]]:
-    """The frontier kernel behind the polynomial and cluster counts.
+def _frontier_walk(nodes: Iterable[int], edges: list[tuple], terminals: set[int] | None) -> dict[int, int]:
+    """The frontier kernel behind the polynomial and cluster counts, over an
+    integer form's node numbers and edges; its callers check the bound.
 
-    Checks the bound, then runs _frontier_plan's schedule over states of
-    the frontier: the component labels of its vertices as a restricted-
-    growth tuple, and one mark per block that holds a terminal.  States
-    that become equal merge, so the work is O(m * states on the frontier)
-    rather than 2^m.  Each state carries its weights keyed by a count.
-    Weights are integers over one common denominator D, as in _state_masks:
-    with weighted, an edge p = a/d multiplies by a up and by d - a down and
-    D is the product of the d; without, every edge state weighs 1 and D = 1.
+    Runs _frontier_plan's schedule over states of the frontier: the
+    component labels of its vertices as a restricted-growth tuple, and one
+    mark per block that holds a terminal.  States that become equal merge,
+    so the work is O(m * states on the frontier) rather than 2^m.  Each
+    state carries its weights keyed by a count: integers over the form's
+    D, as in _state_masks, an edge multiplying them by up when it works
+    and by down when it fails (unit weights (1, 1) count edge states).
     A block that leaves the frontier closes one cluster.
 
     With terminals, the key is the number of operative edges, and only the
@@ -217,16 +214,14 @@ def _frontier_walk(
     marked) and the state becomes the linked state, which absorbs every
     later edge, or some terminal is cut off and the state dies.  With
     terminals None, the key is the number of closed clusters, and every
-    state counts.  Returns D and the summed weights by key, in key order.
+    state counts.  Returns the summed weights by key, in key order.
     """
-    _check_bound(g, bound)
     counting_edges = terminals is not None
     total = len(terminals) if counting_edges else 0
     seen = 0
-    denom = 1
     # the state None is the linked state: its frontier no longer matters
     states: dict = {((), ()): {0: 1}}
-    for op in _frontier_plan(g, terminals or frozenset()):
+    for op in _frontier_plan(nodes, edges, terminals or set()):
         nxt: dict = {}
         if op[0] == "enter":
             mark = op[1]
@@ -237,12 +232,7 @@ def _frontier_walk(
                     state = (labels + (len(marks),), marks + (mark,))
                 nxt[state] = counts
         elif op[0] == "edge":
-            _, i, j, e = op
-            up = down = 1
-            if weighted:
-                up, d = e.prob.numerator, e.prob.denominator
-                down = d - up
-                denom *= d
+            _, i, j, up, down = op
             for state, counts in states.items():
                 if down:
                     _add(nxt, state, counts, down, 0)
@@ -274,7 +264,7 @@ def _frontier_walk(
     # every vertex has left, so at most one state remains: the linked state,
     # or with no terminal to mark, the empty frontier
     counts = next(iter(states.values()), {})
-    return denom, dict(sorted(counts.items()))
+    return dict(sorted(counts.items()))
 
 
 class ReliabilityPolynomial(Value):
@@ -306,10 +296,12 @@ class ReliabilityPolynomial(Value):
 def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> ReliabilityPolynomial:
     """Count terminal-linking states by operative edge count.
 
-    The counts come from the frontier kernel run unweighted, so they ignore
-    the edge probabilities: states with a p = 0 or p = 1 edge are counted
-    like any other."""
-    _, counts = _frontier_walk(g, bound, weighted=False, terminals=g.terminals)
+    The counts come from the frontier kernel with unit weights (1, 1) on
+    every edge of g's integer form, so they ignore the edge probabilities:
+    states with a p = 0 or p = 1 edge are counted like any other."""
+    _check_bound(g.edges, bound)
+    index, edges, terminals, _ = integer_form(g)
+    counts = _frontier_walk(index.values(), [(eid, u, v, 1, 1) for eid, u, v, _, _ in edges], terminals)
     return ReliabilityPolynomial(tuple(counts.get(i, 0) for i in range(len(g.edges) + 1)))
 
 
@@ -340,8 +332,9 @@ def state_distribution(
     for b in boundary:
         if b not in g.nodes:
             raise ValueError(f"boundary node {b!r} not in graph")
-    _check_bound(g, bound)
-    index, denom, full, mass, states = _state_masks(g)
+    _check_bound(g.edges, bound)
+    index, edges, _, denom = integer_form(g)
+    full, mass, states = _state_masks(edges)
     bix = [index[b] for b in boundary]
     acc: dict[tuple[int, ...], int] = {}
     for weight, ops in states:

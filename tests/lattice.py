@@ -2,15 +2,18 @@
 call, a test reference: Bell numbers, meet and the refinement order, the
 relabeling action of permutations with its orbits, the pathset test of one
 edge state, the diagonal factor C of a connectivity bundle and the
-determinant of the connectivity matrix, the identified complete graphs with
-the leading term of their polynomials, the values of the reliability and
+determinant of the connectivity matrix, a graph with its boundary nodes
+identified through a partition, the identified complete graphs with the
+leading term of their polynomials, the values of the reliability and
 cluster polynomials at a point, one state's probability, and an edge's
 endpoints and loop test.
 
 The package reaches none of them: a coherent order sorts the partitions by
-block sizes directly, the factorizations read alpha in closed form, and
-is_k_connected reads the components of the whole graph.  The tests check
-the package's routes against these independent definitions.
+block sizes directly, the factorizations read alpha in closed form, a side
+solve identifies its boundary in the integer form it reads rather than in
+a new graph, and is_k_connected reads the components of the whole graph.
+The tests check the package's routes against these independent
+definitions.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from relfact.base import Value
 from relfact.cluster import ClusterPolynomial
 from relfact.conmatrix import ConnectivityBundle, _mu
-from relfact.graphs import Edge, GraphError, StochasticGraph, components, identify_nodes
+from relfact.graphs import Edge, GraphError, StochasticGraph, UnionFind, components
 from relfact.partitions import Partition, _require_same_ground, all_partitions
 from relfact.states import ReliabilityPolynomial, StateDistribution
 
@@ -125,6 +128,35 @@ def diagonal_factor(bundle: ConnectivityBundle) -> list[list[Fraction]]:
     for k, a in enumerate(bundle.alpha):
         out[k][k] = Fraction(1, a)
     return out
+
+
+def identify_nodes(g: StochasticGraph, boundary: Iterable[str], a: Partition) -> StochasticGraph:
+    """Merge boundary nodes that share a block of a, transitively (a boundary
+    may list a node twice), and name each merged node after one of its
+    members; everything else is mapped through the quotient.  All edges are
+    retained (loops included).  The reference of graphs.integer_form's
+    identification: the kernels read a side identified there, and the
+    tests solve the graph built here."""
+    boundary = tuple(boundary)
+    if a.n != len(boundary):
+        raise GraphError(f"partition of {a.n} labels against boundary of size {len(boundary)}")
+    for x in boundary:
+        if x not in g.nodes:
+            raise GraphError(f"boundary node {x!r} not in graph")
+    uf = UnionFind(boundary)
+    for blk in a.blocks:
+        for i in blk[1:]:
+            uf.union(boundary[i - 1], boundary[blk[0] - 1])
+    rename = {x: uf.find(x) for x in boundary}
+
+    def q(x: str) -> str:
+        return rename.get(x, x)
+
+    return StochasticGraph(
+        nodes=frozenset(q(x) for x in g.nodes),
+        edges=tuple(Edge(e.id, q(e.u), q(e.v), e.prob) for e in g.edges),
+        terminals=frozenset(q(t) for t in g.terminals),
+    )
 
 
 def gamma_graph(n: int, a: Partition, p: Fraction = Fraction(1, 2)) -> StochasticGraph:

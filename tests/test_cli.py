@@ -648,9 +648,9 @@ class TestStartup:
         assert files == EVERY_COMMAND.union(*ROUTE_MODULES.values())
         moved = {
             relfact: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits",
-                      "is_k_pathset", "gamma_graph", "corpus", "connectivity_matrix_det"],
+                      "is_k_pathset", "gamma_graph", "corpus", "connectivity_matrix_det", "identify_nodes"],
             relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
-            relfact.graphs: ["is_k_pathset"],
+            relfact.graphs: ["is_k_pathset", "identify_nodes"],
             relfact.reliability: ["gamma_graph"],
             relfact.conmatrix: ["connectivity_matrix_det"],
             jsonio: ["graph_to_obj", "decomposition_to_obj", "conmatrix_to_obj"],

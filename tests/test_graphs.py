@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import adjacency, random_graph, with_prob
 from corpus import bridge_graph, bridge_decomposition
-from lattice import endpoints, is_k_pathset, is_loop
+from lattice import endpoints, identify_nodes, is_k_pathset, is_loop
 from relfact.graphs import (
     CutDecomposition,
     Edge,
@@ -15,7 +15,7 @@ from relfact.graphs import (
     Hypothesis1Error,
     Hypothesis2Error,
     StochasticGraph,
-    identify_nodes,
+    integer_form,
     is_k_connected,
     relevant_edges,
     union_graph,
@@ -220,6 +220,18 @@ class TestIdentifyNodes:
         g = bridge_graph()
         with pytest.raises(GraphError):
             identify_nodes(g, ("u", "v"), Partition.top(3))
+
+    def test_integer_form_numbers_in_name_order_and_merges_transitively(self):
+        g = graph([(1, "a", "x"), (2, "x", "b"), (3, "c", "x")], {"a", "b", "c"})
+        index, edges, terminals, denom = integer_form(g)
+        assert index == {"a": 0, "b": 1, "c": 2, "x": 3}
+        assert edges == [(1, 0, 3, 1, 1), (2, 1, 3, 1, 1), (3, 2, 3, 1, 1)]
+        assert (terminals, denom) == ({0, 1, 2}, 8)
+        # 12|34 over (a, b, a, c) joins a to b and a to c: one number
+        index, edges, terminals, denom = integer_form(g, ("a", "b", "a", "c"), Partition.parse("12|34"))
+        assert len({index["a"], index["b"], index["c"]}) == 1
+        assert index["x"] == 3
+        assert ({u for _, u, _, _, _ in edges}, terminals, denom) == ({index["a"]}, {index["a"]}, 8)
 
 
 def k4(first_id, a, b, c, d):

@@ -11,12 +11,21 @@ from hypothesis import strategies as st
 
 from conftest import dense_inverse_form, random_graph, walk_routes, with_prob
 from corpus import bridge_decomposition, bridge_graph, corpus, random_probability
-from lattice import evaluate_polynomial, gamma_graph, is_k_pathset, is_loop, leading_term, state_prob
-from relfact.cluster import DisconnectedGraphError, dq_at_zero, partition_function
+from lattice import (
+    evaluate_polynomial,
+    gamma_graph,
+    identify_nodes,
+    is_k_pathset,
+    is_loop,
+    leading_term,
+    state_prob,
+)
+from relfact.cluster import DisconnectedGraphError, _conditioned_dq, dq_at_zero, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.graphs import (
     CutDecomposition,
     Edge,
+    GraphError,
     Hypothesis2Error,
     StochasticGraph,
     UnionFind,
@@ -587,6 +596,14 @@ class TestJointRoute:
             joint_reliability(d1, d2)
 
 
+@st.composite
+def identified_sides(draw):
+    """A multigraph of reducible_multigraphs and a boundary of 1..4 of its
+    nodes, which may list a node more than once."""
+    g = draw(reducible_multigraphs())
+    return g, tuple(draw(st.lists(st.sampled_from(sorted(g.nodes)), min_size=1, max_size=4)))
+
+
 class TestConditionedReliability:
     def test_top_with_boundary_terminals(self):
         d = bridge_decomposition()
@@ -610,6 +627,33 @@ class TestConditionedReliability:
                             Fraction(0),
                         )
                         assert conditioned_reliability(g, d.boundary, a) == expected
+
+    # the side solves identify the boundary in the integer form they read;
+    # lattice.identify_nodes builds the identified graph as a reference
+    @settings(max_examples=100, deadline=None)
+    @given(case=identified_sides())
+    def test_identification_matches_the_identified_graph(self, case):
+        g, boundary = case
+        for a in all_partitions(len(boundary)):
+            h = identify_nodes(g, boundary, a)
+            assert conditioned_reliability(g, boundary, a) == reliability_factoring(h)
+            try:
+                dq = dq_at_zero(partition_function(h))
+            except DisconnectedGraphError:
+                dq = 0
+            assert _conditioned_dq(g, boundary, a) == dq
+
+    @pytest.mark.parametrize(
+        "boundary, a, message",
+        [
+            (("u", "v"), Partition.top(3), "partition of 3 labels against boundary of size 2"),
+            (("u", "z"), Partition.top(2), "boundary node 'z' not in graph"),
+        ],
+    )
+    def test_identification_errors(self, boundary, a, message):
+        for solve in (conditioned_reliability, _conditioned_dq):
+            with pytest.raises(GraphError, match=message):
+                solve(bridge_graph(), boundary, a)
 
 
 class TestFactorizedRoute:

@@ -1,5 +1,6 @@
 """The scripts under scripts/, run as a user would run them."""
 
+import json
 import re
 import subprocess
 import sys
@@ -91,3 +92,25 @@ def test_startup_report_refuses_no_repetitions():
     proc = run_script("startup_report.py", "--repeat", "0")
     assert proc.returncode == 2
     assert "at least 1" in proc.stderr
+
+
+def relfact_modules(flag, argv):
+    """The relfact modules a spawned `python <flag> -m relfact` reports
+    importing on stderr, under -X importtime or -v."""
+    proc = subprocess.run([sys.executable, *flag, "-m", "relfact", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    pattern = r"^import time:.*\| +(relfact\S*)$" if "importtime" in flag else r"^import '(relfact[\w.]*)'"
+    return set(re.findall(pattern, proc.stderr, re.MULTILINE))
+
+
+def test_importtime_reports_every_module_a_command_loads(tmp_path):
+    # startup_report.py books import_ms by -X importtime, which times only
+    # the import statement's path: a module loaded otherwise would be
+    # missing there, and its time booked to the module that loaded it
+    graph = tmp_path / "edge.json"
+    edge = {"id": 1, "u": "a", "v": "b", "p": "1/2"}
+    graph.write_text(json.dumps({"nodes": ["a", "b"], "edges": [edge], "terminals": ["a", "b"]}))
+    for argv in (["--help"], ["reliability", "--route", "factoring", "--input", str(graph)]):
+        timed = relfact_modules(["-X", "importtime"], argv)
+        assert timed == relfact_modules(["-v"], argv)
+        assert "relfact.reliability" in timed
