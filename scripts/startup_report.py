@@ -2,7 +2,8 @@
 """Start-up cost of each relfact command, cold, above the interpreter's floor.
 
 Each command runs on a small fixed input (fixtures/cut2_0.json, or its
-union graph) in a fresh `python -m relfact` process, alternating with a
+union graph) in a fresh `python -m relfact` process, and must exit with
+the code listed for it (a usage error exits 2), alternating with a
 spawn of `python -c pass`; a command's share is its spawn time minus that
 of the floor spawn just before it.  Every spawn reads its bytecode from a
 temporary -X pycache_prefix and writes none, so a __pycache__ left in
@@ -39,28 +40,31 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DOC = ROOT / "fixtures" / "cut2_0.json"
 
+# each command line and the exit code it must end with
 COMMANDS = (
-    ("--help",),
-    ("reliability", "--route", "factoring", "--input", "GRAPH"),
-    ("reliability", "--route", "bruteforce", "--input", "GRAPH"),
-    ("polynomial", "--input", "GRAPH"),
-    ("rcm", "--input", "GRAPH"),
-    ("factor", "--route", "n2", "--input", "DOC"),
-    ("factor", "--route", "factorized", "--input", "DOC"),
-    ("factor", "--route", "joint", "--input", "DOC"),
-    ("distribution", "--input", "DOC"),
-    ("conmatrix", "--n", "3"),
-    ("verify", "--input", "DOC"),
+    (("--help",), 0),
+    (("reliability", "--bogus"), 2),
+    (("reliability", "--route", "factoring", "--input", "GRAPH"), 0),
+    (("reliability", "--route", "bruteforce", "--input", "GRAPH"), 0),
+    (("polynomial", "--input", "GRAPH"), 0),
+    (("rcm", "--input", "GRAPH"), 0),
+    (("factor", "--route", "n2", "--input", "DOC"), 0),
+    (("factor", "--route", "factorized", "--input", "DOC"), 0),
+    (("factor", "--route", "joint", "--input", "DOC"), 0),
+    (("distribution", "--input", "DOC"), 0),
+    (("conmatrix", "--n", "3"), 0),
+    (("verify", "--input", "DOC"), 0),
 )
 
 
-def spawn(argv: list[str], env: dict[str, str], *flags: str) -> tuple[float, str]:
-    """Seconds from spawn to exit of one interpreter, and its stderr."""
+def spawn(argv: list[str], env: dict[str, str], *flags: str, code: int = 0) -> tuple[float, str]:
+    """Seconds from spawn to exit of one interpreter, which must exit with
+    code, and its stderr."""
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - started
-    if proc.returncode:
-        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr[-500:]}")
+    if proc.returncode != code:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}, not {code}: {proc.stderr[-500:]}")
     return seconds, proc.stderr
 
 
@@ -102,15 +106,15 @@ def main() -> int:
         union = {key: sorted(set(g1[key]) | set(g2[key])) for key in ("nodes", "terminals")}
         graph.write_text(json.dumps({**union, "edges": g1["edges"] + g2["edges"]}))
         paths = {"DOC": str(DOC), "GRAPH": str(graph)}
-        commands = [[paths.get(x, x) for x in c] for c in COMMANDS]
+        commands = [([paths.get(x, x) for x in c], code) for c, code in COMMANDS]
 
         env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop("RELFACT_BOUND", None)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         cache = ("-X", f"pycache_prefix={prefix}")
         spawn(["-c", "pass"], env, *cache)
-        for argv in commands:
-            spawn(["-m", "relfact", *argv], env, *cache)
+        for argv, code in commands:
+            spawn(["-m", "relfact", *argv], env, *cache, code=code)
         shutil.rmtree(prefix / SRC.relative_to(SRC.anchor), ignore_errors=True)
         env["PYTHONDONTWRITEBYTECODE"] = "1"
 
@@ -118,10 +122,10 @@ def main() -> int:
         shares: list[list[float]] = [[] for _ in commands]
         imports: list[list[float]] = [[] for _ in commands]
         for _ in range(args.repeat):
-            for k, argv in enumerate(commands):
+            for k, (argv, code) in enumerate(commands):
                 floor, _ = spawn(["-c", "pass"], env, *cache)
-                seconds, _ = spawn(["-m", "relfact", *argv], env, *cache)
-                _, timed = spawn(["-m", "relfact", *argv], env, *cache, "-X", "importtime")
+                seconds, _ = spawn(["-m", "relfact", *argv], env, *cache, code=code)
+                _, timed = spawn(["-m", "relfact", *argv], env, *cache, "-X", "importtime", code=code)
                 floors.append(floor)
                 shares[k].append(seconds - floor)
                 imports[k].append(importtime_ms(timed))
@@ -130,8 +134,8 @@ def main() -> int:
         print(f"floor `python -c pass`: {1000 * med:.1f} ms [{1000 * q1:.1f}, {1000 * q3:.1f}], {len(floors)} spawns")
         print(f"{'command':<48} {'share_ms':>8} {'q1':>6} {'q3':>6} {'import_ms':>9}  modules")
         standard = []
-        for name, argv, xs, ys in zip(COMMANDS, commands, shares, imports):
-            _, verbose = spawn(["-m", "relfact", *argv], env, *cache, "-v")
+        for (name, _), (argv, code), xs, ys in zip(COMMANDS, commands, shares, imports):
+            _, verbose = spawn(["-m", "relfact", *argv], env, *cache, "-v", code=code)
             package, others = loaded_modules(verbose)
             modules = " ".join(sorted(m.removeprefix("relfact.") for m in package))
             standard.append(f"{' '.join(name):<48} {' '.join(others)}")

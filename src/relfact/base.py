@@ -1,10 +1,13 @@
 """What every route shares: the base of the immutable value types, the
-largest boundary a decomposition may have, and the coherent-order variants.
+largest boundary a decomposition may have, the coherent-order variants,
+the error of a malformed document and the default enumeration bound.
 
 It imports nothing from the package, so a module that needs only these
-loads no other module of it.  Value writes out comparison, hashing, repr,
-immutability and pickling once, as plain methods, so loading the package
-generates and compiles no code at run time.
+loads no other module of it: the command line parses argv, prints its help
+and reports a usage error with this module alone.  Value writes out
+comparison, hashing, repr, immutability and pickling once, as plain
+methods, so loading the package generates and compiles no code at run
+time.
 """
 
 from __future__ import annotations
@@ -16,6 +19,14 @@ from __future__ import annotations
 MAX_GROUND_SET = 8
 
 ORDER_VARIANTS = ("canonical", "reversed-levels")
+
+# the largest edge count the state-counting routes walk when no --bound or
+# RELFACT_BOUND is given
+DEFAULT_ENUMERATION_BOUND = 24
+
+
+class FormatError(ValueError):
+    """Structurally malformed document (distinct from semantic graph errors)."""
 
 
 class Value:

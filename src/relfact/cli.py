@@ -10,26 +10,26 @@ stdout is byte-identical across runs and across --jobs settings for the
 same input; timing goes to stderr so it cannot perturb that contract.
 
 COMMANDS is the whole command line: each command's help and options, read
-by one loop over argv.  main then imports only the invoked command's module,
-relfact.commands.<command>, whose run(args) imports the modules of its own
-route, so a process compiles neither argparse nor another command's
-handler: the factoring route needs no partition lattice, and the
-connectivity matrix needs no reliability kernel.
+by one loop over argv.  This module is that table and the dispatcher: it
+imports nothing from the package but base, so --help and a usage error
+load no other module of it.  main imports only the invoked command's
+module, relfact.commands.<command>; the relfact.commands package reads and
+writes the documents, and run(args) imports the modules of its own route,
+so a process compiles neither argparse nor another command's handler: the
+factoring route needs no partition lattice, and the connectivity matrix
+needs no graph and no reliability kernel.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import re
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
-from . import jsonio, reliability
-from .base import ORDER_VARIANTS
+from .base import DEFAULT_ENUMERATION_BOUND, ORDER_VARIANTS, FormatError
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -72,7 +72,7 @@ def _options(*, reads_documents: bool = True, **extra) -> dict:
     shared = {
         "input": (str, REQUIRED, "PATH", "input file (or directory for verify)"),
         "bound": (_positive, None, "E", "largest edge count the enumeration routes walk "
-                  f"(default: RELFACT_BOUND, else {reliability.DEFAULT_ENUMERATION_BOUND})"),
+                  f"(default: RELFACT_BOUND, else {DEFAULT_ENUMERATION_BOUND})"),
     }
     return {
         **(shared if reads_documents else {}),
@@ -195,7 +195,7 @@ def parse_args(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
     if "bound" in values and values["bound"] is None:
         env = os.environ.get("RELFACT_BOUND")
         try:
-            values["bound"] = reliability.DEFAULT_ENUMERATION_BOUND if env is None else _positive(env)
+            values["bound"] = DEFAULT_ENUMERATION_BOUND if env is None else _positive(env)
         except ValueError as exc:
             raise UsageError(command, f"RELFACT_BOUND {exc}") from None
     return command, SimpleNamespace(**values)
@@ -231,27 +231,6 @@ def help_text(command: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_json(path: str):
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise jsonio.FormatError(f"cannot read {path}: {exc}")
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # bad syntax, or a number past the int/str digit limit
-        raise jsonio.FormatError(f"{path}: malformed JSON: {exc}")
-    except RecursionError:
-        raise jsonio.FormatError(f"{path}: JSON nested too deeply") from None
-
-
-def _emit(args: SimpleNamespace, payload: dict, text_lines: list[str]) -> None:
-    if args.output == "json":
-        sys.stdout.write(jsonio.dumps_canonical(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         command, args = parse_args(sys.argv[1:] if argv is None else list(argv))
@@ -267,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = run(args)
-    except jsonio.FormatError as exc:
+    except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         code = EXIT_FORMAT
     except ValueError as exc:  # GraphError, EnumerationBoundError and the other semantic failures
@@ -289,3 +268,14 @@ def entry() -> int:
     code = main()
     gc.freeze()
     return code
+
+
+def __getattr__(name: str):
+    """relfact.cli.jsonio and relfact.cli.reliability, loaded on first
+    access (PEP 562): this module imports neither, so --help loads
+    neither."""
+    if name not in ("jsonio", "reliability"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not importlib.import_module, whose imports -X importtime does not report
+    __import__(f"{__package__}.{name}")
+    return sys.modules[f"{__package__}.{name}"]

@@ -8,7 +8,8 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .. import jsonio
-from ..cli import EXIT_FORMAT, EXIT_OK, _emit
+from ..cli import EXIT_FORMAT, EXIT_OK
+from . import _emit
 
 if TYPE_CHECKING:
     from ..conmatrix import ConnectivityBundle

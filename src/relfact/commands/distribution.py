@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .. import jsonio
-from ..cli import EXIT_OK, _emit, _load_json
-from . import _formatted, _listing
+from ..cli import EXIT_OK
+from . import _emit, _formatted, _listing, _load_json
 
 
 def run(args) -> int:

@@ -6,9 +6,9 @@ import sys
 from fractions import Fraction
 
 from .. import jsonio, reliability
-from ..cli import EXIT_OK, EXIT_VERIFY, _emit, _load_json
+from ..cli import EXIT_OK, EXIT_VERIFY
 from ..graphs import GraphError, Hypothesis2Error
-from . import _formatted, _listing
+from . import _emit, _formatted, _listing, _load_json
 
 
 def run(args) -> int:

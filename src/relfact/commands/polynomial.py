@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .. import jsonio
-from ..cli import EXIT_OK, _emit, _load_json
+from ..cli import EXIT_OK
+from . import _emit, _load_json
 
 
 def run(args) -> int:

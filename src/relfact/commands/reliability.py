@@ -5,7 +5,8 @@ from __future__ import annotations
 import sys
 
 from .. import graphs, jsonio, reliability
-from ..cli import EXIT_OK, _emit, _load_json
+from ..cli import EXIT_OK
+from . import _emit, _load_json
 
 
 def run(args) -> int:

@@ -7,7 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .. import jsonio, reliability
-from ..cli import EXIT_FORMAT, EXIT_OK, EXIT_VERIFY, _emit, _load_json
+from ..cli import EXIT_FORMAT, EXIT_OK, EXIT_VERIFY
+from . import _emit, _load_json
 
 
 def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:

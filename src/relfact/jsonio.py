@@ -5,6 +5,10 @@ numerator.  Probabilities are accepted as "num/den", as decimal strings
 (converted exactly, so "0.9" becomes 9/10), or as the integers 0 and 1;
 floats are rejected because they would smuggle binary rounding into an
 exact pipeline.
+
+FormatError lives in base, which the command line loads on its own; the
+readers import graphs when they run, so a command that reads no graph
+(conmatrix) compiles neither graphs nor the reliability kernels.
 """
 
 from __future__ import annotations
@@ -12,19 +16,18 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .graphs import CutDecomposition, Edge, StochasticGraph
+from .base import FormatError
+
+if TYPE_CHECKING:
+    from .graphs import CutDecomposition, StochasticGraph
 
 # CPython's default limit on the digits of an int converted to or from str
 _DEFAULT_DIGIT_LIMIT = 4300
 # a power of ten below the smallest limit CPython accepts (640 digits)
 _PIECE_DIGITS = 600
 _PIECE = 10**_PIECE_DIGITS
-
-
-class FormatError(ValueError):
-    """Structurally malformed document (distinct from semantic graph errors)."""
 
 
 def _int_to_str(k: int) -> str:
@@ -97,6 +100,8 @@ def _require(obj: dict, key: str, kind: type) -> Any:
 
 
 def graph_from_obj(obj: Any) -> StochasticGraph:
+    from .graphs import Edge, StochasticGraph
+
     if not isinstance(obj, dict):
         raise FormatError("graph document must be an object")
     nodes = _require(obj, "nodes", list)
@@ -117,6 +122,8 @@ def graph_from_obj(obj: Any) -> StochasticGraph:
 
 
 def decomposition_from_obj(obj: Any) -> CutDecomposition:
+    from .graphs import CutDecomposition
+
     if not isinstance(obj, dict):
         raise FormatError("decomposition document must be an object")
     boundary = _require(obj, "boundary", list)

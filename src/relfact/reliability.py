@@ -18,8 +18,8 @@ boundary size a decomposition allows.  A CutDecomposition checks itself
 when it is built (see graphs), so the cut routes take it as it is; a
 stranded terminal never reaches them.
 
-Every command loads this module, so at load time it imports only graphs
-and base: the cut routes import partitions and conmatrix when they run, as
+Every command that reads a document loads this module, so at load time it
+imports only graphs and base: the cut routes import partitions and conmatrix when they run, as
 ordered_parallel_map imports the process pool, and the factoring route
 compiles neither.
 """
@@ -30,13 +30,11 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sized
 
-from .base import Value
+from .base import DEFAULT_ENUMERATION_BOUND, Value
 from .graphs import CutDecomposition, StochasticGraph, integer_form, relevant_edges
 
 if TYPE_CHECKING:
     from .partitions import Partition
-
-DEFAULT_ENUMERATION_BOUND = 24
 
 
 class EnumerationBoundError(ValueError):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import relfact
 from corpus import bridge_decomposition, bridge_graph, corpus, decomposition_to_obj, graph_to_obj
-from relfact import cli, conmatrix, jsonio
+from relfact import base, cli, conmatrix, jsonio
 from relfact.graphs import Edge, StochasticGraph
 
 
@@ -583,29 +583,47 @@ class TestVerifyCommand:
 
 
 # The package modules each route loads, beyond the ones every command
-# loads: the command line, the wire format, the graphs, the factoring route
-# and the value base.  Each command also loads its own module of
-# relfact.commands and no other.  GRAPH is the union of DOC; DOC has a
-# two-node boundary that holds every terminal, so every route of factor
-# takes it.
-EVERY_COMMAND = {"cli", "jsonio", "graphs", "reliability", "base"}
+# loads: the command line and the value base.  Each command also loads its
+# own module of relfact.commands and no other; every command that reads a
+# document loads the wire format, the graphs and the factoring route, and
+# conmatrix, which reads none, loads the wire format alone.  GRAPH is the
+# union of DOC; DOC has a two-node boundary that holds every terminal, so
+# every route of factor takes it.
+EVERY_COMMAND = {"cli", "base"}
 ROUTE_MODULES = {
     ("--help",): set(),
-    ("reliability", "--route", "factoring", "--input", "GRAPH"): {"commands", "commands.reliability"},
-    ("factor", "--route", "n2", "--input", "DOC"): {"commands", "commands.factor", "partitions"},
-    ("factor", "--route", "factorized", "--input", "DOC"): {"commands", "commands.factor", "partitions", "conmatrix"},
+    ("reliability", "--route", "factoring", "--input", "GRAPH"): {
+        "commands", "commands.reliability", "jsonio", "graphs", "reliability"},
+    ("factor", "--route", "n2", "--input", "DOC"): {
+        "commands", "commands.factor", "jsonio", "graphs", "reliability", "partitions"},
+    ("factor", "--route", "factorized", "--input", "DOC"): {
+        "commands", "commands.factor", "jsonio", "graphs", "reliability", "partitions", "conmatrix"},
     ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {
-        "commands", "commands.reliability", "partitions", "states"},
-    ("polynomial", "--input", "GRAPH"): {"commands", "commands.polynomial", "partitions", "states"},
-    ("distribution", "--input", "DOC"): {"commands", "commands.distribution", "partitions", "states"},
-    ("factor", "--route", "joint", "--input", "DOC"): {"commands", "commands.factor", "partitions", "states"},
-    ("rcm", "--input", "GRAPH"): {"commands", "commands.rcm", "partitions", "states", "cluster"},
-    ("conmatrix", "--n", "3"): {"commands", "commands.conmatrix", "partitions", "conmatrix", "linalg"},
-    ("verify", "--input", "DOC"): {"commands", "commands.verify", "partitions", "conmatrix", "states", "cluster"},
+        "commands", "commands.reliability", "jsonio", "graphs", "reliability", "partitions", "states"},
+    ("polynomial", "--input", "GRAPH"): {
+        "commands", "commands.polynomial", "jsonio", "graphs", "reliability", "partitions", "states"},
+    ("distribution", "--input", "DOC"): {
+        "commands", "commands.distribution", "jsonio", "graphs", "reliability", "partitions", "states"},
+    ("factor", "--route", "joint", "--input", "DOC"): {
+        "commands", "commands.factor", "jsonio", "graphs", "reliability", "partitions", "states"},
+    ("rcm", "--input", "GRAPH"): {
+        "commands", "commands.rcm", "jsonio", "graphs", "reliability", "partitions", "states", "cluster"},
+    ("conmatrix", "--n", "3"): {"commands", "commands.conmatrix", "jsonio", "partitions", "conmatrix", "linalg"},
+    ("verify", "--input", "DOC"): {
+        "commands", "commands.verify", "jsonio", "graphs", "reliability", "partitions", "conmatrix", "states",
+        "cluster"},
 }
 # standard modules no command loads at --jobs 1: argparse, with the gettext
 # and locale it pulls in; the process pool; dataclasses, with its inspect
 UNLOADED = ("argparse", "gettext", "locale", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+
+
+def verbose_spawn(argv):
+    """A fresh `python -v -m relfact` process, and the modules it reports
+    importing from the package's import on, in order."""
+    proc = subprocess.run([sys.executable, "-v", "-m", "relfact", *argv], capture_output=True, text=True)
+    imported = re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)
+    return proc, imported[imported.index("relfact") :]
 
 
 def in_process(argv):
@@ -628,16 +646,41 @@ class TestStartup:
         d = jsonio.decomposition_from_obj(json.loads(doc.read_text()))
         paths = {"DOC": str(doc), "GRAPH": write_graph(tmp_path / "union.json", d.union)}
         argv = [paths.get(x, x) for x in route]
-        proc = subprocess.run(
-            [sys.executable, "-v", "-m", "relfact", *argv], capture_output=True, text=True
-        )
-        imported = re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)
-        added = imported[imported.index("relfact") :]
+        proc, added = verbose_spawn(argv)
         assert {m for m in added if m.startswith("relfact.")} == {
             f"relfact.{m}" for m in EVERY_COMMAND | ROUTE_MODULES[route]
         }
         assert [m for m in UNLOADED if m in added] == []
         assert (proc.returncode, proc.stdout) == in_process(argv)
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["nosuch"], ["reliability", "--bogus"], ["factor"]], ids=" ".join
+    )
+    def test_help_and_usage_errors_load_only_the_command_line(self, argv):
+        # the table and the dispatcher need base alone: no wire format, no
+        # graph and no kernel, nor the json, fractions and decimal they use
+        proc, added = verbose_spawn(argv)
+        assert {m for m in added if m.split(".")[0] == "relfact"} == {"relfact", "relfact.cli", "relfact.base"}
+        assert [m for m in ("json", "fractions", "decimal") if m in added] == []
+        assert proc.returncode == (0 if argv == ["--help"] else 2)
+        assert (proc.returncode, proc.stdout) == in_process(argv)
+
+    def test_the_command_line_loads_the_wire_format_and_kernel_on_first_access(self):
+        # this process has every module loaded, so a fresh one imports cli
+        script = (
+            "import sys, relfact.cli\n"
+            "print(sorted(m for m in ('relfact.jsonio', 'relfact.graphs', 'relfact.reliability') if m in sys.modules))\n"
+            "print(relfact.cli.reliability is sys.modules['relfact.reliability'])\n"
+            "print(relfact.cli.jsonio is sys.modules['relfact.jsonio'])\n"
+            "print(hasattr(relfact.cli, 'graphs'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True", "True", "False"]
+
+    def test_moved_names_keep_their_identity(self):
+        assert jsonio.FormatError is base.FormatError
+        assert relfact.reliability.DEFAULT_ENUMERATION_BOUND == base.DEFAULT_ENUMERATION_BOUND == 24
 
     def test_the_package_ships_only_what_the_cli_reaches(self):
         # every module file is loaded by some command, and the helpers that
