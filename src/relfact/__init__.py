@@ -2,7 +2,8 @@
 
 Everything runs in exact rational arithmetic.  The public surface mirrors
 the module layout: partition lattice, stochastic graphs, connectivity
-matrices, the reliability routes, and the random cluster model.
+matrices, the reliability routes, the cut factorization, and the random
+cluster model.
 
 Each name is imported from its module on first use (PEP 562), so importing
 the package, or the command line through it, loads no module that the
@@ -11,14 +12,14 @@ caller does not reach.
 
 # module -> the public names it defines
 _EXPORTS = {
-    "cluster": "ClusterPolynomial dq_at_zero factorized_dq partition_function",
+    "cluster": "ClusterPolynomial dq_at_zero partition_function",
     "conmatrix": "ConnectivityBundle connectivity_matrix connectivity_number inverse_form "
     "invert_connectivity_matrix pi_vector",
-    "graphs": "CutDecomposition Edge StochasticGraph is_k_connected",
+    "cut": "CutDecomposition FactorizationResult factorization_detail factorized_dq n2_closed_form",
+    "graphs": "Edge StochasticGraph is_k_connected",
     "linalg": "InvariantFactors abelian_signature diagonal_smith_form",
     "partitions": "CoherentOrder Partition all_partitions coherent_order is_connected_pair join",
-    "reliability": "FactorizationResult conditioned_reliability factorization_detail n2_closed_form "
-    "reliability_factoring",
+    "reliability": "conditioned_reliability reliability_factoring",
     "states": "ReliabilityPolynomial StateDistribution joint_reliability reliability_bruteforce "
     "reliability_polynomial state_distribution",
 }

@@ -16,8 +16,10 @@ load no other module of it.  main imports only the invoked command's
 module, relfact.commands.<command>; the relfact.commands package reads and
 writes the documents, and run(args) imports the modules of its own route,
 so a process compiles neither argparse nor another command's handler: the
-factoring route needs no partition lattice, and the connectivity matrix
-needs no graph and no reliability kernel.
+factoring route needs no partition lattice, a command that reads a graph
+no cut code (the cut routes are in relfact.cut, which only the commands
+that read a decomposition load), and the connectivity matrix needs no
+graph and no reliability kernel.
 """
 
 from __future__ import annotations

@@ -6,23 +6,20 @@ Its linear coefficient in q is exactly the all-terminal reliability, which
 carries the cut factorization over to the q -> 0 derivative.  Z is summed
 by the frontier kernel of states, which counts a cluster each time a block
 leaves the frontier, as integer numerators per cluster count, divided by
-the common denominator once, at the end.  The derivative is factored
-through reliability's cut-factorization combine, which reads the inverse
-connectivity matrix off the Moebius diagonal, so it takes no coherent
-order and runs at every boundary size a decomposition allows.  Each side
-solve reads its integer form with the boundary identified, and a side that
-this disconnects, having no single-cluster state, contributes 0.
+the common denominator once, at the end.  The derivative factors over a
+cut through cut.factorized_dq, whose side solver, _conditioned_dq, is
+here: it reads a side's integer form with the boundary identified, and a
+side that this disconnects, having no single-cluster state, contributes 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import TYPE_CHECKING
 
 from .base import Value
-from .graphs import CutDecomposition, StochasticGraph, components, integer_form
-from .reliability import _check_bound, _cut_factorization
+from .graphs import StochasticGraph, components, integer_form
+from .reliability import _check_bound
 from .states import _frontier_walk
 
 if TYPE_CHECKING:
@@ -87,16 +84,3 @@ def _conditioned_dq(
     cluster (its all-terminal reliability is 0 too)."""
     return dq_at_zero(_cluster_polynomial(integer_form(g, boundary, a), bound))
 
-
-def factorized_dq(d: CutDecomposition, jobs: int = 1, bound: int | None = None) -> Fraction:
-    """The q -> 0 derivative of Z for the union, assembled from the sides
-    through the same combine as the reliability (_cut_factorization).
-
-    Requires the all-terminal case (every node of the union is a terminal).
-    A side that is disconnected after some identification contributes 0 for
-    it, as its conditioned reliability does; the result equals dq_at_zero of
-    the union exactly.
-    """
-    if d.union.terminals != d.union.nodes:
-        raise ValueError("the factorized derivative needs every node terminal")
-    return _cut_factorization(d, jobs, partial(_conditioned_dq, bound=bound)).value

@@ -5,14 +5,16 @@ so a process compiles no other command's handler.  The handlers reach the
 library through module attributes (jsonio.graph_from_obj,
 reliability.reliability_factoring), so a function swapped on its module is
 the one they call.  The JSON reading and output every command shares, and
-the partition listings that factor and distribution print, are here.
+the partition listings that factor and distribution print and the inverse
+matrices that factor and conmatrix print, are here.  A document is read
+with open(), so only verify, which walks a directory, imports pathlib.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .. import jsonio
@@ -20,7 +22,8 @@ from .. import jsonio
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise jsonio.FormatError(f"cannot read {path}: {exc}")
     try:
@@ -42,6 +45,15 @@ def _emit(args: SimpleNamespace, payload: dict, text_lines: list[str]) -> None:
 def _formatted(values: dict) -> dict[str, str]:
     """Partition -> Fraction pairs with both sides as strings."""
     return {str(p): jsonio.fraction_to_str(v) for p, v in values.items()}
+
+
+def _matrix_text(matrix: list[list]) -> list[list[str]]:
+    """A matrix of Fractions with each entry as a string, each distinct
+    value formatted once: an inverse connectivity matrix has few.  Entries
+    are keyed by numerator and denominator, which hash faster."""
+    keys = [[(x.numerator, x.denominator) for x in row] for row in matrix]
+    text = {k: jsonio.fraction_to_str(Fraction(*k)) for k in set().union(*keys)}
+    return [[text[k] for k in row] for row in keys]
 
 
 def _listing(formatted: dict[str, str]) -> str:

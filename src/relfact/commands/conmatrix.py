@@ -7,9 +7,8 @@ from math import prod
 
 from typing import TYPE_CHECKING
 
-from .. import jsonio
 from ..cli import EXIT_FORMAT, EXIT_OK
-from . import _emit
+from . import _emit, _matrix_text
 
 if TYPE_CHECKING:
     from ..conmatrix import ConnectivityBundle
@@ -21,7 +20,7 @@ def conmatrix_to_obj(bundle: ConnectivityBundle, det: int, factors: InvariantFac
         "n": bundle.n,
         "order": [str(p) for p in bundle.order.states],
         "A": [list(row) for row in bundle.A],
-        "A_inv": [[jsonio.fraction_to_str(x) for x in row] for row in bundle.A_inv],
+        "A_inv": _matrix_text(bundle.A_inv),
         "det": str(det),
         "invariant_factors": [str(d) for d in factors.snf_diagonal],
         "torsion_prime_powers": [list(t) for t in factors.torsion_prime_powers],

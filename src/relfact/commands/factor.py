@@ -5,10 +5,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .. import jsonio, reliability
+from .. import cut, jsonio
 from ..cli import EXIT_OK, EXIT_VERIFY
 from ..graphs import GraphError, Hypothesis2Error
-from . import _emit, _formatted, _listing, _load_json
+from . import _emit, _formatted, _listing, _load_json, _matrix_text
 
 
 def run(args) -> int:
@@ -31,10 +31,10 @@ def run(args) -> int:
 
         # built only to be printed, before any side solve: past n = 6 it exits 3
         bundle = invert_connectivity_matrix(coherent_order(d.n, args.order))
-        detail = reliability.factorization_detail(d, jobs=args.jobs)
+        detail = cut.factorization_detail(d, jobs=args.jobs)
         value = detail.value
         sides = {"g1": _formatted(detail.side1), "g2": _formatted(detail.side2)}
-        b_matrix = [[jsonio.fraction_to_str(x) for x in row] for row in bundle.A_inv]
+        b_matrix = _matrix_text(bundle.A_inv)
         payload["side_reliabilities"] = sides
         payload["b_matrix"] = b_matrix
         details.append(f"n = {d.n}  order = {args.order}")
@@ -54,7 +54,7 @@ def run(args) -> int:
         value = joint_reliability(d1, d2)
         payload["side_distributions"] = {"g1": _formatted(d1.probs), "g2": _formatted(d2.probs)}
     else:  # n2
-        value = reliability.n2_closed_form(d)
+        value = cut.n2_closed_form(d)
     payload["reliability"] = text = jsonio.fraction_to_str(value)
     lines = [f"reliability = {text}", *details]
 

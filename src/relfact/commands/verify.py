@@ -6,13 +6,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .. import jsonio, reliability
+from .. import cut, jsonio, reliability
 from ..cli import EXIT_FORMAT, EXIT_OK, EXIT_VERIFY
 from . import _emit, _load_json
 
 
 def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
-    from ..cluster import dq_at_zero, factorized_dq, partition_function
+    from ..cluster import dq_at_zero, partition_function
     from ..states import joint_reliability, reliability_bruteforce, state_distribution
 
     union = d.union
@@ -21,7 +21,7 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
     factored = reliability.reliability_factoring(union)
     if factored != brute:
         failures.append("factoring != enumeration")
-    if reliability.factorization_detail(d, jobs=jobs).value != brute:
+    if cut.factorization_detail(d, jobs=jobs).value != brute:
         failures.append("factorized != enumeration")
     if union.terminals <= set(d.boundary):
         # the boundary-state sum equals the reliability only when every
@@ -30,13 +30,13 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
         d2 = state_distribution(d.g2, d.boundary, bound=bound)
         if joint_reliability(d1, d2) != brute:
             failures.append("joint-state sum != enumeration")
-    if d.n == 2 and reliability.n2_closed_form(d) != brute:
+    if d.n == 2 and cut.n2_closed_form(d) != brute:
         failures.append("two-node closed form != enumeration")
     if union.terminals == union.nodes:
         w1 = dq_at_zero(partition_function(union, bound=bound))
         if w1 != brute:
             failures.append("cluster-model q-linear weight != enumeration")
-        if factorized_dq(d, jobs=jobs, bound=bound) != w1:
+        if cut.factorized_dq(d, jobs=jobs, bound=bound) != w1:
             failures.append("factorized cluster derivative != direct")
     return (not failures, failures, brute)
 

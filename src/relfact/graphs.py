@@ -5,9 +5,9 @@ class.  integer_form is the one place that turns a graph into the integers
 every kernel reads, and the one place that identifies a cut side's boundary
 through a partition: merged nodes share a member's number, so a side solve
 builds no graph, and the loops and parallel edges an identification makes
-stay until the factoring kernel, on its own copy, reduces them away.  A
-CutDecomposition checks the paper's hypotheses on the cut when it is built,
-so one that exists is valid and carries its union graph.
+stay until the factoring kernel, on its own copy, reduces them away.  The
+errors a cut decomposition raises are here and the decomposition is in
+cut, so a command that reads only a graph compiles no cut code.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .base import MAX_GROUND_SET, Value
+from .base import Value
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -39,7 +39,9 @@ class Hypothesis2Error(DecompositionError):
 
 class Edge(Value):
     """One stochastic edge; endpoints are unordered and may coincide (loop).
-    The endpoints are stored sorted and the probability as a Fraction."""
+    The endpoints are stored sorted and the probability as a Fraction: one
+    given as an exact Fraction is kept as it is, anything else (a Fraction
+    subclass included) is converted."""
 
     __slots__ = FIELDS = ("id", "u", "v", "prob")
     id: int
@@ -50,9 +52,10 @@ class Edge(Value):
     def __init__(self, id: int, u: str, v: str, prob: Fraction) -> None:
         if v < u:
             u, v = v, u
-        prob = Fraction(prob)
+        if prob.__class__ is not Fraction:
+            prob = Fraction(prob)
         self._set(id, u, v, prob)
-        if not 0 <= prob <= 1:
+        if not 0 <= prob.numerator <= prob.denominator:
             raise GraphError(f"edge {id}: probability {prob} outside [0,1]")
 
 
@@ -84,64 +87,6 @@ class StochasticGraph(Value):
     @property
     def edge_ids(self) -> frozenset[int]:
         return frozenset(e.id for e in self.edges)
-
-
-class CutDecomposition(Value):
-    """Two subgraphs sharing exactly the boundary nodes (and no edges).
-
-    Built only when valid: raises Hypothesis1Error when the sides share an
-    edge, share nodes beyond the boundary, or a boundary node is not a
-    terminal of both sides; then raises DecompositionError for a boundary
-    outside 1..MAX_GROUND_SET nodes, as no route takes it; then raises
-    Hypothesis2Error when some terminal of the union cannot reach the
-    boundary (in that case the overall reliability is 0).  The boundary may
-    list a node more than once.  union is the graph of both sides together;
-    it is derived from the sides and takes no part in == or hash.
-    """
-
-    FIELDS = ("g1", "g2", "boundary")
-    __slots__ = FIELDS + ("union",)
-    g1: StochasticGraph
-    g2: StochasticGraph
-    boundary: tuple[str, ...]
-    union: StochasticGraph
-
-    def __init__(self, g1: StochasticGraph, g2: StochasticGraph, boundary: Iterable[str]) -> None:
-        boundary = tuple(boundary)
-        bset = set(boundary)
-        shared_edges = g1.edge_ids & g2.edge_ids
-        if shared_edges:
-            raise Hypothesis1Error(
-                f"Hypothesis 1 violated: sides share edge ids {sorted(shared_edges)}"
-            )
-        shared_nodes = g1.nodes & g2.nodes
-        if shared_nodes != bset:
-            raise Hypothesis1Error(
-                "Hypothesis 1 violated: shared nodes "
-                f"{sorted(shared_nodes)} differ from the boundary {sorted(bset)}"
-            )
-        for side, g in (("g1", g1), ("g2", g2)):
-            missing = bset - g.terminals
-            if missing:
-                raise Hypothesis1Error(
-                    f"Hypothesis 1 violated: boundary nodes {sorted(missing)} "
-                    f"missing from the terminals of {side}"
-                )
-        if not 1 <= len(boundary) <= MAX_GROUND_SET:
-            raise DecompositionError(f"a boundary has 1..{MAX_GROUND_SET} nodes, got {len(boundary)}")
-        union = union_graph(g1, g2)
-        uf = components(union)
-        boundary_roots = {uf.find(b) for b in bset}
-        stranded = sorted(t for t in union.terminals if uf.find(t) not in boundary_roots)
-        if stranded:
-            raise Hypothesis2Error(
-                f"Hypothesis 2 violated: terminals {stranded} reach no boundary node"
-            )
-        self._set(g1, g2, boundary, union)
-
-    @property
-    def n(self) -> int:
-        return len(self.boundary)
 
 
 class UnionFind:
@@ -266,10 +211,3 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
                 del pending[start:]
     return relevant if below[root] == len(terminals) else None
 
-
-def union_graph(g1: StochasticGraph, g2: StochasticGraph) -> StochasticGraph:
-    return StochasticGraph(
-        nodes=g1.nodes | g2.nodes,
-        edges=g1.edges + g2.edges,
-        terminals=g1.terminals | g2.terminals,
-    )

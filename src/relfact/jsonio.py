@@ -7,8 +7,9 @@ floats are rejected because they would smuggle binary rounding into an
 exact pipeline.
 
 FormatError lives in base, which the command line loads on its own; the
-readers import graphs when they run, so a command that reads no graph
-(conmatrix) compiles neither graphs nor the reliability kernels.
+readers import graphs, and decomposition_from_obj cut, when they run, so a
+command that reads no graph (conmatrix) compiles neither graphs nor the
+reliability kernels, and one that reads only a graph no cut code.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import TYPE_CHECKING, Any
 from .base import FormatError
 
 if TYPE_CHECKING:
-    from .graphs import CutDecomposition, StochasticGraph
+    from .cut import CutDecomposition
+    from .graphs import StochasticGraph
 
 # CPython's default limit on the digits of an int converted to or from str
 _DEFAULT_DIGIT_LIMIT = 4300
@@ -60,17 +62,23 @@ def _decimal_scale(s: str) -> int:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    # Fraction() builds 10**k before anything else can object, and a huge k
-    # would allocate without bound: reject a k past the int/str digit limit
-    # while it is still only a string.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
-    scale = _decimal_scale(s)
-    if abs(scale) >= limit:
-        raise FormatError(
-            f"bad rational {s!r}: 10**{abs(scale)} exceeds the {limit}-digit integer limit"
-        )
+    # plain ASCII "digits/digits", the common spelling, is read by int(),
+    # which raises what Fraction(s) would past the digit limit; a zero
+    # denominator raises in Fraction() either way
+    num, slash, den = s.partition("/")
+    plain = slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit()
+    if not plain:
+        # Fraction() builds 10**k before anything else can object, and a
+        # huge k would allocate without bound: reject a k past the int/str
+        # digit limit while it is still only a string.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_DIGIT_LIMIT
+        scale = _decimal_scale(s)
+        if abs(scale) >= limit:
+            raise FormatError(
+                f"bad rational {s!r}: 10**{abs(scale)} exceeds the {limit}-digit integer limit"
+            )
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den)) if plain else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {s!r}: {exc}") from None
 
@@ -122,7 +130,7 @@ def graph_from_obj(obj: Any) -> StochasticGraph:
 
 
 def decomposition_from_obj(obj: Any) -> CutDecomposition:
-    from .graphs import CutDecomposition
+    from .cut import CutDecomposition
 
     if not isinstance(obj, dict):
         raise FormatError("decomposition document must be an object")

@@ -4,9 +4,10 @@ A partition records which boundary nodes end up linked inside one side of
 a decomposition.  This module enumerates the partitions of {1..n}, joins
 two of them, and builds the coherent linear orders that index the printed
 connectivity matrices.  Every route that reads the states of a boundary
-loads it: the cut factorizations, the boundary-state and count kernels
-(states) and the connectivity matrices.  The plain factoring route does
-not, so the value base, MAX_GROUND_SET and the order variants live in base.
+loads it: the cut factorizations (cut), the boundary-state routes (states)
+and the connectivity matrices.  The graph routes, factoring and the counts,
+do not, so the value base, MAX_GROUND_SET and the order variants live in
+base.
 """
 
 from __future__ import annotations
@@ -124,9 +125,8 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(map(Partition.from_labels, strings))
 
 
-def join(a: Partition, b: Partition) -> Partition:
-    """Finest partition coarser than both: a's labels, merged along every
-    block of b."""
+def _merged(a: Partition, b: Partition) -> list[int]:
+    """a's labels, merged along every block of b."""
     _require_same_ground(a, b)
     labels = list(a.labels)
     heads: list[int] = []  # heads[k] is the least element of b's block k
@@ -137,12 +137,17 @@ def join(a: Partition, b: Partition) -> Partition:
         keep, gone = labels[heads[k]], labels[x]
         if keep != gone:
             labels = [keep if y == gone else y for y in labels]
-    return Partition.from_labels(labels)
+    return labels
+
+
+def join(a: Partition, b: Partition) -> Partition:
+    """Finest partition coarser than both."""
+    return Partition.from_labels(_merged(a, b))
 
 
 def is_connected_pair(a: Partition, b: Partition) -> bool:
     """True iff merging both partitions links the whole boundary into one block."""
-    return join(a, b).block_count == 1
+    return len(set(_merged(a, b))) == 1
 
 
 class CoherentOrder(Value):

@@ -1,37 +1,28 @@
-"""Exact reliability by factoring, and the cut factorization.
+"""Exact reliability by factoring.
 
-Routes here: contraction/deletion factoring with series/parallel reductions
-and irrelevant-block pruning, the cut factorization, whose bilinear form in
-the inverse connectivity matrix is read off the Moebius diagonal
-(conmatrix), and the two-node closed form.  The routes that count edge
-states, the enumeration oracle among them, live in states and sit behind
-this module's enumeration bound (_check_bound).  All routes are exact and
-must agree bit for bit; the test suite leans on that equality everywhere.
-Factoring, like the counting kernels, reads the graph's integer form
-(graphs.integer_form), a conditioned side's with its boundary identified,
-and builds one Fraction over the form's common denominator, at the end.
+Contraction/deletion factoring with series/parallel reductions and
+irrelevant-block pruning, on a whole graph (reliability_factoring) or on a
+cut side with its boundary identified through a partition
+(conditioned_reliability, the side solver of the cut routes in cut).  The
+routes that count edge states, the enumeration oracle among them, live in
+states and sit behind this module's enumeration bound (_check_bound).  All
+routes are exact and must agree bit for bit; the test suite leans on that
+equality everywhere.  Factoring, like the counting kernels, reads the
+graph's integer form (graphs.integer_form) and builds one Fraction over the
+form's common denominator, at the end.
 
-Every quantity that factors over a cut (factorization_detail here and
-cluster.factorized_dq) goes through one combine, _cut_factorization.  It
-takes no coherent order and builds no dense inverse, so it runs at every
-boundary size a decomposition allows.  A CutDecomposition checks itself
-when it is built (see graphs), so the cut routes take it as it is; a
-stranded terminal never reaches them.
-
-Every command that reads a document loads this module, so at load time it
-imports only graphs and base: the cut routes import partitions and conmatrix when they run, as
-ordered_parallel_map imports the process pool, and the factoring route
-compiles neither.
+Every command that reads a document loads this module, so it imports only
+graphs and base: the factoring route compiles no partition lattice, no
+connectivity matrix and no cut code.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sized
 
-from .base import DEFAULT_ENUMERATION_BOUND, Value
-from .graphs import CutDecomposition, StochasticGraph, integer_form, relevant_edges
+from .base import DEFAULT_ENUMERATION_BOUND
+from .graphs import StochasticGraph, integer_form, relevant_edges
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -241,9 +232,11 @@ def conditioned_reliability(
 
 
 def _factored(form: tuple) -> Fraction:
-    """The factoring loop of reliability_factoring over an integer form."""
+    """The factoring loop of reliability_factoring over an integer form,
+    which it leaves as it was: the subproblems reduce copies of its edges
+    and terminals in place."""
     _, edges, terms, denom = form
-    stack = [(1, {eid: (u, v, up, down) for eid, u, v, up, down in edges}, terms)]
+    stack = [(1, {eid: (u, v, up, down) for eid, u, v, up, down in edges}, set(terms))]
     total = 0
     while stack:
         sub = _Subproblem(*stack.pop())
@@ -263,88 +256,4 @@ def _factored(form: tuple) -> Fraction:
         stack.append((sub.weight * down, sub.edges, sub.terms))
         stack.append((sub.weight, works, set(sub.terms)))
     return Fraction(total, denom)
-
-
-def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
-    """Deterministic map: results come back in task order regardless of the
-    worker count, so parallel and sequential runs are bitwise identical.
-    The pool starts no more workers than there are tasks or CPUs: under
-    fork it starts every worker up front, so an uncapped --jobs would
-    start one process per task."""
-    if jobs > 1 and len(tasks) > 1:
-        # imported here: the pool pulls in multiprocessing, which a
-        # single-process run never needs to load
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-class FactorizationResult(Value):
-    """The factorized value with each side's value per boundary partition."""
-
-    __slots__ = FIELDS = ("side1", "side2", "value")
-    side1: dict[Partition, Fraction]
-    side2: dict[Partition, Fraction]
-    value: Fraction
-
-    def __init__(
-        self, side1: dict[Partition, Fraction], side2: dict[Partition, Fraction], value: Fraction
-    ) -> None:
-        self._set(side1, side2, value)
-
-
-def _side_task(task) -> Fraction:
-    solve, g, boundary, a = task
-    return solve(g, boundary, a)
-
-
-def _cut_factorization(d: CutDecomposition, jobs: int, solve) -> FactorizationResult:
-    """The factorization combine, shared by every quantity that factors.
-
-    solve(g, boundary, a) is one side's value after its boundary is
-    identified through a.  The 2 * Bell(n) side solves, one per side and
-    partition, run through the deterministic parallel map; then
-    conmatrix.inverse_form combines them as r1^T * A^-1 * r2.  solve must
-    be picklable (a module-level function or a partial of one) when jobs > 1.
-    """
-    from .conmatrix import inverse_form
-    from .partitions import all_partitions
-
-    states = all_partitions(d.n)
-    tasks = [(solve, g, d.boundary, a) for g in (d.g1, d.g2) for a in states]
-    vals = ordered_parallel_map(_side_task, tasks, jobs)
-    side1 = dict(zip(states, vals))
-    side2 = dict(zip(states, vals[len(states) :]))
-    return FactorizationResult(side1=side1, side2=side2, value=inverse_form(side1, side2))
-
-
-def factorization_detail(d: CutDecomposition, jobs: int = 1) -> FactorizationResult:
-    """Exact reliability of the union graph via the cut factorization, with
-    the per-partition side reliabilities exposed; each side is solved by
-    conditioned_reliability (see _cut_factorization)."""
-    return _cut_factorization(d, jobs, conditioned_reliability)
-
-
-def n2_closed_form(d: CutDecomposition) -> Fraction:
-    """Three-term inclusion-exclusion for a two-node boundary.
-
-    With hats marking the sides whose two boundary nodes are identified:
-    R = R(G1) * R(G2^) + R(G1^) * R(G2) - R(G1) * R(G2).  Taking the same
-    node twice as the boundary degenerates it to the articulation-point
-    product R(G1) * R(G2).
-    """
-    if d.n != 2:
-        raise ValueError(f"closed form needs a boundary of size 2, got {d.n}")
-    from .partitions import Partition
-
-    bottom = Partition.singletons(2)
-    top = Partition.top(2)
-    r1 = conditioned_reliability(d.g1, d.boundary, bottom)
-    r2 = conditioned_reliability(d.g2, d.boundary, bottom)
-    r1_hat = conditioned_reliability(d.g1, d.boundary, top)
-    r2_hat = conditioned_reliability(d.g2, d.boundary, top)
-    return r1 * r2_hat + r1_hat * r2 - r1 * r2
 

@@ -15,8 +15,9 @@ frontier) rather than 2^m.  Both kernels sit behind the enumeration bound
 of reliability._check_bound and read the graph's integer form
 (graphs.integer_form), over one common denominator; each route sums integer
 numerators and builds its Fractions once, at the end.  Only the commands
-that count states load this module; the factoring and cut routes, in
-reliability, do not.
+that count states load this module; the factoring route (reliability) and
+the cut routes (cut) do not.  The boundary-state routes import partitions
+when they run, so the graph counts compile no partition lattice.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from functools import reduce
 from itertools import product
 from math import comb, prod
 from operator import and_, mul
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .base import Value
 from .graphs import StochasticGraph, integer_form
-from .partitions import Partition, is_connected_pair
 from .reliability import _check_bound
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 _CHUNK = 16  # low edges: a mask over their states is one int of 2^16 bits
 
@@ -328,6 +331,8 @@ def state_distribution(
 ) -> StateDistribution:
     """Distribution over boundary partitions: labels i and j share a block
     exactly when the operative edges join boundary[i-1] to boundary[j-1]."""
+    from .partitions import Partition
+
     boundary = tuple(boundary)
     for b in boundary:
         if b not in g.nodes:
@@ -366,6 +371,8 @@ def joint_reliability(d1: StateDistribution, d2: StateDistribution) -> Fraction:
     This is the quadratic pre-factorization route: it sums P1(A) * P2(B)
     over connected pairs rather than going through the inverse matrix.
     """
+    from .partitions import is_connected_pair
+
     if d1.n != d2.n:
         raise ValueError(f"boundary sizes differ: {d1.n} vs {d2.n}")
     total = Fraction(0)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from relfact.graphs import CutDecomposition, Edge, StochasticGraph
+from relfact.cut import CutDecomposition
+from relfact.graphs import Edge, StochasticGraph
 from relfact.jsonio import fraction_to_str
 
 

@@ -20,12 +20,12 @@ from corpus import bridge_decomposition, corpus, decomposition_to_obj
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
 from lattice import connectivity_matrix_det, diagonal_factor, gamma_graph, leading_term, orbits
 from relfact import jsonio
-from relfact.cluster import dq_at_zero, factorized_dq, partition_function
+from relfact.cluster import dq_at_zero, partition_function
 from relfact.conmatrix import connectivity_matrix, connectivity_number, invert_connectivity_matrix
-from relfact.graphs import CutDecomposition
+from relfact.cut import CutDecomposition, factorization_detail, factorized_dq, n2_closed_form
 from relfact.linalg import abelian_signature, diagonal_smith_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order
-from relfact.reliability import factorization_detail, n2_closed_form, reliability_factoring
+from relfact.reliability import reliability_factoring
 from relfact.states import joint_reliability, reliability_bruteforce, reliability_polynomial, state_distribution
 
 ACCEPT_SEED = 2027

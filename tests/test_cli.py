@@ -585,33 +585,31 @@ class TestVerifyCommand:
 # The package modules each route loads, beyond the ones every command
 # loads: the command line and the value base.  Each command also loads its
 # own module of relfact.commands and no other; every command that reads a
-# document loads the wire format, the graphs and the factoring route, and
-# conmatrix, which reads none, loads the wire format alone.  GRAPH is the
-# union of DOC; DOC has a two-node boundary that holds every terminal, so
-# every route of factor takes it.
+# document loads the wire format, the graphs and the factoring route, one
+# that reads a decomposition also the cut routes, and conmatrix, which
+# reads none, loads the wire format alone.  A command that reads a graph
+# loads no partition lattice.  GRAPH is the union of DOC; DOC has a
+# two-node boundary that holds every terminal, so every route of factor
+# takes it.
 EVERY_COMMAND = {"cli", "base"}
+GRAPH_COMMAND = {"jsonio", "graphs", "reliability"}
+CUT_COMMAND = {*GRAPH_COMMAND, "cut", "partitions"}
 ROUTE_MODULES = {
     ("--help",): set(),
     ("reliability", "--route", "factoring", "--input", "GRAPH"): {
-        "commands", "commands.reliability", "jsonio", "graphs", "reliability"},
-    ("factor", "--route", "n2", "--input", "DOC"): {
-        "commands", "commands.factor", "jsonio", "graphs", "reliability", "partitions"},
-    ("factor", "--route", "factorized", "--input", "DOC"): {
-        "commands", "commands.factor", "jsonio", "graphs", "reliability", "partitions", "conmatrix"},
+        "commands", "commands.reliability", *GRAPH_COMMAND},
     ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {
-        "commands", "commands.reliability", "jsonio", "graphs", "reliability", "partitions", "states"},
-    ("polynomial", "--input", "GRAPH"): {
-        "commands", "commands.polynomial", "jsonio", "graphs", "reliability", "partitions", "states"},
-    ("distribution", "--input", "DOC"): {
-        "commands", "commands.distribution", "jsonio", "graphs", "reliability", "partitions", "states"},
-    ("factor", "--route", "joint", "--input", "DOC"): {
-        "commands", "commands.factor", "jsonio", "graphs", "reliability", "partitions", "states"},
-    ("rcm", "--input", "GRAPH"): {
-        "commands", "commands.rcm", "jsonio", "graphs", "reliability", "partitions", "states", "cluster"},
+        "commands", "commands.reliability", *GRAPH_COMMAND, "states"},
+    ("polynomial", "--input", "GRAPH"): {"commands", "commands.polynomial", *GRAPH_COMMAND, "states"},
+    ("rcm", "--input", "GRAPH"): {"commands", "commands.rcm", *GRAPH_COMMAND, "states", "cluster"},
+    ("factor", "--route", "n2", "--input", "DOC"): {"commands", "commands.factor", *CUT_COMMAND},
+    ("factor", "--route", "factorized", "--input", "DOC"): {
+        "commands", "commands.factor", *CUT_COMMAND, "conmatrix"},
+    ("distribution", "--input", "DOC"): {"commands", "commands.distribution", *CUT_COMMAND, "states"},
+    ("factor", "--route", "joint", "--input", "DOC"): {"commands", "commands.factor", *CUT_COMMAND, "states"},
     ("conmatrix", "--n", "3"): {"commands", "commands.conmatrix", "jsonio", "partitions", "conmatrix", "linalg"},
     ("verify", "--input", "DOC"): {
-        "commands", "commands.verify", "jsonio", "graphs", "reliability", "partitions", "conmatrix", "states",
-        "cluster"},
+        "commands", "commands.verify", *CUT_COMMAND, "conmatrix", "states", "cluster"},
 }
 # standard modules no command loads at --jobs 1: argparse, with the gettext
 # and locale it pulls in; the process pool; dataclasses, with its inspect
@@ -678,6 +676,27 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True", "True", "False"]
 
+    def test_a_graph_command_imports_no_pathlib_without_site(self, tmp_path):
+        # site may load pathlib before the program does; under -S only the
+        # program's own imports show.  A document is read with open(), and
+        # only verify walks a directory with pathlib (and its urllib.parse)
+        argv = ["reliability", "--input", write_graph(tmp_path / "bridge.json", bridge_graph())]
+        env = dict(os.environ, PYTHONPATH=str(Path(relfact.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-v", "-m", "relfact", *argv], capture_output=True, text=True, env=env
+        )
+        imported = re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)
+        assert "relfact.commands.reliability" in imported
+        assert [m for m in ("pathlib", "urllib.parse") if m in imported] == []
+        assert (proc.returncode, proc.stdout) == in_process(argv)
+
+    def test_the_package_resolves_every_name_from_its_module(self):
+        for module, names in relfact._EXPORTS.items():
+            home = __import__(f"relfact.{module}", fromlist=["_"])
+            for name in names.split():
+                assert getattr(relfact, name) is getattr(home, name), name
+        assert relfact.CutDecomposition.__module__ == "relfact.cut"
+
     def test_moved_names_keep_their_identity(self):
         assert jsonio.FormatError is base.FormatError
         assert relfact.reliability.DEFAULT_ENUMERATION_BOUND == base.DEFAULT_ENUMERATION_BOUND == 24
@@ -693,8 +712,10 @@ class TestStartup:
             relfact: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits",
                       "is_k_pathset", "gamma_graph", "corpus", "connectivity_matrix_det", "identify_nodes"],
             relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
-            relfact.graphs: ["is_k_pathset", "identify_nodes"],
-            relfact.reliability: ["gamma_graph"],
+            relfact.graphs: ["is_k_pathset", "identify_nodes", "CutDecomposition", "union_graph"],
+            relfact.reliability: ["gamma_graph", "ordered_parallel_map", "FactorizationResult", "_side_task",
+                                  "_cut_factorization", "factorization_detail", "n2_closed_form"],
+            relfact.cluster: ["factorized_dq"],
             relfact.conmatrix: ["connectivity_matrix_det"],
             jsonio: ["graph_to_obj", "decomposition_to_obj", "conmatrix_to_obj"],
             cli: ["build_parser", "_listing", "_verify_one", *(f"cmd_{c}" for c in cli.COMMANDS)],

@@ -5,13 +5,8 @@ import pytest
 from conftest import random_graph
 from corpus import bridge_graph, corpus
 from lattice import evaluate_cluster
-from relfact.cluster import (
-    ClusterPolynomial,
-    DisconnectedGraphError,
-    dq_at_zero,
-    factorized_dq,
-    partition_function,
-)
+from relfact.cluster import ClusterPolynomial, DisconnectedGraphError, dq_at_zero, partition_function
+from relfact.cut import factorized_dq
 from relfact.graphs import Edge, StochasticGraph
 from relfact.reliability import EnumerationBoundError
 from relfact.states import reliability_bruteforce

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import adjacency, random_graph, with_prob
 from corpus import bridge_graph, bridge_decomposition
 from lattice import endpoints, identify_nodes, is_k_pathset, is_loop
+from relfact.cut import CutDecomposition, union_graph
 from relfact.graphs import (
-    CutDecomposition,
     Edge,
     GraphError,
     Hypothesis1Error,
@@ -18,7 +18,6 @@ from relfact.graphs import (
     integer_form,
     is_k_connected,
     relevant_edges,
-    union_graph,
 )
 from relfact.partitions import Partition
 from relfact.reliability import reliability_factoring
@@ -80,6 +79,19 @@ class TestConstruction:
     def test_probability_range(self):
         with pytest.raises(GraphError):
             Edge(1, "a", "b", Fraction(3, 2))
+
+    def test_an_exact_fraction_is_kept_and_anything_else_converted(self):
+        class Exact(Fraction):
+            pass
+
+        p = Fraction(1, 3)
+        assert Edge(1, "a", "b", p).prob is p
+        for given in (0, 1, "1/3", "0.25", Exact(2, 3)):
+            prob = Edge(1, "a", "b", given).prob
+            assert prob.__class__ is Fraction and prob == Fraction(given)
+        for given in (2, -1, "4/3", Exact(-1, 2), Fraction(3, 2), Fraction(-1, 7)):
+            with pytest.raises(GraphError, match="outside"):
+                Edge(1, "a", "b", given)
 
 
 class TestContractDelete:

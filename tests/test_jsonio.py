@@ -1,14 +1,69 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import bridge_decomposition, bridge_graph, corpus, decomposition_to_obj, graph_to_obj
 from relfact import jsonio
 from relfact.graphs import GraphError
 
 
+# ASCII digits, then Arabic-Indic three, fullwidth nine and superscript two,
+# which str.isdigit accepts and int() does not
+DIGITS = "0123456789\u0663\uff19\u00b2"
+
+
+def digit_runs():
+    """A few digits and underscores, or 299..5000 of one digit after leading zeros."""
+    short = st.text(st.sampled_from(DIGITS + "_"), max_size=6)
+    long = st.builds(
+        lambda zeros, d, k: "0" * zeros + d * k, st.integers(0, 3), st.sampled_from(DIGITS), st.integers(299, 5000)
+    )
+    return short | long
+
+
+def read(parse, s):
+    """parse(s), or the text of the FormatError it raises."""
+    try:
+        return parse(s)
+    except jsonio.FormatError as exc:
+        return str(exc)
+
+
+def fraction_str_path(s):
+    """fraction_from_str without its int() path: the digit-limit check on
+    the decimal scale, then Fraction(s)."""
+    limit = sys.get_int_max_str_digits() or jsonio._DEFAULT_DIGIT_LIMIT
+    scale = abs(jsonio._decimal_scale(s))
+    if scale >= limit:
+        raise jsonio.FormatError(f"bad rational {s!r}: 10**{scale} exceeds the {limit}-digit integer limit")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise jsonio.FormatError(f"bad rational {s!r}: {exc}") from None
+
+
 class TestRationals:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pad=st.sampled_from(["", " ", "\t"]),
+        sign=st.sampled_from(["", "+", "-"]),
+        num=digit_runs(),
+        mid=st.sampled_from(["/", " / ", ".", "e", "e-", ""]),
+        den=digit_runs(),
+    )
+    @example(pad="", sign="", num="0003", mid="/", den="0")
+    @example(pad="", sign="", num="7" * 4301, mid="/", den="9" * 4301)
+    @example(pad="", sign="", num="1", mid="/", den="0" * 299 + "8" * 4300)
+    def test_the_int_path_reads_as_fraction_str(self, pad, sign, num, mid, den):
+        s = f"{pad}{sign}{num}{mid}{den}{pad}"
+        value = read(jsonio.fraction_from_str, s)
+        assert value == read(fraction_str_path, s)
+        assert value.__class__ in (Fraction, str)
+
     def test_to_str_reduced_sign_on_numerator(self):
         assert jsonio.fraction_to_str(Fraction(2, 4)) == "1/2"
         assert jsonio.fraction_to_str(Fraction(-1, 2)) == "-1/2"

@@ -22,23 +22,10 @@ from lattice import (
 )
 from relfact.cluster import DisconnectedGraphError, _conditioned_dq, dq_at_zero, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
-from relfact.graphs import (
-    CutDecomposition,
-    Edge,
-    GraphError,
-    Hypothesis2Error,
-    StochasticGraph,
-    UnionFind,
-    union_graph,
-)
+from relfact.cut import CutDecomposition, factorization_detail, n2_closed_form, union_graph
+from relfact.graphs import Edge, GraphError, Hypothesis2Error, StochasticGraph, UnionFind, integer_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
-from relfact.reliability import (
-    EnumerationBoundError,
-    conditioned_reliability,
-    factorization_detail,
-    n2_closed_form,
-    reliability_factoring,
-)
+from relfact.reliability import EnumerationBoundError, _factored, conditioned_reliability, reliability_factoring
 from relfact.states import joint_reliability, reliability_bruteforce, reliability_polynomial, state_distribution
 
 H = Fraction(1, 2)
@@ -627,6 +614,20 @@ class TestConditionedReliability:
                             Fraction(0),
                         )
                         assert conditioned_reliability(g, d.boundary, a) == expected
+
+    def test_a_form_solved_twice_gives_one_value_and_keeps_its_terminals(self):
+        # the kernel reduces copies: contractions and the pendant-terminal
+        # rule must not reach the form's own terminal set
+        d = bridge_decomposition()
+        for n in (2, 3):
+            for dc in (d, *corpus(47, n, 3)):
+                for g in (dc.g1, dc.g2):
+                    for a in all_partitions(dc.n):
+                        form = integer_form(g, dc.boundary, a)
+                        terminals = set(form[2])
+                        first = _factored(form)
+                        assert _factored(form) == first == conditioned_reliability(g, dc.boundary, a)
+                        assert form[2] == terminals
 
     # the side solves identify the boundary in the integer form they read;
     # lattice.identify_nodes builds the identified graph as a reference

@@ -79,6 +79,10 @@ def test_startup_report_lists_each_command_and_its_modules():
     assert modules["conmatrix --n 3"] == {
         "base", "cli", "jsonio", "partitions", "conmatrix", "linalg", "commands", "commands.conmatrix",
     }
+    # a command that reads a graph compiles no cut code and no partition lattice
+    for command in ("reliability --route factoring --input GRAPH", "polynomial --input GRAPH", "rcm --input GRAPH"):
+        assert {"graphs", "reliability"} <= modules[command]
+        assert not {"cut", "partitions"} & modules[command]
     header, *rows = standard.splitlines()
     assert header.split()[:3] == ["command", "standard", "modules"]
     assert len(rows) == 12

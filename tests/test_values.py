@@ -15,10 +15,10 @@ from corpus import bridge_decomposition, bridge_graph
 from lattice import Orbit, orbits
 from relfact.cluster import ClusterPolynomial, partition_function
 from relfact.conmatrix import ConnectivityBundle, invert_connectivity_matrix
-from relfact.graphs import CutDecomposition, Edge, StochasticGraph
+from relfact.cut import CutDecomposition, FactorizationResult, factorization_detail
+from relfact.graphs import Edge, StochasticGraph
 from relfact.linalg import InvariantFactors, diagonal_smith_form
 from relfact.partitions import CoherentOrder, Partition, coherent_order
-from relfact.reliability import FactorizationResult, factorization_detail
 from relfact.states import ReliabilityPolynomial, StateDistribution, reliability_polynomial, state_distribution
 
 
