@@ -3,13 +3,14 @@
 Z(q, G) collects state probabilities weighted by q raised to the number of
 connected components of the operative subgraph (isolated vertices count).
 Its linear coefficient in q is exactly the all-terminal reliability, which
-carries the cut factorization over to the q -> 0 derivative.  Z is summed
-by the frontier kernel of states, which counts a cluster each time a block
-leaves the frontier, as integer numerators per cluster count, divided by
-the common denominator once, at the end.  The derivative factors over a
-cut through cut.factorized_dq, whose side solver, _conditioned_dq, is
-here: it reads a side's integer form with the boundary identified, and a
-side that this disconnects, having no single-cluster state, contributes 0.
+carries the cut factorization over to the q -> 0 derivative.  Z is summed,
+behind the enumeration bound of states, by its frontier kernel, which
+counts a cluster each time a block leaves the frontier, as integer
+numerators per cluster count, divided by the common denominator once, at
+the end.  The derivative factors over a cut through cut.factorized_dq,
+whose side solver, _conditioned_dq, is here: it reads a side's integer
+form with the boundary identified, and a side that this disconnects,
+having no single-cluster state, contributes 0.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import TYPE_CHECKING
 
 from .base import Value
 from .graphs import StochasticGraph, components, integer_form
-from .reliability import _check_bound
-from .states import _frontier_walk
+from .states import _check_bound, _frontier_walk
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -65,8 +65,9 @@ def _cluster_polynomial(form: tuple, bound: int | None) -> ClusterPolynomial:
     index, edges, _, denom = form
     _check_bound(edges, bound)
     nodes = set(index.values())
-    weights = _frontier_walk(nodes, edges, None)
-    coeffs = {k: Fraction(w, denom) for k, w in weights.items()}
+    _, states = _frontier_walk(nodes, edges, None)
+    (weights,) = states.values()  # every vertex has left: the empty frontier
+    coeffs = {k: Fraction(w, denom) for k, w in sorted(weights.items())}
     return ClusterPolynomial(node_count=len(nodes), coeffs=coeffs)
 
 

@@ -7,7 +7,8 @@ reliability.reliability_factoring), so a function swapped on its module is
 the one they call.  The JSON reading and output every command shares, and
 the partition listings that factor and distribution print and the inverse
 matrices that factor and conmatrix print, are here.  A document is read
-with open(), so only verify, which walks a directory, imports pathlib.
+with open(), and verify walks a directory with os, so no command imports
+pathlib.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .. import cut, jsonio, reliability
 from ..cli import EXIT_FORMAT, EXIT_OK, EXIT_VERIFY
@@ -42,20 +42,22 @@ def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
 
 
 def run(args) -> int:
-    root = Path(args.input)
-    files = sorted(root.glob("*.json")) if root.is_dir() else [root]
+    root = args.input
+    if os.path.isdir(root):
+        files = [os.path.join(root, name) for name in sorted(os.listdir(root)) if name.endswith(".json")]
+    else:
+        files = [root]  # read as given: '' is no file, not the working directory
     if not files:
         print(f"no fixtures found under {root}", file=sys.stderr)
         return EXIT_FORMAT
     results = []
     all_ok = True
     for path in files:
-        d = jsonio.decomposition_from_obj(_load_json(str(path)))
+        d = jsonio.decomposition_from_obj(_load_json(path))
         ok, failures, value = _verify_one(d, args.bound, args.jobs)
         all_ok &= ok
-        results.append(
-            {"file": path.name, "ok": ok, "reliability": jsonio.fraction_to_str(value), "failures": failures}
-        )
+        name, text = os.path.basename(path), jsonio.fraction_to_str(value)
+        results.append({"file": name, "ok": ok, "reliability": text, "failures": failures})
     payload = {"ok": all_ok, "results": results}
     lines = []
     for r in results:

@@ -111,10 +111,10 @@ class UnionFind:
         return sum(1 for x in self.parent if self.parent[x] == x)
 
 
-def components(g: StochasticGraph, edges: Iterable[Edge] | None = None) -> UnionFind:
-    """The components of g's nodes joined by edges (every edge of g by default)."""
+def components(g: StochasticGraph) -> UnionFind:
+    """The components of g's nodes joined by every edge of g."""
     uf = UnionFind(g.nodes)
-    for e in g.edges if edges is None else edges:
+    for e in g.edges:
         uf.union(e.u, e.v)
     return uf
 

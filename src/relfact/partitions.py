@@ -86,15 +86,6 @@ class Partition(Value):
     def top(cls, n: int) -> "Partition":
         return cls((tuple(range(1, n + 1)),))
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Parse the "13|2" block syntax (single-digit elements)."""
-        try:
-            blocks = tuple(tuple(int(c) for c in part) for part in text.split("|"))
-        except ValueError:
-            raise ValueError(f"bad partition syntax: {text!r}") from None
-        return cls(blocks)
-
     def __str__(self) -> str:
         return "|".join("".join(str(x) for x in b) for b in self.blocks)
 

@@ -5,43 +5,27 @@ irrelevant-block pruning, on a whole graph (reliability_factoring) or on a
 cut side with its boundary identified through a partition
 (conditioned_reliability, the side solver of the cut routes in cut).  The
 routes that count edge states, the enumeration oracle among them, live in
-states and sit behind this module's enumeration bound (_check_bound).  All
-routes are exact and must agree bit for bit; the test suite leans on that
-equality everywhere.  Factoring, like the counting kernels, reads the
+states, with the enumeration bound that caps them; factoring has no bound.
+All routes are exact and must agree bit for bit; the test suite leans on
+that equality everywhere.  Factoring, like the counting kernels, reads the
 graph's integer form (graphs.integer_form) and builds one Fraction over the
 form's common denominator, at the end.
 
-Every command that reads a document loads this module, so it imports only
-graphs and base: the factoring route compiles no partition lattice, no
-connectivity matrix and no cut code.
+This module is the factoring kernel alone and imports only graphs: it
+compiles no partition lattice, no connectivity matrix, no counting kernel
+and no cut code, and the commands that only count states (polynomial and
+rcm) do not compile it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sized
+from typing import TYPE_CHECKING
 
-from .base import DEFAULT_ENUMERATION_BOUND
 from .graphs import StochasticGraph, integer_form, relevant_edges
 
 if TYPE_CHECKING:
     from .partitions import Partition
-
-
-class EnumerationBoundError(ValueError):
-    """Too many edges for state enumeration under the current bound."""
-
-
-def _check_bound(edges: Sized, bound: int | None) -> None:
-    """The enumeration bound of every state-counting route: more edges than
-    the bound (DEFAULT_ENUMERATION_BOUND when None) raise
-    EnumerationBoundError."""
-    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    if len(edges) > limit:
-        raise EnumerationBoundError(
-            f"{len(edges)} edges exceed the enumeration bound {limit}; "
-            "raise it with --bound or RELFACT_BOUND"
-        )
 
 
 class _Subproblem:

@@ -1,23 +1,21 @@
-"""Exact reliability by counting edge states: the enumeration oracle, the
-boundary-state distributions, and the counts on a frontier.
+"""Exact reliability by counting edge states, behind one enumeration bound.
 
-The two 2^m routes, reliability_bruteforce and state_distribution, stay
-the oracle: short accumulators over one bit-parallel kernel, _state_masks,
-which holds up to 2^16 edge states as the bits of one int and decides
-their connectivity at once by a reachability fixpoint, merging and pruning
-none.  joint_reliability sums the two sides' boundary-state distributions
+reliability_bruteforce, the 2^m oracle, is a short accumulator over a
+bit-parallel kernel, _state_masks, which holds up to 2^16 edge states as
+the bits of one int and decides their connectivity at once by a
+reachability fixpoint, merging and pruning none.  The other counts read
+one frontier kernel, _frontier_walk, which merges equal partial states
+(Carlier & Lucet 1996; Hardy, Lucet & Limnios 2007), so its work is
+O(m * states on the frontier) rather than 2^m: reliability_polynomial,
+cluster.partition_function, and state_distribution, whose final states are
+a side's boundary states.  joint_reliability sums two such distributions
 over the pairs of states that link the boundary, the quadratic route that
-precedes the factorization.  The counts, reliability_polynomial here and
-cluster.partition_function, are short accumulators over one frontier
-kernel, _frontier_walk, which merges equal partial states (Carlier & Lucet
-1996; Hardy, Lucet & Limnios 2007), so its work is O(m * states on the
-frontier) rather than 2^m.  Both kernels sit behind the enumeration bound
-of reliability._check_bound and read the graph's integer form
-(graphs.integer_form), over one common denominator; each route sums integer
-numerators and builds its Fractions once, at the end.  Only the commands
-that count states load this module; the factoring route (reliability) and
-the cut routes (cut) do not.  The boundary-state routes import partitions
-when they run, so the graph counts compile no partition lattice.
+precedes the factorization.  Every route checks _check_bound and reads the
+graph's integer form (graphs.integer_form), summing integer numerators
+over one common denominator into Fractions once, at the end.  This module
+imports graphs and base alone, and partitions when a boundary-state route
+runs, so the graph counts compile no factoring route, no cut route and no
+partition lattice.
 """
 
 from __future__ import annotations
@@ -27,16 +25,31 @@ from functools import reduce
 from itertools import product
 from math import comb, prod
 from operator import and_, mul
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sized
 
-from .base import Value
+from .base import DEFAULT_ENUMERATION_BOUND, Value
 from .graphs import StochasticGraph, integer_form
-from .reliability import _check_bound
 
 if TYPE_CHECKING:
     from .partitions import Partition
 
 _CHUNK = 16  # low edges: a mask over their states is one int of 2^16 bits
+
+
+class EnumerationBoundError(ValueError):
+    """Too many edges for state enumeration under the current bound."""
+
+
+def _check_bound(edges: Sized, bound: int | None) -> None:
+    """The enumeration bound of every state-counting route: more edges than
+    the bound (DEFAULT_ENUMERATION_BOUND when None) raise
+    EnumerationBoundError."""
+    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
+    if len(edges) > limit:
+        raise EnumerationBoundError(
+            f"{len(edges)} edges exceed the enumeration bound {limit}; "
+            "raise it with --bound or RELFACT_BOUND"
+        )
 
 
 def _products(edges: list[tuple]) -> list[int]:
@@ -48,8 +61,9 @@ def _products(edges: list[tuple]) -> list[int]:
 
 
 def _state_masks(edges: list[tuple]):
-    """The bit-parallel kernel behind the 2^m oracle routes: the states of
-    an integer form's edges (graphs.integer_form) as masks, (full, mass, states).
+    """The bit-parallel kernel of the 2^m oracle, reliability_bruteforce: the
+    states of an integer form's edges (graphs.integer_form) as masks,
+    (full, mass, states).
 
     A state's probability is its integer weight, the product of up for
     each working edge and down for each failed one, over the form's D.  The
@@ -131,18 +145,22 @@ def reliability_bruteforce(g: StochasticGraph, bound: int | None = None) -> Frac
     return Fraction(total, denom)
 
 
-def _frontier_plan(nodes: Iterable[int], edges: list[tuple], terminals: set[int]) -> list[tuple]:
+def _frontier_plan(
+    nodes: Iterable[int], edges: list[tuple], terminals: set[int], stay: set[int]
+) -> tuple[list[tuple], list[int]]:
     """The fixed schedule of the frontier kernel over an integer form's node
-    numbers and edges (graphs.integer_form), one operation per entry.
+    numbers and edges (graphs.integer_form), one operation per entry, and
+    the node numbers of the frontier it ends with.
 
     Vertices enter in BFS order: each search starts at the least unvisited
     node number and visits neighbours in number order, which is name order.
     After a vertex enters, the edges whose later endpoint it is follow,
     sorted by earlier endpoint and then edge id; then every frontier vertex
-    whose last edge that was leaves.  Operations are ("enter", is
-    terminal), ("edge", i, j, up, down) and ("leave", i), with i and j
-    indices into the frontier, which is the same for every state at a
-    given point of the schedule.
+    whose last edge that was leaves.  The vertices in stay never leave, as
+    their last step is past the end, so the frontier ends with them, in the
+    order they entered.  Operations are ("enter", is terminal), ("edge", i,
+    j, up, down) and ("leave", i), with i and j indices into the frontier,
+    which is the same for every state at a given point of the schedule.
     """
     adj: dict[int, set[int]] = {v: set() for v in nodes}
     for _, u, v, _, _ in edges:
@@ -162,7 +180,7 @@ def _frontier_plan(nodes: Iterable[int], edges: list[tuple], terminals: set[int]
                     order.append(y)
             k += 1
     later: list[list] = [[] for _ in order]
-    last = list(range(len(order)))
+    last = [len(order) if v in stay else s for s, v in enumerate(order)]
     for eid, u, v, up, down in edges:
         i, j = sorted((pos[u], pos[v]))
         later[j].append((i, eid, up, down))
@@ -177,7 +195,7 @@ def _frontier_plan(nodes: Iterable[int], edges: list[tuple], terminals: set[int]
         for u in [u for u in frontier if last[u] == s]:
             plan.append(("leave", frontier.index(u)))
             frontier.remove(u)
-    return plan
+    return plan, [order[s] for s in frontier]
 
 
 def _relabel(labels: tuple, marks: tuple) -> tuple[tuple, tuple]:
@@ -198,9 +216,12 @@ def _add(acc: dict, state, counts: dict[int, int], factor: int, shift: int) -> N
         out[k + shift] = out.get(k + shift, 0) + w * factor
 
 
-def _frontier_walk(nodes: Iterable[int], edges: list[tuple], terminals: set[int] | None) -> dict[int, int]:
-    """The frontier kernel behind the polynomial and cluster counts, over an
-    integer form's node numbers and edges; its callers check the bound.
+def _frontier_walk(
+    nodes: Iterable[int], edges: list[tuple], terminals: set[int] | None, stay: set[int] = frozenset()
+) -> tuple[list[int], dict]:
+    """The frontier kernel behind the polynomial, the cluster counts and the
+    boundary distributions, over an integer form's node numbers and edges;
+    its callers check the bound.
 
     Runs _frontier_plan's schedule over states of the frontier: the
     component labels of its vertices as a restricted-growth tuple, and one
@@ -217,14 +238,18 @@ def _frontier_walk(nodes: Iterable[int], edges: list[tuple], terminals: set[int]
     marked) and the state becomes the linked state, which absorbs every
     later edge, or some terminal is cut off and the state dies.  With
     terminals None, the key is the number of closed clusters, and every
-    state counts.  Returns the summed weights by key, in key order.
+    state counts.  Returns the final frontier (_frontier_plan) and states
+    with their weights by key: with stay empty, at most one state, the
+    linked state or the empty frontier; with stay a side's boundary and
+    terminals None, one per boundary partition the side induces.
     """
     counting_edges = terminals is not None
     total = len(terminals) if counting_edges else 0
     seen = 0
     # the state None is the linked state: its frontier no longer matters
     states: dict = {((), ()): {0: 1}}
-    for op in _frontier_plan(nodes, edges, terminals or set()):
+    plan, frontier = _frontier_plan(nodes, edges, terminals or set(), stay)
+    for op in plan:
         nxt: dict = {}
         if op[0] == "enter":
             mark = op[1]
@@ -264,10 +289,7 @@ def _frontier_walk(nodes: Iterable[int], edges: list[tuple], terminals: set[int]
                         state = _relabel(rest, marks)
                 _add(nxt, state, counts, 1, int(closes and not counting_edges))
         states = nxt
-    # every vertex has left, so at most one state remains: the linked state,
-    # or with no terminal to mark, the empty frontier
-    counts = next(iter(states.values()), {})
-    return dict(sorted(counts.items()))
+    return frontier, states
 
 
 class ReliabilityPolynomial(Value):
@@ -304,7 +326,8 @@ def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> Reli
     states with a p = 0 or p = 1 edge are counted like any other."""
     _check_bound(g.edges, bound)
     index, edges, terminals, _ = integer_form(g)
-    counts = _frontier_walk(index.values(), [(eid, u, v, 1, 1) for eid, u, v, _, _ in edges], terminals)
+    _, states = _frontier_walk(index.values(), [(eid, u, v, 1, 1) for eid, u, v, _, _ in edges], terminals)
+    counts = next(iter(states.values()), {})  # the linked state, if any
     return ReliabilityPolynomial(tuple(counts.get(i, 0) for i in range(len(g.edges) + 1)))
 
 
@@ -330,7 +353,9 @@ def state_distribution(
     g: StochasticGraph, boundary: list[str] | tuple[str, ...], bound: int | None = None
 ) -> StateDistribution:
     """Distribution over boundary partitions: labels i and j share a block
-    exactly when the operative edges join boundary[i-1] to boundary[j-1]."""
+    exactly when the operative edges join boundary[i-1] to boundary[j-1].
+    The boundary stays on the frontier to the end, and each final state's
+    labels at its positions name its partition."""
     from .partitions import Partition
 
     boundary = tuple(boundary)
@@ -339,29 +364,15 @@ def state_distribution(
             raise ValueError(f"boundary node {b!r} not in graph")
     _check_bound(g.edges, bound)
     index, edges, _, denom = integer_form(g)
-    full, mass, states = _state_masks(edges)
     bix = [index[b] for b in boundary]
-    acc: dict[tuple[int, ...], int] = {}
-    for weight, ops in states:
-        # the last boundary node opens no block that a later one could join
-        reach = [_linked_masks(ops, b, full) for b in bix[:-1]]
-        split = [((), full)]
-        for b in bix:
-            nxt = []
-            for labels, mask in split:
-                # b joins the block of the first earlier node it reaches, or opens one
-                firsts = [labels.index(c) for c in range(len(set(labels)))]
-                for c, f in enumerate(firsts):
-                    sub = mask & reach[f].get(b, 0)
-                    if sub:
-                        nxt.append((labels + (c,), sub))
-                        mask ^= sub
-                if mask:
-                    nxt.append((labels + (len(firsts),), mask))
-            split = nxt
-        for labels, mask in split:
-            acc[labels] = acc.get(labels, 0) + weight * mass(mask)
-    probs = {Partition.from_labels(key): Fraction(w, denom) for key, w in acc.items()}
+    frontier, states = _frontier_walk(index.values(), edges, None, set(bix))
+    at = [frontier.index(b) for b in bix]
+    acc: dict[Partition, int] = {}
+    for (labels, _), counts in states.items():
+        # a node listed twice reads one label at both of its positions
+        key = Partition.from_labels([labels[i] for i in at])
+        acc[key] = acc.get(key, 0) + sum(counts.values())
+    probs = {key: Fraction(w, denom) for key, w in acc.items()}
     return StateDistribution(boundary=boundary, probs=probs)
 
 

@@ -1,12 +1,12 @@
 """The partition-lattice and graph helpers that only the tests and scripts
-call, a test reference: Bell numbers, meet and the refinement order, the
-relabeling action of permutations with its orbits, the pathset test of one
-edge state, the diagonal factor C of a connectivity bundle and the
-determinant of the connectivity matrix, a graph with its boundary nodes
-identified through a partition, the identified complete graphs with the
-leading term of their polynomials, the values of the reliability and
-cluster polynomials at a point, one state's probability, and an edge's
-endpoints and loop test.
+call, a test reference: Bell numbers, the "13|2" partition syntax, meet and
+the refinement order, the relabeling action of permutations with its
+orbits, the pathset test of one edge state, the diagonal factor C of a
+connectivity bundle and the determinant of the connectivity matrix, a
+graph with its boundary nodes identified through a partition, the
+identified complete graphs with the leading term of their polynomials, the
+values of the reliability and cluster polynomials at a point, one state's
+probability, and an edge's endpoints and loop test.
 
 The package reaches none of them: a coherent order sorts the partitions by
 block sizes directly, the factorizations read alpha in closed form, a side
@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from relfact.base import Value
 from relfact.cluster import ClusterPolynomial
 from relfact.conmatrix import ConnectivityBundle, _mu
-from relfact.graphs import Edge, GraphError, StochasticGraph, UnionFind, components
+from relfact.graphs import Edge, GraphError, StochasticGraph, UnionFind
 from relfact.partitions import Partition, _require_same_ground, all_partitions
 from relfact.states import ReliabilityPolynomial, StateDistribution
 
@@ -43,6 +43,15 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse the "13|2" block syntax (single-digit elements)."""
+    try:
+        blocks = tuple(tuple(int(c) for c in part) for part in text.split("|"))
+    except ValueError:
+        raise ValueError(f"bad partition syntax: {text!r}") from None
+    return Partition(blocks)
 
 
 def meet(a: Partition, b: Partition) -> Partition:
@@ -110,7 +119,10 @@ def is_k_pathset(g: StochasticGraph, state: Mapping[int, int]) -> bool:
         raise GraphError("state domain must equal the graph's edge-id set")
     if len(g.terminals) <= 1:
         return True
-    uf = components(g, (e for e in g.edges if state[e.id]))
+    uf = UnionFind(g.nodes)
+    for e in g.edges:
+        if state[e.id]:
+            uf.union(e.u, e.v)
     root = None
     for t in g.terminals:
         r = uf.find(t)

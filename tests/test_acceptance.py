@@ -18,13 +18,13 @@ import reference_matrices as ref
 from conftest import dense_inverse_form
 from corpus import bridge_decomposition, corpus, decomposition_to_obj
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
-from lattice import connectivity_matrix_det, diagonal_factor, gamma_graph, leading_term, orbits
+from lattice import connectivity_matrix_det, diagonal_factor, gamma_graph, leading_term, orbits, parse_partition
 from relfact import jsonio
 from relfact.cluster import dq_at_zero, partition_function
 from relfact.conmatrix import connectivity_matrix, connectivity_number, invert_connectivity_matrix
 from relfact.cut import CutDecomposition, factorization_detail, factorized_dq, n2_closed_form
 from relfact.linalg import abelian_signature, diagonal_smith_form
-from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order
+from relfact.partitions import ORDER_VARIANTS, all_partitions, coherent_order
 from relfact.reliability import reliability_factoring
 from relfact.states import joint_reliability, reliability_bruteforce, reliability_polynomial, state_distribution
 
@@ -88,8 +88,8 @@ def route_run(accept_corpus):
 def _compare_by_labels(got, order, labels, expected, scale=1):
     for i, ri in enumerate(labels):
         for j, rj in enumerate(labels):
-            gi = order.position(Partition.parse(ri))
-            gj = order.position(Partition.parse(rj))
+            gi = order.position(parse_partition(ri))
+            gj = order.position(parse_partition(rj))
             assert got[gi][gj] == Fraction(expected[i][j], scale), (ri, rj)
 
 
@@ -106,7 +106,7 @@ def test_criterion_1_reference_matrix_fixtures():
     _compare_by_labels(b3.D, b3.order, ref.N3_ORDER, ref.N3_D)
     c3 = diagonal_factor(b3)
     for j, label in enumerate(ref.N3_ORDER):
-        k = b3.order.position(Partition.parse(label))
+        k = b3.order.position(parse_partition(label))
         assert c3[k][k] == ref.N3_C_DIAG[j]
 
     b4 = invert_connectivity_matrix(coherent_order(4))

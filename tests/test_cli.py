@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import relfact
 from corpus import bridge_decomposition, bridge_graph, corpus, decomposition_to_obj, graph_to_obj
-from relfact import base, cli, conmatrix, jsonio
+from relfact import base, cli, conmatrix, jsonio, states
 from relfact.graphs import Edge, StochasticGraph
 
 
@@ -581,25 +581,47 @@ class TestVerifyCommand:
         empty.mkdir()
         assert run_cli("verify", "--input", str(empty)).returncode == 2
 
+    def test_an_empty_input_is_no_file_not_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        # '' names no file for verify as for every other command, though
+        # the working directory holds a fixture that verifies
+        write_decomposition(tmp_path / "bridge.json", bridge_decomposition())
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--input", "."]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "input error: cannot read : [Errno 2] No such file or directory: ''" in err
+
+    def test_a_directory_is_read_in_name_order_and_only_its_json_files(self, tmp_path, capsys):
+        for name in ("b.json", "a.json", ".hidden.json"):
+            write_decomposition(tmp_path / name, bridge_decomposition())
+        (tmp_path / "c.json.bak").write_text("not read")
+        (tmp_path / "d.JSON").write_text("not read")
+        assert cli.main(["verify", "--input", str(tmp_path), "--output", "json"]) == 0
+        files = [r["file"] for r in json.loads(capsys.readouterr().out)["results"]]
+        assert files == [".hidden.json", "a.json", "b.json"]
+
 
 # The package modules each route loads, beyond the ones every command
 # loads: the command line and the value base.  Each command also loads its
 # own module of relfact.commands and no other; every command that reads a
-# document loads the wire format, the graphs and the factoring route, one
-# that reads a decomposition also the cut routes, and conmatrix, which
-# reads none, loads the wire format alone.  A command that reads a graph
-# loads no partition lattice.  GRAPH is the union of DOC; DOC has a
-# two-node boundary that holds every terminal, so every route of factor
-# takes it.
+# document loads the wire format and the graphs, one that reads a
+# decomposition also the cut routes and the factoring route they solve
+# sides with, and conmatrix, which reads none, loads the wire format alone.
+# A command that reads a graph loads no partition lattice, and one that
+# only counts its states (polynomial, rcm) no factoring route.  GRAPH is
+# the union of DOC; DOC has a two-node boundary that holds every terminal,
+# so every route of factor takes it.
 EVERY_COMMAND = {"cli", "base"}
-GRAPH_COMMAND = {"jsonio", "graphs", "reliability"}
-CUT_COMMAND = {*GRAPH_COMMAND, "cut", "partitions"}
+GRAPH_COMMAND = {"jsonio", "graphs"}
+CUT_COMMAND = {*GRAPH_COMMAND, "reliability", "cut", "partitions"}
 ROUTE_MODULES = {
     ("--help",): set(),
     ("reliability", "--route", "factoring", "--input", "GRAPH"): {
-        "commands", "commands.reliability", *GRAPH_COMMAND},
+        "commands", "commands.reliability", *GRAPH_COMMAND, "reliability"},
     ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {
-        "commands", "commands.reliability", *GRAPH_COMMAND, "states"},
+        "commands", "commands.reliability", *GRAPH_COMMAND, "reliability", "states"},
     ("polynomial", "--input", "GRAPH"): {"commands", "commands.polynomial", *GRAPH_COMMAND, "states"},
     ("rcm", "--input", "GRAPH"): {"commands", "commands.rcm", *GRAPH_COMMAND, "states", "cluster"},
     ("factor", "--route", "n2", "--input", "DOC"): {"commands", "commands.factor", *CUT_COMMAND},
@@ -679,16 +701,19 @@ class TestStartup:
     def test_a_graph_command_imports_no_pathlib_without_site(self, tmp_path):
         # site may load pathlib before the program does; under -S only the
         # program's own imports show.  A document is read with open(), and
-        # only verify walks a directory with pathlib (and its urllib.parse)
-        argv = ["reliability", "--input", write_graph(tmp_path / "bridge.json", bridge_graph())]
+        # verify walks a directory with os, so pathlib (and its
+        # urllib.parse) never loads
+        graph = write_graph(tmp_path / "bridge.json", bridge_graph())
+        doc = write_decomposition(tmp_path / "doc.json", bridge_decomposition())
         env = dict(os.environ, PYTHONPATH=str(Path(relfact.__file__).resolve().parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-S", "-v", "-m", "relfact", *argv], capture_output=True, text=True, env=env
-        )
-        imported = re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)
-        assert "relfact.commands.reliability" in imported
-        assert [m for m in ("pathlib", "urllib.parse") if m in imported] == []
-        assert (proc.returncode, proc.stdout) == in_process(argv)
+        for argv in (["reliability", "--input", graph], ["verify", "--input", doc]):
+            proc = subprocess.run(
+                [sys.executable, "-S", "-v", "-m", "relfact", *argv], capture_output=True, text=True, env=env
+            )
+            imported = re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE)
+            assert f"relfact.commands.{argv[0]}" in imported
+            assert [m for m in ("pathlib", "urllib.parse") if m in imported] == []
+            assert (proc.returncode, proc.stdout) == in_process(argv)
 
     def test_the_package_resolves_every_name_from_its_module(self):
         for module, names in relfact._EXPORTS.items():
@@ -699,7 +724,7 @@ class TestStartup:
 
     def test_moved_names_keep_their_identity(self):
         assert jsonio.FormatError is base.FormatError
-        assert relfact.reliability.DEFAULT_ENUMERATION_BOUND == base.DEFAULT_ENUMERATION_BOUND == 24
+        assert states.DEFAULT_ENUMERATION_BOUND == base.DEFAULT_ENUMERATION_BOUND == 24
 
     def test_the_package_ships_only_what_the_cli_reaches(self):
         # every module file is loaded by some command, and the helpers that
@@ -714,7 +739,8 @@ class TestStartup:
             relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
             relfact.graphs: ["is_k_pathset", "identify_nodes", "CutDecomposition", "union_graph"],
             relfact.reliability: ["gamma_graph", "ordered_parallel_map", "FactorizationResult", "_side_task",
-                                  "_cut_factorization", "factorization_detail", "n2_closed_form"],
+                                  "_cut_factorization", "factorization_detail", "n2_closed_form",
+                                  "EnumerationBoundError", "_check_bound", "DEFAULT_ENUMERATION_BOUND"],
             relfact.cluster: ["factorized_dq"],
             relfact.conmatrix: ["connectivity_matrix_det"],
             jsonio: ["graph_to_obj", "decomposition_to_obj", "conmatrix_to_obj"],
@@ -724,6 +750,7 @@ class TestStartup:
             relfact.ClusterPolynomial: ["evaluate"],
             relfact.StateDistribution: ["prob"],
             relfact.Edge: ["endpoints", "is_loop"],
+            relfact.Partition: ["parse"],
             relfact.InvariantFactors: ["determinant_magnitude"],
         }
         assert [(owner, n) for owner, names in moved.items() for n in names if hasattr(owner, n)] == []

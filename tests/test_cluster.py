@@ -8,8 +8,7 @@ from lattice import evaluate_cluster
 from relfact.cluster import ClusterPolynomial, DisconnectedGraphError, dq_at_zero, partition_function
 from relfact.cut import factorized_dq
 from relfact.graphs import Edge, StochasticGraph
-from relfact.reliability import EnumerationBoundError
-from relfact.states import reliability_bruteforce
+from relfact.states import EnumerationBoundError, reliability_bruteforce
 
 H = Fraction(1, 2)
 

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 import reference_matrices as ref
 from conftest import dense_inverse_form, mat_mul
 from elimination import fraction_free_determinant, rational_inverse_oracle, smith_normal_form
-from lattice import bell_number, conjugate, connectivity_matrix_det, diagonal_factor, meet, orbits, refines
+from lattice import (
+    bell_number,
+    conjugate,
+    connectivity_matrix_det,
+    diagonal_factor,
+    meet,
+    orbits,
+    parse_partition,
+    refines,
+)
 from relfact import cli, conmatrix
 from relfact.conmatrix import (
     connectivity_matrix,
@@ -29,7 +38,7 @@ from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, cohere
 
 
 def P(text):
-    return Partition.parse(text)
+    return parse_partition(text)
 
 
 def lookup(order, label):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import adjacency, random_graph, with_prob
 from corpus import bridge_graph, bridge_decomposition
-from lattice import endpoints, identify_nodes, is_k_pathset, is_loop
+from lattice import endpoints, identify_nodes, is_k_pathset, is_loop, parse_partition
 from relfact.cut import CutDecomposition, union_graph
 from relfact.graphs import (
     Edge,
@@ -206,7 +206,7 @@ class TestIdentifyNodes:
     def test_repeated_boundary_node_merges_transitively(self):
         # 12|34 over (a, b, a, c) joins a to b and a to c: one node
         g = graph([(1, "a", "x"), (2, "x", "b"), (3, "c", "x")], {"a", "b", "c"})
-        out = identify_nodes(g, ("a", "b", "a", "c"), Partition.parse("12|34"))
+        out = identify_nodes(g, ("a", "b", "a", "c"), parse_partition("12|34"))
         assert out.nodes == {"a", "x"}
         assert out.terminals == {"a"}
 
@@ -219,7 +219,7 @@ class TestIdentifyNodes:
 
     def test_triangle_identification(self):
         g = graph([(1, "1", "2"), (2, "1", "3"), (3, "2", "3")], {"1", "2", "3"})
-        out = identify_nodes(g, ("1", "2", "3"), Partition.parse("12|3"))
+        out = identify_nodes(g, ("1", "2", "3"), parse_partition("12|3"))
         assert len(out.nodes) == 2
         assert len(out.edges) == 3
         loops = [e for e in out.edges if is_loop(e)]
@@ -240,7 +240,7 @@ class TestIdentifyNodes:
         assert edges == [(1, 0, 3, 1, 1), (2, 1, 3, 1, 1), (3, 2, 3, 1, 1)]
         assert (terminals, denom) == ({0, 1, 2}, 8)
         # 12|34 over (a, b, a, c) joins a to b and a to c: one number
-        index, edges, terminals, denom = integer_form(g, ("a", "b", "a", "c"), Partition.parse("12|34"))
+        index, edges, terminals, denom = integer_form(g, ("a", "b", "a", "c"), parse_partition("12|34"))
         assert len({index["a"], index["b"], index["c"]}) == 1
         assert index["x"] == 3
         assert ({u for _, u, _, _, _ in edges}, terminals, denom) == ({index["a"]}, {index["a"]}, 8)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice import bell_number, conjugate, meet, orbits, refines
+from lattice import bell_number, conjugate, meet, orbits, parse_partition, refines
 from relfact.partitions import Partition, all_partitions, coherent_order, is_connected_pair, join
 
 
 def P(text):
-    return Partition.parse(text)
+    return parse_partition(text)
 
 
 def union_find_join(a, b):

@@ -18,6 +18,7 @@ from lattice import (
     is_k_pathset,
     is_loop,
     leading_term,
+    parse_partition,
     state_prob,
 )
 from relfact.cluster import DisconnectedGraphError, _conditioned_dq, dq_at_zero, partition_function
@@ -25,8 +26,14 @@ from relfact.conmatrix import invert_connectivity_matrix
 from relfact.cut import CutDecomposition, factorization_detail, n2_closed_form, union_graph
 from relfact.graphs import Edge, GraphError, Hypothesis2Error, StochasticGraph, UnionFind, integer_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
-from relfact.reliability import EnumerationBoundError, _factored, conditioned_reliability, reliability_factoring
-from relfact.states import joint_reliability, reliability_bruteforce, reliability_polynomial, state_distribution
+from relfact.reliability import _factored, conditioned_reliability, reliability_factoring
+from relfact.states import (
+    EnumerationBoundError,
+    joint_reliability,
+    reliability_bruteforce,
+    reliability_polynomial,
+    state_distribution,
+)
 
 H = Fraction(1, 2)
 
@@ -244,6 +251,18 @@ def enumeration_graphs(draw, min_edges=0, max_edges=10, max_terminals=3, max_nod
     return StochasticGraph(frozenset(nodes), edges, frozenset(terminals)), boundary
 
 
+@st.composite
+def odd_boundaries(draw):
+    """A case of enumeration_graphs whose boundary also lists, at drawn
+    positions, one of its nodes a second time and a node no edge meets."""
+    g, boundary = draw(enumeration_graphs(max_edges=12, max_boundary=4))
+    lone = draw(st.sampled_from(["a", "z"]))  # numbered first or last
+    g = StochasticGraph(g.nodes | {lone}, g.edges, g.terminals)
+    for extra in (draw(st.sampled_from(boundary)), lone):
+        boundary.insert(draw(st.integers(0, len(boundary))), extra)
+    return g, boundary
+
+
 def edge_states(g):
     """Every edge state of g as (state, probability, operative edge count,
     union-find of the operative edges), one mask at a time."""
@@ -337,14 +356,20 @@ def equal_probability(g, p, terminals=None):
 ORACLE_GRAPHS = enumeration_graphs(min_edges=11, max_edges=14, max_terminals=4)
 
 
+def grid(rows, cols, terminals, probs=None):
+    """The rows x cols grid, node "ij" in row i and column j, edges at the
+    probabilities probs draws (1/2 by default): rows first, then columns."""
+    name = "{}{}".format
+    ends = [(name(i, j), name(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    ends += [(name(i, j), name(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    nodes = frozenset(name(i, j) for i in range(rows) for j in range(cols))
+    edges = tuple(Edge(k + 1, u, v, probs() if probs else H) for k, (u, v) in enumerate(ends))
+    return StochasticGraph(nodes, edges, frozenset(terminals))
+
+
 def grid_4x4():
     """The 4x4 grid at p = 1/2 (24 edges), terminals at two corners."""
-    name = "{}{}".format
-    ends = [(name(i, j), name(i, j + 1)) for i in range(4) for j in range(3)]
-    ends += [(name(i, j), name(i + 1, j)) for i in range(3) for j in range(4)]
-    nodes = frozenset(name(i, j) for i in range(4) for j in range(4))
-    edges = tuple(Edge(k + 1, u, v, H) for k, (u, v) in enumerate(ends))
-    return StochasticGraph(nodes, edges, frozenset({"00", "33"}))
+    return grid(4, 4, {"00", "33"})
 
 
 def k7_with_parallels():
@@ -403,9 +428,9 @@ class TestFrontierKernel:
 
 
 class TestBitParallelOracle:
-    """The bit-parallel enumeration routes against the state walk of
-    conftest, past the per-mask reference of TestEnumerationRoutes and at
-    the default bound."""
+    """The bit-parallel oracle, and the boundary distributions of the
+    frontier kernel, against the state walk of conftest, past the per-mask
+    reference of TestEnumerationRoutes and at the default bound."""
 
     @staticmethod
     def check_against_walk(g, boundary):
@@ -417,7 +442,7 @@ class TestBitParallelOracle:
     @given(case=enumeration_graphs(11, 16, max_terminals=7, max_nodes=8, max_boundary=5))
     def test_routes_match_the_walk(self, case):
         self.check_against_walk(*case)
-        # a chunk of 3 edges leaves the others to the one-state-at-a-time loop
+        # a chunk of 3 edges leaves the others to the oracle's one-state-at-a-time loop
         with mock.patch("relfact.states._CHUNK", 3):
             self.check_against_walk(*case)
 
@@ -506,7 +531,7 @@ class TestGammaGraph:
         assert len(g3.edges) == 3 and len(g3.nodes) == 3
 
     def test_identified_shape(self):
-        g = gamma_graph(4, Partition.parse("12|3|4"))
+        g = gamma_graph(4, parse_partition("12|3|4"))
         assert len(g.nodes) == 3
         assert len(g.edges) == 6
         assert sum(1 for e in g.edges if is_loop(e)) == 1
@@ -553,6 +578,14 @@ class TestStateDistribution:
         g = bridge_graph()
         with pytest.raises(ValueError):
             state_distribution(g, ("u", "zz"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=odd_boundaries())
+    def test_a_boundary_that_repeats_a_node_and_holds_an_edgeless_one(self, case):
+        # the frontier holds a node once, however often the boundary lists
+        # it, and keeps a node that no edge meets to the end
+        g, boundary = case
+        assert state_distribution(g, boundary).probs == walk_routes(g, boundary)[1]
 
 
 class TestJointRoute:
@@ -614,6 +647,20 @@ class TestConditionedReliability:
                             Fraction(0),
                         )
                         assert conditioned_reliability(g, d.boundary, a) == expected
+
+    def test_lemma_sum_on_a_22_edge_grid_side(self):
+        # past the 2^16 states of the oracle's mask chunk: a 3x5 grid side
+        # cut at its last column, which holds every terminal, the bound lifted
+        rng = random.Random(35)
+        boundary = ("04", "14", "24")
+        g = grid(3, 5, boundary, lambda: random_probability(rng))
+        assert len(g.edges) == 22
+        dist = state_distribution(g, boundary, bound=22)
+        for a in all_partitions(3):
+            expected = sum(
+                (state_prob(dist, b) for b in all_partitions(3) if join(a, b).block_count == 1), Fraction(0)
+            )
+            assert conditioned_reliability(g, boundary, a) == expected
 
     def test_a_form_solved_twice_gives_one_value_and_keeps_its_terminals(self):
         # the kernel reduces copies: contractions and the pendant-terminal

@@ -79,10 +79,14 @@ def test_startup_report_lists_each_command_and_its_modules():
     assert modules["conmatrix --n 3"] == {
         "base", "cli", "jsonio", "partitions", "conmatrix", "linalg", "commands", "commands.conmatrix",
     }
-    # a command that reads a graph compiles no cut code and no partition lattice
-    for command in ("reliability --route factoring --input GRAPH", "polynomial --input GRAPH", "rcm --input GRAPH"):
-        assert {"graphs", "reliability"} <= modules[command]
-        assert not {"cut", "partitions"} & modules[command]
+    # a command that reads a graph compiles no cut code and no partition
+    # lattice, and one that only counts its states no factoring kernel
+    factoring = modules["reliability --route factoring --input GRAPH"]
+    assert {"graphs", "reliability"} <= factoring
+    assert not {"cut", "partitions"} & factoring
+    for command in ("polynomial --input GRAPH", "rcm --input GRAPH"):
+        assert {"graphs", "states"} <= modules[command]
+        assert not {"reliability", "cut", "partitions"} & modules[command]
     header, *rows = standard.splitlines()
     assert header.split()[:3] == ["command", "standard", "modules"]
     assert len(rows) == 12

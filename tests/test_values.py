@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import bridge_decomposition, bridge_graph
-from lattice import Orbit, orbits
+from lattice import Orbit, orbits, parse_partition
 from relfact.cluster import ClusterPolynomial, partition_function
 from relfact.conmatrix import ConnectivityBundle, invert_connectivity_matrix
 from relfact.cut import CutDecomposition, FactorizationResult, factorization_detail
@@ -107,7 +107,7 @@ class TestHashValues:
     over these values do not depend on how the type is written."""
 
     def test_partition(self):
-        p = Partition.parse("13|2")
+        p = parse_partition("13|2")
         assert hash(p) == hash(((0, 1, 0),))
 
     def test_edge(self):
