@@ -15,7 +15,10 @@ bytecode in the prefix, and the package's entries are then deleted.
 Prints, per command, the median and quartiles of the share in ms, the
 median -X importtime total of the package (the cumulative times of the
 imports made from the package's own onward, the standard modules it pulls
-in included) over as many more spawns, and the package modules it loads.
+in included) over as many more spawns, the summed size in KiB of the
+package's source files it loads (its __init__ and __main__ included), a
+count that repeats exactly where the times scatter, and the package
+modules it loads.
 A second table lists, per command, the standard modules `python -v`
 reports imported after the package, so that a heavy import (argparse,
 say) that comes back shows up by name.
@@ -84,6 +87,16 @@ def loaded_modules(stderr: str) -> tuple[list[str], list[str]]:
     return [m for m in after if m.startswith("relfact.")], [m for m in after if m.split(".")[0] != "relfact"]
 
 
+def source_kb(modules: list[str]) -> float:
+    """Summed size in KiB of the source files of the package modules, with
+    the package's __init__ and __main__, which every `-m relfact` runs."""
+    total = 0
+    for name in ["relfact", "relfact.__main__", *modules]:
+        path = SRC.joinpath(*name.split("."))
+        total += (path / "__init__.py" if path.is_dir() else path.with_suffix(".py")).stat().st_size
+    return total / 1024
+
+
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -132,7 +145,7 @@ def main() -> int:
 
         q1, med, q3 = quartiles(floors)
         print(f"floor `python -c pass`: {1000 * med:.1f} ms [{1000 * q1:.1f}, {1000 * q3:.1f}], {len(floors)} spawns")
-        print(f"{'command':<48} {'share_ms':>8} {'q1':>6} {'q3':>6} {'import_ms':>9}  modules")
+        print(f"{'command':<48} {'share_ms':>8} {'q1':>6} {'q3':>6} {'import_ms':>9} {'source_kb':>9}  modules")
         standard = []
         for (name, _), (argv, code), xs, ys in zip(COMMANDS, commands, shares, imports):
             _, verbose = spawn(["-m", "relfact", *argv], env, *cache, "-v", code=code)
@@ -142,7 +155,7 @@ def main() -> int:
             q1, med, q3 = quartiles(xs)
             print(
                 f"{' '.join(name):<48} {1000 * med:>8.1f} {1000 * q1:>6.1f} {1000 * q3:>6.1f} "
-                f"{statistics.median(ys):>9.1f}  {modules}"
+                f"{statistics.median(ys):>9.1f} {source_kb(package):>9.1f}  {modules}"
             )
         print()
         print(f"{'command':<48} standard modules loaded after the package, in import order")

@@ -16,12 +16,13 @@ _EXPORTS = {
     "conmatrix": "ConnectivityBundle connectivity_matrix connectivity_number inverse_form "
     "invert_connectivity_matrix pi_vector",
     "cut": "CutDecomposition FactorizationResult factorization_detail factorized_dq n2_closed_form",
+    "enumeration": "reliability_bruteforce",
     "graphs": "Edge StochasticGraph is_k_connected",
     "linalg": "InvariantFactors abelian_signature diagonal_smith_form",
     "partitions": "CoherentOrder Partition all_partitions coherent_order is_connected_pair join",
     "reliability": "conditioned_reliability reliability_factoring",
-    "states": "ReliabilityPolynomial StateDistribution joint_reliability reliability_bruteforce "
-    "reliability_polynomial state_distribution",
+    "states": "ReliabilityPolynomial StateDistribution joint_reliability reliability_polynomial "
+    "state_distribution",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 # the submodules the package has always exported by name

@@ -18,8 +18,9 @@ writes the documents, and run(args) imports the modules of its own route,
 so a process compiles neither argparse nor another command's handler: the
 factoring route needs no partition lattice, a command that reads a graph
 no cut code (the cut routes are in relfact.cut, which only the commands
-that read a decomposition load), and the connectivity matrix needs no
-graph and no reliability kernel.
+that read a decomposition load), a route that counts states no factoring
+kernel (relfact.reliability) and no 2^m oracle (relfact.enumeration), and
+the connectivity matrix needs no graph and no reliability kernel.
 """
 
 from __future__ import annotations

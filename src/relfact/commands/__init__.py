@@ -1,14 +1,15 @@
 """One module per command of the command line, each with run(args) -> int.
 
 relfact.cli parses argv and imports only the module of the command it runs,
-so a process compiles no other command's handler.  The handlers reach the
-library through module attributes (jsonio.graph_from_obj,
-reliability.reliability_factoring), so a function swapped on its module is
-the one they call.  The JSON reading and output every command shares, and
-the partition listings that factor and distribution print and the inverse
-matrices that factor and conmatrix print, are here.  A document is read
-with open(), and verify walks a directory with os, so no command imports
-pathlib.
+so a process compiles no other command's handler, and a handler reads its
+document before it imports the kernels of its route, so a malformed one
+compiles no kernel.  The handlers reach the library through module
+attributes (jsonio.graph_from_obj, reliability.reliability_factoring), so
+a function swapped on its module is the one they call.  The JSON reading
+and output every command shares, and the partition listings that factor
+and distribution print and the inverse matrices that factor and conmatrix
+print, are here.  A document is read with open(), and verify walks a
+directory with os, so no command imports pathlib.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ from . import _emit, _formatted, _listing, _load_json
 
 
 def run(args) -> int:
+    d = jsonio.decomposition_from_obj(_load_json(args.input))
     from ..states import state_distribution
 
-    d = jsonio.decomposition_from_obj(_load_json(args.input))
     d1 = state_distribution(d.g1, d.boundary, bound=args.bound)
     d2 = state_distribution(d.g2, d.boundary, bound=args.bound)
     dists = {"g1": _formatted(d1.probs), "g2": _formatted(d2.probs)}

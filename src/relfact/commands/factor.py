@@ -59,7 +59,7 @@ def run(args) -> int:
     lines = [f"reliability = {text}", *details]
 
     if args.verify:
-        from ..states import reliability_bruteforce
+        from ..enumeration import reliability_bruteforce
 
         oracle = reliability_bruteforce(d.union, bound=args.bound)
         payload["verified_against"] = checked = jsonio.fraction_to_str(oracle)

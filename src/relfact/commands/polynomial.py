@@ -8,9 +8,9 @@ from . import _emit, _load_json
 
 
 def run(args) -> int:
+    g = jsonio.graph_from_obj(_load_json(args.input))
     from ..states import reliability_polynomial
 
-    g = jsonio.graph_from_obj(_load_json(args.input))
     poly = reliability_polynomial(g, bound=args.bound)
     monomials = poly.monomial_coefficients()
     payload = {

@@ -8,9 +8,9 @@ from . import _emit, _load_json
 
 
 def run(args) -> int:
+    g = jsonio.graph_from_obj(_load_json(args.input))
     from ..cluster import dq_at_zero, partition_function
 
-    g = jsonio.graph_from_obj(_load_json(args.input))
     z = partition_function(g, bound=args.bound)
     w1 = dq_at_zero(z)
     payload = {

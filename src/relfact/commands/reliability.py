@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from .. import graphs, jsonio, reliability
+from .. import graphs, jsonio
 from ..cli import EXIT_OK
 from . import _emit, _load_json
 
@@ -12,10 +12,12 @@ from . import _emit, _load_json
 def run(args) -> int:
     g = jsonio.graph_from_obj(_load_json(args.input))
     if args.route == "bruteforce":
-        from ..states import reliability_bruteforce
+        from ..enumeration import reliability_bruteforce
 
         value = reliability_bruteforce(g, bound=args.bound)
     else:
+        from .. import reliability
+
         value = reliability.reliability_factoring(g)
     if value == 0 and not graphs.is_k_connected(g):
         print(

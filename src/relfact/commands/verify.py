@@ -6,14 +6,16 @@ import os
 import sys
 from fractions import Fraction
 
-from .. import cut, jsonio, reliability
+from .. import cut, jsonio
 from ..cli import EXIT_FORMAT, EXIT_OK, EXIT_VERIFY
 from . import _emit, _load_json
 
 
 def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
+    from .. import reliability
     from ..cluster import dq_at_zero, partition_function
-    from ..states import joint_reliability, reliability_bruteforce, state_distribution
+    from ..enumeration import reliability_bruteforce
+    from ..states import joint_reliability, state_distribution
 
     union = d.union
     failures: list[str] = []

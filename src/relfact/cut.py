@@ -12,9 +12,12 @@ reliability.conditioned_reliability and cluster._conditioned_dq.
 
 Only the commands that read a decomposition load this module (factor,
 distribution, verify); the graph commands compile none of it.  At load time
-it imports graphs, reliability and base: the combine imports partitions
-and conmatrix when it runs, factorized_dq imports cluster, and
-ordered_parallel_map imports the process pool.
+it imports graphs and base alone: the combine imports partitions and
+conmatrix when it runs, factorization_detail and n2_closed_form import the
+factoring kernel (reliability), factorized_dq imports cluster, and
+ordered_parallel_map imports the process pool.  So distribution and factor
+--route joint, which build a decomposition but solve no side through it,
+compile neither the factoring kernel nor the connectivity matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from .base import MAX_GROUND_SET, Value
 from .graphs import DecompositionError, Hypothesis1Error, Hypothesis2Error, StochasticGraph, components
-from .reliability import conditioned_reliability
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -158,6 +160,8 @@ def factorization_detail(d: CutDecomposition, jobs: int = 1) -> FactorizationRes
     """Exact reliability of the union graph via the cut factorization, with
     the per-partition side reliabilities exposed; each side is solved by
     reliability.conditioned_reliability (see _cut_factorization)."""
+    from .reliability import conditioned_reliability
+
     return _cut_factorization(d, jobs, conditioned_reliability)
 
 
@@ -189,6 +193,7 @@ def n2_closed_form(d: CutDecomposition) -> Fraction:
     if d.n != 2:
         raise ValueError(f"closed form needs a boundary of size 2, got {d.n}")
     from .partitions import Partition
+    from .reliability import conditioned_reliability
 
     bottom = Partition.singletons(2)
     top = Partition.top(2)

@@ -7,13 +7,14 @@ through a partition: merged nodes share a member's number, so a side solve
 builds no graph, and the loops and parallel edges an identification makes
 stay until the factoring kernel, on its own copy, reduces them away.  The
 errors a cut decomposition raises are here and the decomposition is in
-cut, so a command that reads only a graph compiles no cut code.
+cut, so a command that reads only a graph compiles no cut code, and the
+factoring kernel's pruning DFS is in reliability.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .base import Value
 
@@ -157,57 +158,3 @@ def integer_form(g: StochasticGraph, boundary: Sequence[str] = (), a: Partition 
         edges.append((e.id, index[e.u], index[e.v], up, d - up))
         denom *= d
     return index, edges, {index[t] for t in g.terminals}, denom
-
-
-def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
-    """Edge ids that some simple path between two terminals crosses, or None
-    when the terminals are not all connected.
-
-    adj maps every node to its (edge id, neighbour) pairs, loops left out;
-    nodes may be any mutually comparable values.  At least two terminals.
-    One biconnected DFS from the least terminal decides it: each block
-    closes at a node p over the search subtree of p's child u, and p
-    separates that subtree from the rest of the graph, the root terminal
-    included, so the block's edges are relevant exactly when the subtree
-    holds a terminal.  Multigraph-aware: traversal is tracked per edge id,
-    so a parallel edge to the DFS parent counts as a cycle, not a revisit.
-    The DFS keeps its frames on an explicit stack, so the depth of the
-    graph is not limited by the interpreter's recursion limit.
-    """
-    terminals = set(terminals)
-    root = min(terminals)
-    disc = {root: 0}
-    low = {root: 0}
-    below = {root: 1}  # terminals in each node's search subtree
-    used: set[int] = set()
-    pending: list[int] = []  # edge ids not yet in a block
-    relevant: set[int] = set()
-    # (node, index in pending of the edge from its parent, edges left)
-    frames = [(root, 0, iter(adj[root]))]
-    while frames:
-        u, start, rest = frames[-1]
-        for eid, w in rest:
-            if eid in used:
-                continue
-            used.add(eid)
-            pending.append(eid)
-            if w in disc:
-                low[u] = min(low[u], disc[w])
-            else:
-                disc[w] = low[w] = len(disc)
-                below[w] = int(w in terminals)
-                frames.append((w, len(pending) - 1, iter(adj[w])))
-                break
-        else:
-            frames.pop()
-            if not frames:
-                break
-            p = frames[-1][0]
-            low[p] = min(low[p], low[u])
-            below[p] += below[u]
-            if low[u] >= disc[p]:
-                if below[u]:
-                    relevant.update(pending[start:])
-                del pending[start:]
-    return relevant if below[root] == len(terminals) else None
-

@@ -1,31 +1,83 @@
 """Exact reliability by factoring.
 
 Contraction/deletion factoring with series/parallel reductions and
-irrelevant-block pruning, on a whole graph (reliability_factoring) or on a
-cut side with its boundary identified through a partition
-(conditioned_reliability, the side solver of the cut routes in cut).  The
-routes that count edge states, the enumeration oracle among them, live in
-states, with the enumeration bound that caps them; factoring has no bound.
-All routes are exact and must agree bit for bit; the test suite leans on
-that equality everywhere.  Factoring, like the counting kernels, reads the
-graph's integer form (graphs.integer_form) and builds one Fraction over the
-form's common denominator, at the end.
+irrelevant-block pruning (relevant_edges), on a whole graph
+(reliability_factoring) or on a cut side with its boundary identified
+through a partition (conditioned_reliability, the side solver of the cut
+routes in cut).  The routes that count edge states live in states, with
+the enumeration bound that caps them, and the 2^m oracle in enumeration;
+factoring has no bound.  All routes are exact and must agree bit for bit;
+the test suite leans on that equality everywhere.  Factoring, like the
+counting kernels, reads the graph's integer form (graphs.integer_form) and
+builds one Fraction over the form's common denominator, at the end.
 
 This module is the factoring kernel alone and imports only graphs: it
 compiles no partition lattice, no connectivity matrix, no counting kernel
-and no cut code, and the commands that only count states (polynomial and
-rcm) do not compile it.
+and no cut code, and only the routes that factor compile it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .graphs import StochasticGraph, integer_form, relevant_edges
+from .graphs import StochasticGraph, integer_form
 
 if TYPE_CHECKING:
     from .partitions import Partition
+
+
+def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
+    """Edge ids that some simple path between two terminals crosses, or None
+    when the terminals are not all connected.
+
+    adj maps every node to its (edge id, neighbour) pairs, loops left out;
+    nodes may be any mutually comparable values.  At least two terminals.
+    One biconnected DFS from the least terminal decides it: each block
+    closes at a node p over the search subtree of p's child u, and p
+    separates that subtree from the rest of the graph, the root terminal
+    included, so the block's edges are relevant exactly when the subtree
+    holds a terminal.  Multigraph-aware: traversal is tracked per edge id,
+    so a parallel edge to the DFS parent counts as a cycle, not a revisit.
+    The DFS keeps its frames on an explicit stack, so the depth of the
+    graph is not limited by the interpreter's recursion limit.
+    """
+    terminals = set(terminals)
+    root = min(terminals)
+    disc = {root: 0}
+    low = {root: 0}
+    below = {root: 1}  # terminals in each node's search subtree
+    used: set[int] = set()
+    pending: list[int] = []  # edge ids not yet in a block
+    relevant: set[int] = set()
+    # (node, index in pending of the edge from its parent, edges left)
+    frames = [(root, 0, iter(adj[root]))]
+    while frames:
+        u, start, rest = frames[-1]
+        for eid, w in rest:
+            if eid in used:
+                continue
+            used.add(eid)
+            pending.append(eid)
+            if w in disc:
+                low[u] = min(low[u], disc[w])
+            else:
+                disc[w] = low[w] = len(disc)
+                below[w] = int(w in terminals)
+                frames.append((w, len(pending) - 1, iter(adj[w])))
+                break
+        else:
+            frames.pop()
+            if not frames:
+                break
+            p = frames[-1][0]
+            low[p] = min(low[p], low[u])
+            below[p] += below[u]
+            if low[u] >= disc[p]:
+                if below[u]:
+                    relevant.update(pending[start:])
+                del pending[start:]
+    return relevant if below[root] == len(terminals) else None
 
 
 class _Subproblem:
@@ -201,7 +253,7 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     a degree-1 terminal folded into its neighbour (weight times up) while
     two or more terminals remain, and biconnected blocks off every
     terminal-to-terminal path pruned, as one DFS from the least terminal
-    finds them (see graphs.relevant_edges).  The pivot is an edge touching
+    finds them (see relevant_edges).  The pivot is an edge touching
     a terminal with the smallest id; a merged edge keeps the smaller of its
     ids.  Agrees exactly with enumeration wherever both run.
     """

@@ -37,7 +37,7 @@ def with_prob(g: StochasticGraph, edge_id: int, p) -> StochasticGraph:
 
 def adjacency(g: StochasticGraph) -> dict[str, list[tuple[int, str]]]:
     """g's nodes mapped to their (edge id, neighbour) pairs, loops left out:
-    the input of graphs.relevant_edges."""
+    the input of reliability.relevant_edges."""
     adj: dict[str, list[tuple[int, str]]] = {v: [] for v in g.nodes}
     for e in g.edges:
         if not is_loop(e):

@@ -23,10 +23,11 @@ from relfact import jsonio
 from relfact.cluster import dq_at_zero, partition_function
 from relfact.conmatrix import connectivity_matrix, connectivity_number, invert_connectivity_matrix
 from relfact.cut import CutDecomposition, factorization_detail, factorized_dq, n2_closed_form
+from relfact.enumeration import reliability_bruteforce
 from relfact.linalg import abelian_signature, diagonal_smith_form
 from relfact.partitions import ORDER_VARIANTS, all_partitions, coherent_order
 from relfact.reliability import reliability_factoring
-from relfact.states import joint_reliability, reliability_bruteforce, reliability_polynomial, state_distribution
+from relfact.states import joint_reliability, reliability_polynomial, state_distribution
 
 ACCEPT_SEED = 2027
 PER_N = 100

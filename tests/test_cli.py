@@ -607,31 +607,33 @@ class TestVerifyCommand:
 # loads: the command line and the value base.  Each command also loads its
 # own module of relfact.commands and no other; every command that reads a
 # document loads the wire format and the graphs, one that reads a
-# decomposition also the cut routes and the factoring route they solve
-# sides with, and conmatrix, which reads none, loads the wire format alone.
-# A command that reads a graph loads no partition lattice, and one that
-# only counts its states (polynomial, rcm) no factoring route.  GRAPH is
-# the union of DOC; DOC has a two-node boundary that holds every terminal,
-# so every route of factor takes it.
+# decomposition also the cut routes and the partition lattice, and
+# conmatrix, which reads none, loads the wire format alone.  Only the
+# routes that factor load the factoring kernel, only the routes checked
+# against the 2^m oracle load enumeration, and a command that reads a
+# graph loads no partition lattice.  GRAPH is the union of DOC; DOC has a
+# two-node boundary that holds every terminal, so every route of factor
+# takes it.
 EVERY_COMMAND = {"cli", "base"}
 GRAPH_COMMAND = {"jsonio", "graphs"}
-CUT_COMMAND = {*GRAPH_COMMAND, "reliability", "cut", "partitions"}
+CUT_COMMAND = {*GRAPH_COMMAND, "cut", "partitions"}
 ROUTE_MODULES = {
     ("--help",): set(),
     ("reliability", "--route", "factoring", "--input", "GRAPH"): {
         "commands", "commands.reliability", *GRAPH_COMMAND, "reliability"},
     ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {
-        "commands", "commands.reliability", *GRAPH_COMMAND, "reliability", "states"},
+        "commands", "commands.reliability", *GRAPH_COMMAND, "enumeration", "states"},
     ("polynomial", "--input", "GRAPH"): {"commands", "commands.polynomial", *GRAPH_COMMAND, "states"},
     ("rcm", "--input", "GRAPH"): {"commands", "commands.rcm", *GRAPH_COMMAND, "states", "cluster"},
-    ("factor", "--route", "n2", "--input", "DOC"): {"commands", "commands.factor", *CUT_COMMAND},
+    ("factor", "--route", "n2", "--input", "DOC"): {"commands", "commands.factor", *CUT_COMMAND, "reliability"},
     ("factor", "--route", "factorized", "--input", "DOC"): {
-        "commands", "commands.factor", *CUT_COMMAND, "conmatrix"},
+        "commands", "commands.factor", *CUT_COMMAND, "reliability", "conmatrix"},
     ("distribution", "--input", "DOC"): {"commands", "commands.distribution", *CUT_COMMAND, "states"},
     ("factor", "--route", "joint", "--input", "DOC"): {"commands", "commands.factor", *CUT_COMMAND, "states"},
     ("conmatrix", "--n", "3"): {"commands", "commands.conmatrix", "jsonio", "partitions", "conmatrix", "linalg"},
     ("verify", "--input", "DOC"): {
-        "commands", "commands.verify", *CUT_COMMAND, "conmatrix", "states", "cluster"},
+        "commands", "commands.verify", *CUT_COMMAND, "reliability", "conmatrix", "enumeration", "states",
+        "cluster"},
 }
 # standard modules no command loads at --jobs 1: argparse, with the gettext
 # and locale it pulls in; the process pool; dataclasses, with its inspect
@@ -685,6 +687,16 @@ class TestStartup:
         assert proc.returncode == (0 if argv == ["--help"] else 2)
         assert (proc.returncode, proc.stdout) == in_process(argv)
 
+    @pytest.mark.parametrize("command", ["polynomial", "rcm", "distribution"])
+    def test_a_malformed_document_loads_no_kernel(self, tmp_path, command):
+        # the handler reads its document before it imports its kernel
+        doc = tmp_path / "array.json"
+        doc.write_text("[]")
+        proc, added = verbose_spawn([command, "--input", str(doc)])
+        assert proc.returncode == 2
+        assert [m for m in ("relfact.states", "relfact.cluster") if m in added] == []
+        assert (proc.returncode, proc.stdout) == in_process([command, "--input", str(doc)])
+
     def test_the_command_line_loads_the_wire_format_and_kernel_on_first_access(self):
         # this process has every module loaded, so a fresh one imports cli
         script = (
@@ -737,7 +749,9 @@ class TestStartup:
             relfact: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits",
                       "is_k_pathset", "gamma_graph", "corpus", "connectivity_matrix_det", "identify_nodes"],
             relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
-            relfact.graphs: ["is_k_pathset", "identify_nodes", "CutDecomposition", "union_graph"],
+            relfact.graphs: ["is_k_pathset", "identify_nodes", "CutDecomposition", "union_graph", "relevant_edges"],
+            relfact.states: ["reliability_bruteforce", "_state_masks", "_linked_masks", "_CHUNK"],
+            relfact.cut: ["conditioned_reliability"],
             relfact.reliability: ["gamma_graph", "ordered_parallel_map", "FactorizationResult", "_side_task",
                                   "_cut_factorization", "factorization_detail", "n2_closed_form",
                                   "EnumerationBoundError", "_check_bound", "DEFAULT_ENUMERATION_BOUND"],

@@ -17,11 +17,10 @@ from relfact.graphs import (
     StochasticGraph,
     integer_form,
     is_k_connected,
-    relevant_edges,
 )
+from relfact.enumeration import reliability_bruteforce
 from relfact.partitions import Partition
-from relfact.reliability import reliability_factoring
-from relfact.states import reliability_bruteforce
+from relfact.reliability import reliability_factoring, relevant_edges
 
 H = Fraction(1, 2)
 
@@ -253,7 +252,7 @@ def k4(first_id, a, b, c, d):
 
 
 class TestIrrelevantEdges:
-    """graphs.relevant_edges, the pruning rule of the factoring kernel: an
+    """reliability.relevant_edges, the pruning rule of the factoring kernel: an
     edge is irrelevant when no minimal terminal-linking state uses it, which
     one biconnected DFS from the least terminal decides block by block."""
 

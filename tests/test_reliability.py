@@ -24,13 +24,13 @@ from lattice import (
 from relfact.cluster import DisconnectedGraphError, _conditioned_dq, dq_at_zero, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.cut import CutDecomposition, factorization_detail, n2_closed_form, union_graph
+from relfact.enumeration import reliability_bruteforce
 from relfact.graphs import Edge, GraphError, Hypothesis2Error, StochasticGraph, UnionFind, integer_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
 from relfact.reliability import _factored, conditioned_reliability, reliability_factoring
 from relfact.states import (
     EnumerationBoundError,
     joint_reliability,
-    reliability_bruteforce,
     reliability_polynomial,
     state_distribution,
 )
@@ -443,7 +443,7 @@ class TestBitParallelOracle:
     def test_routes_match_the_walk(self, case):
         self.check_against_walk(*case)
         # a chunk of 3 edges leaves the others to the oracle's one-state-at-a-time loop
-        with mock.patch("relfact.states._CHUNK", 3):
+        with mock.patch("relfact.enumeration._CHUNK", 3):
             self.check_against_walk(*case)
 
     @pytest.mark.parametrize("make", [grid_4x4, k7_with_parallels], ids=["grid4x4", "k7+3"])

@@ -67,14 +67,15 @@ def test_startup_report_lists_each_command_and_its_modules():
     shares, standard = proc.stdout.split("\n\n")
     floor, header, *rows = shares.splitlines()
     assert floor.startswith("floor `python -c pass`:") and floor.endswith(", 24 spawns")
-    assert header.split()[:5] == ["command", "share_ms", "q1", "q3", "import_ms"]
+    assert header.split()[:6] == ["command", "share_ms", "q1", "q3", "import_ms", "source_kb"]
     assert len(rows) == 12
-    modules = {}
+    modules, kb = {}, {}
     for row in rows:
         command, numbers = re.match(r"(.+?)\s+(-?\d+\.\d.*)$", row).groups()
         fields = numbers.split()
         assert float(fields[3]) > 0  # the package's import time
-        modules[command] = set(fields[4:])
+        kb[command] = float(fields[4])
+        modules[command] = set(fields[5:])
     assert modules["--help"] == modules["reliability --bogus"] == {"base", "cli"}
     assert modules["conmatrix --n 3"] == {
         "base", "cli", "jsonio", "partitions", "conmatrix", "linalg", "commands", "commands.conmatrix",
@@ -87,6 +88,9 @@ def test_startup_report_lists_each_command_and_its_modules():
     for command in ("polynomial --input GRAPH", "rcm --input GRAPH"):
         assert {"graphs", "states"} <= modules[command]
         assert not {"reliability", "cut", "partitions"} & modules[command]
+    # the boundary distributions compile neither the factoring kernel nor
+    # the oracle that verify checks every route against
+    assert 0 < kb["--help"] < kb["distribution --input DOC"] < kb["verify --input DOC"]
     header, *rows = standard.splitlines()
     assert header.split()[:3] == ["command", "standard", "modules"]
     assert len(rows) == 12
