@@ -1,6 +1,8 @@
 """What every route shares: the base of the immutable value types, the
 largest boundary a decomposition may have, the coherent-order variants,
-the error of a malformed document and the default enumeration bound.
+the error of a malformed document, and the enumeration bound: its default
+and its one check, which the frontier counts, the cluster counts and the
+2^m oracle each run before any work.
 
 It imports nothing from the package, so a module that needs only these
 loads no other module of it: the command line parses argv, prints its help
@@ -27,6 +29,22 @@ DEFAULT_ENUMERATION_BOUND = 24
 
 class FormatError(ValueError):
     """Structurally malformed document (distinct from semantic graph errors)."""
+
+
+class EnumerationBoundError(ValueError):
+    """Too many edges for state enumeration under the current bound."""
+
+
+def _check_bound(edges: tuple | list, bound: int | None) -> None:
+    """The enumeration bound of every state-counting route: more edges than
+    the bound (DEFAULT_ENUMERATION_BOUND when None) raise
+    EnumerationBoundError."""
+    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
+    if len(edges) > limit:
+        raise EnumerationBoundError(
+            f"{len(edges)} edges exceed the enumeration bound {limit}; "
+            "raise it with --bound or RELFACT_BOUND"
+        )
 
 
 class Value:

@@ -3,14 +3,14 @@
 Z(q, G) collects state probabilities weighted by q raised to the number of
 connected components of the operative subgraph (isolated vertices count).
 Its linear coefficient in q is exactly the all-terminal reliability, which
-carries the cut factorization over to the q -> 0 derivative.  Z is summed,
-behind the enumeration bound of states, by its frontier kernel, which
-counts a cluster each time a block leaves the frontier, as integer
-numerators per cluster count, divided by the common denominator once, at
-the end.  The derivative factors over a cut through cut.factorized_dq,
-whose side solver, _conditioned_dq, is here: it reads a side's integer
-form with the boundary identified, and a side that this disconnects,
-having no single-cluster state, contributes 0.
+carries the cut factorization over to the q -> 0 derivative.  Z is one
+frontier walk of states, behind base's enumeration bound, at q = 2^b with
+b = D.bit_length(): the weight w_k, the integer numerator of cluster count
+k over the common denominator D, is at most D < 2^b, so it is digit k of
+the walk's one integer.  The derivative factors over a cut through
+cut.factorized_dq, whose side solver, _conditioned_dq, is here: it reads a
+side's integer form with the boundary identified, and a side that this
+disconnects, having no single-cluster state, contributes 0.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .base import Value
+from .base import Value, _check_bound
 from .graphs import StochasticGraph, components, integer_form
-from .states import _check_bound, _frontier_walk
+from .states import _digits, _frontier_walk
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -65,9 +65,11 @@ def _cluster_polynomial(form: tuple, bound: int | None) -> ClusterPolynomial:
     index, edges, _, denom = form
     _check_bound(edges, bound)
     nodes = set(index.values())
-    _, states = _frontier_walk(nodes, edges, None)
-    (weights,) = states.values()  # every vertex has left: the empty frontier
-    coeffs = {k: Fraction(w, denom) for k, w in sorted(weights.items())}
+    b = denom.bit_length()
+    _, states = _frontier_walk(nodes, edges, set(), q=1 << b)
+    (z,) = states.values()  # every vertex has left: the empty frontier
+    # a digit that carried into the next would break the sum to 1 below
+    coeffs = {k: Fraction(w, denom) for k, w in enumerate(_digits(z, b, len(nodes) + 1)) if w}
     return ClusterPolynomial(node_count=len(nodes), coeffs=coeffs)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .. import cut, jsonio
+from .. import jsonio
 from ..cli import EXIT_OK, EXIT_VERIFY
 from ..graphs import GraphError, Hypothesis2Error
 from . import _emit, _formatted, _listing, _load_json, _matrix_text
@@ -23,6 +23,8 @@ def run(args) -> int:
         payload = {"route": route, "n": len(obj["boundary"]), "reliability": zero}
         _emit(args, payload, [f"reliability = {zero}"])
         return EXIT_OK
+    from .. import cut
+
     payload = {"route": route, "n": d.n}
     details: list[str] = []
     if route == "factorized":

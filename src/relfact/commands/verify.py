@@ -6,13 +6,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .. import cut, jsonio
+from .. import jsonio
 from ..cli import EXIT_FORMAT, EXIT_OK, EXIT_VERIFY
 from . import _emit, _load_json
 
 
 def _verify_one(d, bound: int, jobs: int) -> tuple[bool, list[str], Fraction]:
-    from .. import reliability
+    from .. import cut, reliability
     from ..cluster import dq_at_zero, partition_function
     from ..enumeration import reliability_bruteforce
     from ..states import joint_reliability, state_distribution

@@ -2,7 +2,7 @@
 over a bit-parallel kernel, _state_masks, which holds up to 2^16 edge
 states as the bits of one int and decides their connectivity at once by a
 reachability fixpoint, merging and pruning none.  It checks the one
-enumeration bound, states._check_bound, and reads the graph's integer
+enumeration bound, base._check_bound, and reads the graph's integer
 form (graphs.integer_form), summing integer numerators over one common
 denominator into a Fraction once, at the end.  Only reliability --route
 bruteforce, factor --verify and verify load it.
@@ -16,8 +16,8 @@ from itertools import product
 from math import prod
 from operator import and_, mul
 
+from .base import _check_bound
 from .graphs import StochasticGraph, integer_form
-from .states import _check_bound
 
 _CHUNK = 16  # low edges: a mask over their states is one int of 2^16 bits
 

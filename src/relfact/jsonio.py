@@ -7,9 +7,10 @@ floats are rejected because they would smuggle binary rounding into an
 exact pipeline.
 
 FormatError lives in base, which the command line loads on its own; the
-readers import graphs, and decomposition_from_obj cut, when they run, so a
-command that reads no graph (conmatrix) compiles neither graphs nor the
-reliability kernels, and one that reads only a graph no cut code.
+readers import graphs when they run, and decomposition_from_obj cut once
+both graphs have been read, so a command that reads no graph (conmatrix)
+compiles neither graphs nor the reliability kernels, one that reads only a
+graph no cut code, and a malformed decomposition no cut code either.
 """
 
 from __future__ import annotations
@@ -130,18 +131,15 @@ def graph_from_obj(obj: Any) -> StochasticGraph:
 
 
 def decomposition_from_obj(obj: Any) -> CutDecomposition:
-    from .cut import CutDecomposition
-
     if not isinstance(obj, dict):
         raise FormatError("decomposition document must be an object")
     boundary = _require(obj, "boundary", list)
     if not all(isinstance(x, str) for x in boundary):
         raise FormatError("boundary must be a list of node names")
-    return CutDecomposition(
-        g1=graph_from_obj(_require(obj, "g1", dict)),
-        g2=graph_from_obj(_require(obj, "g2", dict)),
-        boundary=tuple(boundary),
-    )
+    sides = [graph_from_obj(_require(obj, key, dict)) for key in ("g1", "g2")]
+    from .cut import CutDecomposition
+
+    return CutDecomposition(*sides, boundary=boundary)
 
 
 def dumps_canonical(obj: Any) -> str:

@@ -1,48 +1,32 @@
-"""Exact counts of edge states on the frontier kernel, behind one
-enumeration bound.
+"""Exact counts of edge states on one frontier kernel.
 
-One frontier kernel, _frontier_walk, merges equal partial states (Carlier
-& Lucet 1996; Hardy, Lucet & Limnios 2007), so its work is O(m * states on
-the frontier) rather than 2^m: reliability_polynomial,
-cluster.partition_function, and state_distribution, whose final states are
-a side's boundary states.  joint_reliability sums two such distributions
-over the pairs of states that link the boundary, the quadratic route that
-precedes the factorization.  _check_bound is the one enumeration bound:
-every route here, cluster's and the 2^m oracle in enumeration check it.
-Each route reads the graph's integer form (graphs.integer_form), summing
-integer numerators over one common denominator into Fractions once, at the
-end.  This module imports graphs and base alone, and partitions when a
-boundary-state route runs, so the graph counts compile no factoring route,
-no cut route, no 2^m oracle and no partition lattice.
+_frontier_walk merges equal partial states (Carlier & Lucet 1996; Hardy,
+Lucet & Limnios 2007), so its work is O(m * states on the frontier) rather
+than 2^m, and each state carries one integer: the random-cluster sum of
+its edge states at one integer q.  reliability_polynomial,
+cluster.partition_function and state_distribution (whose final states are
+a side's boundary states) each choose the edge weights and q so that their
+counts are that integer's digits in base 2^b (_digits).  joint_reliability
+sums two distributions over the pairs of states that link the boundary,
+the quadratic route that precedes the factorization.  Each route checks
+base's enumeration bound and reads the graph's integer form
+(graphs.integer_form), dividing by its one denominator at the end.  This
+module imports graphs and base alone, and partitions when a boundary-state
+route runs: the graph counts compile no factoring or cut route, no 2^m
+oracle and no partition lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Sized
+from typing import TYPE_CHECKING, Iterable
 
-from .base import DEFAULT_ENUMERATION_BOUND, Value
+from . import base
 from .graphs import StochasticGraph, integer_form
 
 if TYPE_CHECKING:
     from .partitions import Partition
-
-
-class EnumerationBoundError(ValueError):
-    """Too many edges for state enumeration under the current bound."""
-
-
-def _check_bound(edges: Sized, bound: int | None) -> None:
-    """The enumeration bound of every state-counting route: more edges than
-    the bound (DEFAULT_ENUMERATION_BOUND when None) raise
-    EnumerationBoundError."""
-    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    if len(edges) > limit:
-        raise EnumerationBoundError(
-            f"{len(edges)} edges exceed the enumeration bound {limit}; "
-            "raise it with --bound or RELFACT_BOUND"
-        )
 
 
 def _frontier_plan(
@@ -106,18 +90,8 @@ def _relabel(labels: tuple, marks: tuple) -> tuple[tuple, tuple]:
     return labels, tuple([marks[x] for x in first])
 
 
-def _add(acc: dict, state, counts: dict[int, int], factor: int, shift: int) -> None:
-    """acc[state] += factor * counts, every key of counts moved up by shift."""
-    out = acc.get(state)
-    if out is None:
-        acc[state] = {k + shift: w * factor for k, w in counts.items()}
-        return
-    for k, w in counts.items():
-        out[k + shift] = out.get(k + shift, 0) + w * factor
-
-
 def _frontier_walk(
-    nodes: Iterable[int], edges: list[tuple], terminals: set[int] | None, stay: set[int] = frozenset()
+    nodes: Iterable[int], edges: list[tuple], terminals: set[int], stay: set[int] = frozenset(), q: int = 1
 ) -> tuple[list[int], dict]:
     """The frontier kernel behind the polynomial, the cluster counts and the
     boundary distributions, over an integer form's node numbers and edges;
@@ -125,46 +99,43 @@ def _frontier_walk(
 
     Runs _frontier_plan's schedule over states of the frontier: the
     component labels of its vertices as a restricted-growth tuple, and one
-    mark per block that holds a terminal.  States that become equal merge,
-    so the work is O(m * states on the frontier) rather than 2^m.  Each
-    state carries its weights keyed by a count: integers over the form's
-    D, as in enumeration._state_masks, an edge multiplying them by up when
-    it works and by down when it fails (unit weights (1, 1) count edge
-    states).
-    A block that leaves the frontier closes one cluster.
+    mark per block that holds a terminal.  States that become equal merge.
+    Each state carries one integer weight, summed over its edge states: an
+    edge multiplies it by up when it works and by down when it fails, and
+    a block that leaves the frontier unmarked closes a cluster and
+    multiplies it by q.  When a marked block leaves, either it holds every
+    terminal (all have entered and no other block is marked) and the state
+    becomes the linked state, which absorbs every later edge and closes no
+    cluster, or some terminal is cut off and the state dies.
 
-    With terminals, the key is the number of operative edges, and only the
-    states that link every terminal count.  When a marked block leaves,
-    either it holds every terminal (all have entered and no other block is
-    marked) and the state becomes the linked state, which absorbs every
-    later edge, or some terminal is cut off and the state dies.  With
-    terminals None, the key is the number of closed clusters, and every
-    state counts.  Returns the final frontier (_frontier_plan) and states
-    with their weights by key: with stay empty, at most one state, the
-    linked state or the empty frontier; with stay a side's boundary and
-    terminals None, one per boundary partition the side induces.
+    Returns the final frontier (_frontier_plan) and the final states with
+    their weights: with stay empty, at most one state, the linked state or
+    the empty frontier; with stay a side's boundary and no terminals, one
+    per boundary partition the side induces.  A caller that wants weights
+    by a count makes the count a base-2^b digit: q = 2^b moves a weight up
+    one digit per closed cluster, and up = 2^b per operative edge.  No
+    digit carries into the next while every count stays below 2^b.
     """
-    counting_edges = terminals is not None
-    total = len(terminals) if counting_edges else 0
+    total = len(terminals)
     seen = 0
     # the state None is the linked state: its frontier no longer matters
-    states: dict = {((), ()): {0: 1}}
-    plan, frontier = _frontier_plan(nodes, edges, terminals or set(), stay)
+    states: dict = {((), ()): 1}
+    plan, frontier = _frontier_plan(nodes, edges, terminals, stay)
     for op in plan:
         nxt: dict = {}
         if op[0] == "enter":
             mark = op[1]
             seen += mark
-            for state, counts in states.items():
+            for state, w in states.items():
                 if state is not None:
                     labels, marks = state
                     state = (labels + (len(marks),), marks + (mark,))
-                nxt[state] = counts
+                nxt[state] = w
         elif op[0] == "edge":
             _, i, j, up, down = op
-            for state, counts in states.items():
+            for state, w in states.items():
                 if down:
-                    _add(nxt, state, counts, down, 0)
+                    nxt[state] = nxt.get(state, 0) + w * down
                 if up:
                     if state is not None:
                         labels, marks = state
@@ -172,11 +143,10 @@ def _frontier_walk(
                         if x != y:
                             merged = marks[:x] + (marks[x] or marks[y],) + marks[x + 1 :]
                             state = _relabel(tuple([x if z == y else z for z in labels]), merged)
-                    _add(nxt, state, counts, up, int(counting_edges))
+                    nxt[state] = nxt.get(state, 0) + w * up
         else:
             i = op[1]
-            for state, counts in states.items():
-                closes = False
+            for state, w in states.items():
                 if state is not None:
                     labels, marks = state
                     x = labels[i]
@@ -188,12 +158,20 @@ def _frontier_walk(
                         state = None
                     else:
                         state = _relabel(rest, marks)
-                _add(nxt, state, counts, 1, int(closes and not counting_edges))
+                        if closes:
+                            w *= q
+                nxt[state] = nxt.get(state, 0) + w
         states = nxt
     return frontier, states
 
 
-class ReliabilityPolynomial(Value):
+def _digits(x: int, b: int, count: int) -> list[int]:
+    """The count lowest digits of x in base 2^b, the lowest first."""
+    mask = (1 << b) - 1
+    return [x >> (b * k) & mask for k in range(count)]
+
+
+class ReliabilityPolynomial(base.Value):
     """Pathset counts by number of operative edges, for equal edge
     probability p: R(p) = sum_i C_i p^i (1-p)^(m-i)."""
 
@@ -222,17 +200,19 @@ class ReliabilityPolynomial(Value):
 def reliability_polynomial(g: StochasticGraph, bound: int | None = None) -> ReliabilityPolynomial:
     """Count terminal-linking states by operative edge count.
 
-    The counts come from the frontier kernel with unit weights (1, 1) on
-    every edge of g's integer form, so they ignore the edge probabilities:
-    states with a p = 0 or p = 1 edge are counted like any other."""
-    _check_bound(g.edges, bound)
+    Every edge of g's integer form weighs (2^b, 1), b = m + 1, ignoring the
+    edge probabilities, so a state with i operative edges weighs 2^(b*i):
+    digit i of the linked state's weight is C_i, and C_i <= C(m, i) < 2^b
+    keeps it there (Kronecker substitution)."""
+    base._check_bound(g.edges, bound)
     index, edges, terminals, _ = integer_form(g)
-    _, states = _frontier_walk(index.values(), [(eid, u, v, 1, 1) for eid, u, v, _, _ in edges], terminals)
-    counts = next(iter(states.values()), {})  # the linked state, if any
-    return ReliabilityPolynomial(tuple(counts.get(i, 0) for i in range(len(g.edges) + 1)))
+    b = len(edges) + 1
+    _, states = _frontier_walk(index.values(), [(eid, u, v, 1 << b, 1) for eid, u, v, _, _ in edges], terminals)
+    linked = next(iter(states.values()), 0)  # the linked state, if any
+    return ReliabilityPolynomial(tuple(_digits(linked, b, len(edges) + 1)))
 
 
-class StateDistribution(Value):
+class StateDistribution(base.Value):
     """Exact probability of each boundary partition induced by one side."""
 
     __slots__ = FIELDS = ("boundary", "probs")
@@ -263,16 +243,16 @@ def state_distribution(
     for b in boundary:
         if b not in g.nodes:
             raise ValueError(f"boundary node {b!r} not in graph")
-    _check_bound(g.edges, bound)
+    base._check_bound(g.edges, bound)
     index, edges, _, denom = integer_form(g)
     bix = [index[b] for b in boundary]
-    frontier, states = _frontier_walk(index.values(), edges, None, set(bix))
+    frontier, states = _frontier_walk(index.values(), edges, set(), set(bix))
     at = [frontier.index(b) for b in bix]
     acc: dict[Partition, int] = {}
-    for (labels, _), counts in states.items():
+    for (labels, _), w in states.items():
         # a node listed twice reads one label at both of its positions
         key = Partition.from_labels([labels[i] for i in at])
-        acc[key] = acc.get(key, 0) + sum(counts.values())
+        acc[key] = acc.get(key, 0) + w
     probs = {key: Fraction(w, denom) for key, w in acc.items()}
     return StateDistribution(boundary=boundary, probs=probs)
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import relfact
 from corpus import bridge_decomposition, bridge_graph, corpus, decomposition_to_obj, graph_to_obj
-from relfact import base, cli, conmatrix, jsonio, states
+from relfact import base, cli, cluster, conmatrix, enumeration, jsonio
 from relfact.graphs import Edge, StochasticGraph
 
 
@@ -622,7 +622,7 @@ ROUTE_MODULES = {
     ("reliability", "--route", "factoring", "--input", "GRAPH"): {
         "commands", "commands.reliability", *GRAPH_COMMAND, "reliability"},
     ("reliability", "--route", "bruteforce", "--input", "GRAPH"): {
-        "commands", "commands.reliability", *GRAPH_COMMAND, "enumeration", "states"},
+        "commands", "commands.reliability", *GRAPH_COMMAND, "enumeration"},
     ("polynomial", "--input", "GRAPH"): {"commands", "commands.polynomial", *GRAPH_COMMAND, "states"},
     ("rcm", "--input", "GRAPH"): {"commands", "commands.rcm", *GRAPH_COMMAND, "states", "cluster"},
     ("factor", "--route", "n2", "--input", "DOC"): {"commands", "commands.factor", *CUT_COMMAND, "reliability"},
@@ -687,14 +687,15 @@ class TestStartup:
         assert proc.returncode == (0 if argv == ["--help"] else 2)
         assert (proc.returncode, proc.stdout) == in_process(argv)
 
-    @pytest.mark.parametrize("command", ["polynomial", "rcm", "distribution"])
+    @pytest.mark.parametrize("command", ["polynomial", "rcm", "distribution", "factor", "verify"])
     def test_a_malformed_document_loads_no_kernel(self, tmp_path, command):
-        # the handler reads its document before it imports its kernel
+        # the handler reads its document before it imports its kernel, and
+        # a decomposition is read before its cut code loads
         doc = tmp_path / "array.json"
         doc.write_text("[]")
         proc, added = verbose_spawn([command, "--input", str(doc)])
         assert proc.returncode == 2
-        assert [m for m in ("relfact.states", "relfact.cluster") if m in added] == []
+        assert [m for m in ("relfact.states", "relfact.cluster", "relfact.cut") if m in added] == []
         assert (proc.returncode, proc.stdout) == in_process([command, "--input", str(doc)])
 
     def test_the_command_line_loads_the_wire_format_and_kernel_on_first_access(self):
@@ -736,7 +737,8 @@ class TestStartup:
 
     def test_moved_names_keep_their_identity(self):
         assert jsonio.FormatError is base.FormatError
-        assert states.DEFAULT_ENUMERATION_BOUND == base.DEFAULT_ENUMERATION_BOUND == 24
+        assert base.DEFAULT_ENUMERATION_BOUND == 24
+        assert cluster._check_bound is enumeration._check_bound is base._check_bound
 
     def test_the_package_ships_only_what_the_cli_reaches(self):
         # every module file is loaded by some command, and the helpers that
@@ -750,7 +752,8 @@ class TestStartup:
                       "is_k_pathset", "gamma_graph", "corpus", "connectivity_matrix_det", "identify_nodes"],
             relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
             relfact.graphs: ["is_k_pathset", "identify_nodes", "CutDecomposition", "union_graph", "relevant_edges"],
-            relfact.states: ["reliability_bruteforce", "_state_masks", "_linked_masks", "_CHUNK"],
+            relfact.states: ["reliability_bruteforce", "_state_masks", "_linked_masks", "_CHUNK",
+                             "_add", "_check_bound", "EnumerationBoundError", "DEFAULT_ENUMERATION_BOUND"],
             relfact.cut: ["conditioned_reliability"],
             relfact.reliability: ["gamma_graph", "ordered_parallel_map", "FactorizationResult", "_side_task",
                                   "_cut_factorization", "factorization_detail", "n2_closed_form",

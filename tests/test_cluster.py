@@ -5,11 +5,11 @@ import pytest
 from conftest import random_graph
 from corpus import bridge_graph, corpus
 from lattice import evaluate_cluster
+from relfact.base import EnumerationBoundError
 from relfact.cluster import ClusterPolynomial, DisconnectedGraphError, dq_at_zero, partition_function
 from relfact.cut import factorized_dq
 from relfact.enumeration import reliability_bruteforce
 from relfact.graphs import Edge, StochasticGraph
-from relfact.states import EnumerationBoundError
 
 H = Fraction(1, 2)
 

@@ -21,6 +21,7 @@ from lattice import (
     parse_partition,
     state_prob,
 )
+from relfact.base import EnumerationBoundError
 from relfact.cluster import DisconnectedGraphError, _conditioned_dq, dq_at_zero, partition_function
 from relfact.conmatrix import invert_connectivity_matrix
 from relfact.cut import CutDecomposition, factorization_detail, n2_closed_form, union_graph
@@ -28,12 +29,7 @@ from relfact.enumeration import reliability_bruteforce
 from relfact.graphs import Edge, GraphError, Hypothesis2Error, StochasticGraph, UnionFind, integer_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
 from relfact.reliability import _factored, conditioned_reliability, reliability_factoring
-from relfact.states import (
-    EnumerationBoundError,
-    joint_reliability,
-    reliability_polynomial,
-    state_distribution,
-)
+from relfact.states import joint_reliability, reliability_polynomial, state_distribution
 
 H = Fraction(1, 2)
 
@@ -380,11 +376,28 @@ def k7_with_parallels():
     return StochasticGraph(frozenset(nodes), edges, frozenset({"0", "3", "6"}))
 
 
+def parallel_24():
+    """24 parallel edges at p = 1/3, one terminal: every polynomial count is
+    its binomial maximum, C_i = C(24, i)."""
+    edges = tuple(Edge(k, "a", "b", Fraction(1, 3)) for k in range(1, 25))
+    return StochasticGraph(frozenset("ab"), edges, frozenset("a"))
+
+
+def loops_24():
+    """One node with 24 loops at p = 1/2: every state is one cluster, so the
+    one cluster weight equals D = 2^24, a power of two."""
+    return StochasticGraph(frozenset("a"), tuple(Edge(k, "a", "a", H) for k in range(1, 25)), frozenset("a"))
+
+
 class TestFrontierKernel:
     """The frontier counts on inputs the 2^m walk cannot reach in time, and
     against the enumeration oracle past the per-mask reference."""
 
-    @pytest.mark.parametrize("make", [grid_4x4, k7_with_parallels], ids=["grid4x4", "k7+3"])
+    @pytest.mark.parametrize(
+        "make",
+        [grid_4x4, k7_with_parallels, parallel_24, loops_24],
+        ids=["grid4x4", "k7+3", "parallel24", "loops24"],
+    )
     def test_24_edges_at_the_default_bound(self, make):
         g = make()
         assert len(g.edges) == 24

@@ -88,6 +88,10 @@ def test_startup_report_lists_each_command_and_its_modules():
     for command in ("polynomial --input GRAPH", "rcm --input GRAPH"):
         assert {"graphs", "states"} <= modules[command]
         assert not {"reliability", "cut", "partitions"} & modules[command]
+    # the oracle checks its bound in base, so it compiles no frontier kernel
+    bruteforce = "reliability --route bruteforce --input GRAPH"
+    assert "enumeration" in modules[bruteforce] and "states" not in modules[bruteforce]
+    assert kb[bruteforce] < kb["polynomial --input GRAPH"]
     # the boundary distributions compile neither the factoring kernel nor
     # the oracle that verify checks every route against
     assert 0 < kb["--help"] < kb["distribution --input DOC"] < kb["verify --input DOC"]
