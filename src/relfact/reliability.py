@@ -1,15 +1,16 @@
 """Exact reliability by factoring.
 
 Contraction/deletion factoring with series/parallel reductions and
-irrelevant-block pruning (relevant_edges), on a whole graph
-(reliability_factoring) or on a cut side with its boundary identified
-through a partition (conditioned_reliability, the side solver of the cut
-routes in cut).  The routes that count edge states live in states, with
-the enumeration bound that caps them, and the 2^m oracle in enumeration;
-factoring has no bound.  All routes are exact and must agree bit for bit;
-the test suite leans on that equality everywhere.  Factoring, like the
-counting kernels, reads the graph's integer form (graphs.integer_form) and
-builds one Fraction over the form's common denominator, at the end.
+irrelevant-block pruning (relevant_edges, one DFS per subproblem), on a
+whole graph (reliability_factoring) or on a cut side with its boundary
+identified through a partition (conditioned_reliability, the side solver
+of the cut routes in cut).  The routes that count edge states live in
+states, with the enumeration bound that caps them, and the 2^m oracle in
+enumeration; factoring has no bound.  All routes are exact and must agree
+bit for bit; the test suite leans on that equality everywhere.  Factoring,
+like the counting kernels, reads the graph's integer form
+(graphs.integer_form) and builds one Fraction over the form's common
+denominator, at the end.
 
 This module is the factoring kernel alone and imports only graphs: it
 compiles no partition lattice, no connectivity matrix, no counting kernel
@@ -31,7 +32,8 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
     """Edge ids that some simple path between two terminals crosses, or None
     when the terminals are not all connected.
 
-    adj maps every node to its (edge id, neighbour) pairs, loops left out;
+    adj maps every node to its incident edges as {edge id: neighbour},
+    loops left out, the factoring kernel's own adjacency (_Subproblem.adj);
     nodes may be any mutually comparable values.  At least two terminals.
     One biconnected DFS from the least terminal decides it: each block
     closes at a node p over the search subtree of p's child u, and p
@@ -51,7 +53,7 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
     pending: list[int] = []  # edge ids not yet in a block
     relevant: set[int] = set()
     # (node, index in pending of the edge from its parent, edges left)
-    frames = [(root, 0, iter(adj[root]))]
+    frames = [(root, 0, iter(adj[root].items()))]
     while frames:
         u, start, rest = frames[-1]
         for eid, w in rest:
@@ -64,7 +66,7 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
             else:
                 disc[w] = low[w] = len(disc)
                 below[w] = int(w in terminals)
-                frames.append((w, len(pending) - 1, iter(adj[w])))
+                frames.append((w, len(pending) - 1, iter(adj[w].items())))
                 break
         else:
             frames.pop()
@@ -157,8 +159,6 @@ class _Subproblem:
                 continue
             by_neighbour: dict[int, int] = {}
             for eid, y in list(inc.items()):
-                if eid not in inc:
-                    continue
                 _, _, up, down = edges[eid]
                 if y == x or not up:
                     self._discard(eid)
@@ -214,24 +214,22 @@ class _Subproblem:
         return True
 
     def reduce(self) -> bool:
-        """Local reductions and irrelevant-block pruning to a fixpoint; False
-        when the terminals cannot be linked."""
-        work = list(self.adj)
-        while True:
-            if not self._reduce_locally(work):
-                return False
-            if len(self.terms) < 2:
-                return True
-            relevant = relevant_edges(
-                {x: inc.items() for x, inc in self.adj.items()}, self.terms
-            )
-            if relevant is None:
-                return False
-            junk = [eid for eid in self.edges if eid not in relevant]
-            if not junk:
-                return True
-            for eid in junk:
-                work.extend(self._discard(eid))
+        """Local rules to their fixpoint, one relevance DFS whose irrelevant
+        edges leave by their mass, and the local rules again where they left;
+        False when the terminals cannot be linked.  A second DFS would prune
+        nothing: each edge left lies on a simple path between two terminals,
+        and no local rule takes an edge off every such path."""
+        if not self._reduce_locally(list(self.adj)):
+            return False
+        if len(self.terms) < 2:
+            return True
+        relevant = relevant_edges(self.adj, self.terms)
+        if relevant is None:
+            return False
+        work: list[int] = []
+        for eid in [eid for eid in self.edges if eid not in relevant]:
+            work.extend(self._discard(eid))
+        return self._reduce_locally(work)
 
 
 def reliability_factoring(g: StochasticGraph) -> Fraction:
@@ -246,14 +244,15 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     and one Fraction(total, D) is built at the end.  Subproblems (weight,
     edges, terminals) wait on an explicit stack, so the depth of a graph
     never meets the interpreter's recursion limit.  Before it branches,
-    each subproblem is reduced to a fixpoint by a worklist of exact rules:
-    loops and p = 0 edges are deleted, p = 1 edges contracted, parallel
-    edges merged (their downs multiply), non-terminal degree-2 nodes
-    spliced out (their ups multiply), non-terminal degree-1 nodes dropped,
-    a degree-1 terminal folded into its neighbour (weight times up) while
-    two or more terminals remain, and biconnected blocks off every
-    terminal-to-terminal path pruned, as one DFS from the least terminal
-    finds them (see relevant_edges).  The pivot is an edge touching
+    each subproblem is reduced to a fixpoint by a worklist of exact local
+    rules: loops and p = 0 edges are deleted, p = 1 edges contracted,
+    parallel edges merged (their downs multiply), non-terminal degree-2
+    nodes spliced out (their ups multiply), non-terminal degree-1 nodes
+    dropped, and a degree-1 terminal folded into its neighbour (weight
+    times up) while two or more terminals remain.  Then one DFS from the
+    least terminal (see relevant_edges) prunes the biconnected blocks off
+    every terminal-to-terminal path, and the local rules run once more
+    where it pruned (see _Subproblem.reduce).  The pivot is an edge touching
     a terminal with the smallest id; a merged edge keeps the smaller of its
     ids.  Agrees exactly with enumeration wherever both run.
     """

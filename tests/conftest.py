@@ -35,14 +35,14 @@ def with_prob(g: StochasticGraph, edge_id: int, p) -> StochasticGraph:
     return StochasticGraph(nodes=g.nodes, edges=edges, terminals=g.terminals)
 
 
-def adjacency(g: StochasticGraph) -> dict[str, list[tuple[int, str]]]:
-    """g's nodes mapped to their (edge id, neighbour) pairs, loops left out:
-    the input of reliability.relevant_edges."""
-    adj: dict[str, list[tuple[int, str]]] = {v: [] for v in g.nodes}
+def adjacency(g: StochasticGraph) -> dict[str, dict[int, str]]:
+    """g's nodes mapped to their incident edges as {edge id: neighbour},
+    loops left out: the input of reliability.relevant_edges."""
+    adj: dict[str, dict[int, str]] = {v: {} for v in g.nodes}
     for e in g.edges:
         if not is_loop(e):
-            adj[e.u].append((e.id, e.v))
-            adj[e.v].append((e.id, e.u))
+            adj[e.u][e.id] = e.v
+            adj[e.v][e.id] = e.u
     return adj
 
 

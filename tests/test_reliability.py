@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -28,7 +29,13 @@ from relfact.cut import CutDecomposition, factorization_detail, n2_closed_form, 
 from relfact.enumeration import reliability_bruteforce
 from relfact.graphs import Edge, GraphError, Hypothesis2Error, StochasticGraph, UnionFind, integer_form
 from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
-from relfact.reliability import _factored, conditioned_reliability, reliability_factoring
+from relfact.reliability import (
+    _factored,
+    _Subproblem,
+    conditioned_reliability,
+    reliability_factoring,
+    relevant_edges,
+)
 from relfact.states import joint_reliability, reliability_polynomial, state_distribution
 
 H = Fraction(1, 2)
@@ -231,6 +238,67 @@ class TestFactoringKernel:
         assert reliability_factoring(g) == math.prod(1 - (1 - p) * (1 - q) for p, q in beads)
 
 
+@contextmanager
+def pruning_checked():
+    """Check the pruning contract of the factoring kernel while the block
+    runs: each subproblem that _Subproblem.reduce leaves with two or more
+    linked terminals holds relevant edges only.  Yields the list of the
+    checked subproblems' edge counts."""
+    reduce = _Subproblem.reduce
+    checked = []
+
+    def checked_reduce(sub):
+        linked = reduce(sub)
+        if linked and len(sub.terms) >= 2:
+            assert relevant_edges(sub.adj, sub.terms) == set(sub.edges)
+            checked.append(len(sub.edges))
+        return linked
+
+    with mock.patch.object(_Subproblem, "reduce", checked_reduce):
+        yield checked
+
+
+def with_block(g, ends, p=H):
+    """g with edges added between the node pairs ends, at probability p,
+    their ids following g's."""
+    extra = tuple(Edge(len(g.edges) + k, u, v, p) for k, (u, v) in enumerate(ends, 1))
+    nodes = g.nodes | {x for uv in ends for x in uv}
+    return StochasticGraph(nodes, g.edges + extra, g.terminals)
+
+
+class TestPruningContract:
+    """One relevance DFS per subproblem prunes all there is to prune, at the
+    root and after every branch: no local rule can leave a block that lies
+    on no path between two terminals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=reducible_multigraphs())
+    def test_reducible_multigraphs(self, g):
+        with pruning_checked():
+            assert reliability_factoring(g) == reliability_bruteforce(g)
+
+    def test_k6_hung_off_a_terminal(self):
+        # no local rule removes a K6; unpruned, it multiplies the branching
+        g = grid(4, 4, {"00", "33"})
+        k6 = ["00", "k1", "k2", "k3", "k4", "k5"]
+        hung = with_block(g, list(combinations(k6, 2)), Fraction(1, 3))
+        with pruning_checked() as checked:
+            assert reliability_factoring(hung) == reliability_factoring(g)
+        assert checked
+
+    def test_bulb_that_dangles_once_its_edge_is_contracted(self):
+        # edge 1, 00-01, is the first pivot.  A K4 joined to both its ends
+        # lies on a path from the terminal 00 to 01 until the pivot is
+        # contracted; then it hangs off the merged node, so only a DFS in
+        # that child can prune it
+        g = grid(3, 3, {"00", "22"})
+        bulb = with_block(g, list(combinations("pqrs", 2)) + [("00", "p"), ("01", "q")])
+        assert len(bulb.edges) == 20
+        with pruning_checked() as checked:
+            assert reliability_factoring(bulb) == reliability_bruteforce(bulb)
+        assert len(checked) > 1
+
+
 @st.composite
 def enumeration_graphs(draw, min_edges=0, max_edges=10, max_terminals=3, max_nodes=6, max_boundary=3):
     """Multigraphs of 1..max_nodes nodes and min_edges..max_edges edges with
@@ -413,6 +481,30 @@ class TestFrontierKernel:
         z = partition_function(g)
         assert time.perf_counter() - start < 2
         assert dq_at_zero(z) == reliability_factoring(equal_probability(g, p, g.nodes))
+
+    def test_polynomial_past_the_default_bound(self):
+        # a path of 150 beads, each two parallel edges: a bead links by one
+        # of its edges or by both, so the counts are those of (2x + x^2)^150
+        edges = []
+        for i in range(150):
+            edges += [(f"v{i}", f"v{i + 1}", H)] * 2
+        g = graph_of(edges, ("v0", "v150"))
+        counts = [1]
+        for _ in range(150):
+            counts = [0] + [2 * a + b for a, b in zip(counts + [0], [0] + counts)]
+        assert reliability_polynomial(g, bound=300).coefficients == tuple(counts)
+
+    def test_partition_function_past_the_default_bound(self):
+        # on a tree each failed edge adds one cluster: Z = q * prod(p_e + (1 - p_e) q)
+        probs = [Fraction(i % 7 + 1, i % 5 + 9) for i in range(300)]
+        g = graph_of([(f"v{i}", f"v{i + 1}", p) for i, p in enumerate(probs)], ("v0",))
+        z = [0, 1]  # in integers over the product of the denominators
+        for p in probs:
+            up, down = p.numerator, p.denominator - p.numerator
+            z = [up * a + down * b for a, b in zip(z + [0], [0] + z)]
+        denom = math.prod(p.denominator for p in probs)
+        want = {k: Fraction(w, denom) for k, w in enumerate(z) if w}
+        assert partition_function(g, bound=300).coeffs == want
 
     @settings(max_examples=40, deadline=None)
     @given(case=ORACLE_GRAPHS, p=PROBABILITIES)
