@@ -39,8 +39,8 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
     closes at a node p over the search subtree of p's child u, and p
     separates that subtree from the rest of the graph, the root terminal
     included, so the block's edges are relevant exactly when the subtree
-    holds a terminal.  Multigraph-aware: traversal is tracked per edge id,
-    so a parallel edge to the DFS parent counts as a cycle, not a revisit.
+    holds a terminal.  No set of used edges is kept: an edge to an earlier
+    node lowers low, so a parallel edge to the DFS parent closes a cycle.
     The DFS keeps its frames on an explicit stack, so the depth of the
     graph is not limited by the interpreter's recursion limit.
     """
@@ -49,25 +49,25 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
     disc = {root: 0}
     low = {root: 0}
     below = {root: 1}  # terminals in each node's search subtree
-    used: set[int] = set()
     pending: list[int] = []  # edge ids not yet in a block
     relevant: set[int] = set()
     # (node, index in pending of the edge from its parent, edges left)
     frames = [(root, 0, iter(adj[root].items()))]
     while frames:
         u, start, rest = frames[-1]
+        du = disc[u]
         for eid, w in rest:
-            if eid in used:
-                continue
-            used.add(eid)
-            pending.append(eid)
-            if w in disc:
-                low[u] = min(low[u], disc[w])
-            else:
+            dw = disc.get(w)
+            if dw is None:
+                pending.append(eid)
                 disc[w] = low[w] = len(disc)
                 below[w] = int(w in terminals)
                 frames.append((w, len(pending) - 1, iter(adj[w].items())))
                 break
+            if dw < du:
+                pending.append(eid)
+                if dw < low[u]:
+                    low[u] = dw
         else:
             frames.pop()
             if not frames:
@@ -94,7 +94,7 @@ class _Subproblem:
     the answer, D being the product of the input's edge denominators.  So
     an edge that leaves multiplies the weight by up when it works, by down
     when it fails, and by its mass up + down when its state does not
-    matter.
+    matter.  An edge known to work leaves by _contract with down set to 0.
     """
 
     def __init__(self, weight: int, edges: dict, terms: set[int]) -> None:
@@ -187,11 +187,9 @@ class _Subproblem:
                     if degree == 1:
                         # a pendant terminal links up only through its edge
                         ((eid, y),) = inc.items()
-                        self.weight *= edges[eid][2]
-                        self._drop(eid)
-                        del adj[x]
-                        terms.discard(x)
-                        terms.add(y)
+                        u, v, up, _ = edges[eid]
+                        edges[eid] = (u, v, up, 0)
+                        self._contract(y, x)
                         push(y)
                 elif degree <= 1:
                     for eid, y in list(inc.items()):
@@ -248,13 +246,14 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     rules: loops and p = 0 edges are deleted, p = 1 edges contracted,
     parallel edges merged (their downs multiply), non-terminal degree-2
     nodes spliced out (their ups multiply), non-terminal degree-1 nodes
-    dropped, and a degree-1 terminal folded into its neighbour (weight
-    times up) while two or more terminals remain.  Then one DFS from the
-    least terminal (see relevant_edges) prunes the biconnected blocks off
-    every terminal-to-terminal path, and the local rules run once more
-    where it pruned (see _Subproblem.reduce).  The pivot is an edge touching
-    a terminal with the smallest id; a merged edge keeps the smaller of its
-    ids.  Agrees exactly with enumeration wherever both run.
+    dropped, and a degree-1 terminal folded into its neighbour, its edge
+    contracted as p = 1 (weight times up), while two or more terminals
+    remain.  Then one DFS from the least terminal (see relevant_edges)
+    prunes the biconnected blocks off every terminal-to-terminal path, and
+    the local rules run once more where it pruned (see _Subproblem.reduce).
+    The pivot is an edge touching a terminal with the smallest id; a merged
+    edge keeps the smaller of its ids.  Agrees exactly with enumeration
+    wherever both run.
     """
     return _factored(integer_form(g))
 

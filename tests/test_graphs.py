@@ -21,6 +21,7 @@ from relfact.graphs import (
 from relfact.enumeration import reliability_bruteforce
 from relfact.partitions import Partition
 from relfact.reliability import reliability_factoring, relevant_edges
+from test_reliability import reducible_multigraphs
 
 H = Fraction(1, 2)
 
@@ -320,6 +321,13 @@ class TestIrrelevantEdges:
     def test_matches_minpath_oracle_ten_edges(self, rng):
         for _ in range(20):
             self.check_against_minpath_oracle(random_graph(rng, max_nodes=7, max_edges=10))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=reducible_multigraphs())
+    def test_matches_minpath_oracle_on_forced_shapes(self, g):
+        # parallel edges (to the DFS parent among them), loops, pendant
+        # terminals and hanging blocks in every draw, not only by chance
+        self.check_against_minpath_oracle(g)
 
     def test_pruning_preserves_reliability(self, rng):
         for _ in range(40):

@@ -266,6 +266,22 @@ def with_block(g, ends, p=H):
     return StochasticGraph(nodes, g.edges + extra, g.terminals)
 
 
+def k6_hung_off_a_terminal():
+    """grid_4x4 with a K6 at p = 1/3 sharing only the terminal 00 (39 edges):
+    no local rule removes a K6; unpruned, it multiplies the branching."""
+    k6 = ["00", "k1", "k2", "k3", "k4", "k5"]
+    return with_block(grid_4x4(), list(combinations(k6, 2)), Fraction(1, 3))
+
+
+def bulb_on_3x3():
+    """The 3x3 grid at p = 1/2, terminals 00 and 22, with a K4 joined to both
+    ends of its first pivot, edge 1, 00-01 (20 edges).  The K4 lies on a
+    path from the terminal 00 to 01 until the pivot is contracted; then it
+    hangs off the merged node, so only a DFS in that child can prune it."""
+    g = grid(3, 3, {"00", "22"})
+    return with_block(g, list(combinations("pqrs", 2)) + [("00", "p"), ("01", "q")])
+
+
 class TestPruningContract:
     """One relevance DFS per subproblem prunes all there is to prune, at the
     root and after every branch: no local rule can leave a block that lies
@@ -278,21 +294,12 @@ class TestPruningContract:
             assert reliability_factoring(g) == reliability_bruteforce(g)
 
     def test_k6_hung_off_a_terminal(self):
-        # no local rule removes a K6; unpruned, it multiplies the branching
-        g = grid(4, 4, {"00", "33"})
-        k6 = ["00", "k1", "k2", "k3", "k4", "k5"]
-        hung = with_block(g, list(combinations(k6, 2)), Fraction(1, 3))
         with pruning_checked() as checked:
-            assert reliability_factoring(hung) == reliability_factoring(g)
+            assert reliability_factoring(k6_hung_off_a_terminal()) == reliability_factoring(grid_4x4())
         assert checked
 
     def test_bulb_that_dangles_once_its_edge_is_contracted(self):
-        # edge 1, 00-01, is the first pivot.  A K4 joined to both its ends
-        # lies on a path from the terminal 00 to 01 until the pivot is
-        # contracted; then it hangs off the merged node, so only a DFS in
-        # that child can prune it
-        g = grid(3, 3, {"00", "22"})
-        bulb = with_block(g, list(combinations("pqrs", 2)) + [("00", "p"), ("01", "q")])
+        bulb = bulb_on_3x3()
         assert len(bulb.edges) == 20
         with pruning_checked() as checked:
             assert reliability_factoring(bulb) == reliability_bruteforce(bulb)
@@ -455,6 +462,43 @@ def loops_24():
     """One node with 24 loops at p = 1/2: every state is one cluster, so the
     one cluster weight equals D = 2^24, a power of two."""
     return StochasticGraph(frozenset("a"), tuple(Edge(k, "a", "a", H) for k in range(1, 25)), frozenset("a"))
+
+
+@contextmanager
+def reduce_calls():
+    """Count the calls of _Subproblem.reduce while the block runs, wrapped as
+    pruning_checked wraps it: one per subproblem the factoring loop pops.
+    Yields a list whose length is the count."""
+    reduce = _Subproblem.reduce
+    calls = []
+
+    def counted_reduce(sub):
+        calls.append(None)
+        return reduce(sub)
+
+    with mock.patch.object(_Subproblem, "reduce", counted_reduce):
+        yield calls
+
+
+class TestFactoringTree:
+    """The factoring tree, pinned by its size: a change to the kernel that
+    keeps every value and means to keep its work must pop exactly as many
+    subproblems as before on each of these inputs."""
+
+    CASES = {
+        "grid4x4": (grid_4x4, 613),
+        "3x5 all-terminal": (lambda: grid(3, 5, {f"{i}{j}" for i in range(3) for j in range(5)}), 12189),
+        "K6 hung off a terminal": (k6_hung_off_a_terminal, 613),
+        "K4 bulb": (bulb_on_3x3, 69),
+        "k7+3": (k7_with_parallels, 511),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_subproblems_popped(self, case):
+        make, popped = self.CASES[case]
+        with reduce_calls() as calls:
+            reliability_factoring(make())
+        assert len(calls) == popped
 
 
 class TestFrontierKernel:

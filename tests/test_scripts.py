@@ -1,5 +1,6 @@
 """The scripts under scripts/, run as a user would run them."""
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -104,6 +105,31 @@ def test_startup_report_lists_each_command_and_its_modules():
     assert help_row.startswith("--help ") and usage_row.startswith("reliability --bogus ")
     for row in (help_row, usage_row):  # no wire format, so none of the modules it uses
         assert not {"json", "fractions", "decimal"} & set(row.split())
+
+
+def load_script(name):
+    """The script scripts/<name> as a module, its main block not run."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutation_gate_kills_two_mutants_and_refuses_a_stale_one(capsys):
+    gate = load_script("mutants.py")
+    names = (
+        "a contraction's loops leave by up, not their mass",
+        "the relevance DFS never lowers low on an edge to an ancestor",
+    )
+    picked = [m for m in gate.MUTANTS if m.name in names]
+    assert len(picked) == 2
+    assert gate.check(picked) == 0
+    killed = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[1] for line in killed] == [f"killed by {m.tests[0]}" for m in picked]
+    # a text the source no longer holds fails the gate before any test runs
+    stale = picked[0]._replace(text="        no such line\n")
+    assert gate.check([stale]) == 1
+    assert "stale: its text occurs 0 times in src/relfact/reliability.py" in capsys.readouterr().out
 
 
 def test_startup_report_refuses_no_repetitions():
