@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""The mutation gate of the kernels: each entry of MUTANTS changes one exact
-text of one source file, and a test named beside it must fail on the change.
+"""The mutation gate of the kernels and the commands: each entry of MUTANTS
+changes one exact text of one source file, and a test named beside it must
+fail on the change.
 
     python3 scripts/mutants.py
 
@@ -13,9 +14,10 @@ survived.  It exits 1 when a mutant survives, when a text no longer
 matches, or when the named tests cannot run (pytest's exit status is then
 neither 0 nor 1), and 0 when every mutant is killed.
 
-Name tests that run the kernels in process: tests/conftest.py points a
-spawned `python -m relfact` at the repository's own src/, not at the copy.
-A refactor that moves or rewrites a text carries its mutant along.  A
+tests/conftest.py points a spawned `python -m relfact` at the package that
+pytest imported, the copy, so a test that runs the command line in its own
+process judges a mutant as well as one that runs it in process.  A
+refactor that moves or rewrites a text carries its mutant along.  A
 survivor is mended by a new test that kills it, never by dropping its entry.
 """
 
@@ -47,6 +49,8 @@ REL = "relfact/reliability.py"
 KERNEL = "tests/test_reliability.py::TestFactoringKernel"
 PRUNING = "tests/test_reliability.py::TestPruningContract"
 IRRELEVANT = "tests/test_graphs.py::TestIrrelevantEdges"
+FACTOR = "tests/test_cli.py::TestFactorCommand"
+VERIFY = "tests/test_cli.py::TestVerifyCommand"
 
 MUTANTS = [
     # the factoring kernel: pruning, mass factors, and each local rule
@@ -63,10 +67,8 @@ MUTANTS = [
     Mutant(
         "root-only pruning",
         REL,
-        "    total = 0\n    while stack:\n"
-        "        sub = _Subproblem(*stack.pop())\n        if not sub.reduce():\n",
-        "    total = 0\n    reduces = [_Subproblem.reduce]\n    while stack:\n"
-        "        sub = _Subproblem(*stack.pop())\n"
+        "    total = 0\n    while stack:\n        sub = stack.pop()\n        if not sub.reduce():\n",
+        "    total = 0\n    reduces = [_Subproblem.reduce]\n    while stack:\n        sub = stack.pop()\n"
         "        if not (reduces.pop() if reduces else lambda s: s._reduce_locally(list(s.adj)))(sub):\n",
         (f"{PRUNING}::test_bulb_that_dangles_once_its_edge_is_contracted",),
     ),
@@ -118,6 +120,16 @@ MUTANTS = [
         "                        edges[eid] = (u, v, up, 0)\n",
         "                        edges[eid] = (u, v, up, _)\n",
         ("tests/test_reliability.py::TestFactoring::test_bridge", f"{KERNEL}::test_matches_enumeration"),
+    ),
+    Mutant(
+        "the child in which the pivot fails is weighted by up",
+        REL,
+        "        sub.weight *= down\n",
+        "        sub.weight *= up\n",
+        (
+            "tests/test_reliability.py::TestFactoring::test_degenerate_probabilities",
+            "tests/test_reliability.py::TestConditionedReliability::test_lemma_sum",
+        ),
     ),
     Mutant(
         "the relevance DFS never lowers low on an edge to an ancestor",
@@ -176,6 +188,28 @@ MUTANTS = [
             "tests/test_graphs.py::TestIdentifyNodes::test_integer_form_numbers_in_name_order_and_merges_transitively",
             "tests/test_reliability.py::TestConditionedReliability::test_lemma_sum",
         ),
+    ),
+    # the commands: a refusal and the comparisons that decide exit 4
+    Mutant(
+        "the joint route takes terminals off the boundary",
+        "relfact/commands/factor.py",
+        "        if off_cut:\n",
+        "        if False:\n",
+        (f"{FACTOR}::test_joint_route_refuses_terminals_off_the_boundary",),
+    ),
+    Mutant(
+        "verify reports a joint-state sum that agrees",
+        "relfact/commands/verify.py",
+        "        if joint_reliability(d1, d2) != brute:\n",
+        "        if joint_reliability(d1, d2) == brute:\n",
+        (f"{VERIFY}::test_each_check_reports_its_mismatch[joint]", f"{VERIFY}::test_fixture_directory"),
+    ),
+    Mutant(
+        "factor --verify reports a value that agrees",
+        "relfact/commands/factor.py",
+        "        if oracle != value:\n",
+        "        if oracle == value:\n",
+        (f"{FACTOR}::test_verify_flag_mismatch_exit_4", f"{FACTOR}::test_verify_flag"),
     ),
 ]
 

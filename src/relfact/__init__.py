@@ -19,7 +19,7 @@ _EXPORTS = {
     "enumeration": "reliability_bruteforce",
     "graphs": "Edge StochasticGraph is_k_connected",
     "linalg": "InvariantFactors abelian_signature diagonal_smith_form",
-    "partitions": "CoherentOrder Partition all_partitions coherent_order is_connected_pair join",
+    "partitions": "CoherentOrder Partition all_partitions coherent_order is_connected_pair",
     "reliability": "conditioned_reliability reliability_factoring",
     "states": "ReliabilityPolynomial StateDistribution joint_reliability reliability_polynomial "
     "state_distribution",

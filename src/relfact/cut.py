@@ -101,11 +101,11 @@ def union_graph(g1: StochasticGraph, g2: StochasticGraph) -> StochasticGraph:
 
 
 def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
-    """Deterministic map: results come back in task order regardless of the
-    worker count, so parallel and sequential runs are bitwise identical.
-    The pool starts no more workers than there are tasks or CPUs: under
-    fork it starts every worker up front, so an uncapped --jobs would
-    start one process per task."""
+    """fn(*t) for each argument tuple t of tasks, a deterministic map:
+    results come back in task order regardless of the worker count, so
+    parallel and sequential runs are bitwise identical.  The pool starts no
+    more workers than there are tasks or CPUs: under fork it starts every
+    worker up front, so an uncapped --jobs would start one process per task."""
     if jobs > 1 and len(tasks) > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # single-process run never needs to load
@@ -113,8 +113,8 @@ def ordered_parallel_map(fn, tasks, jobs: int = 1) -> list:
 
         workers = min(jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            return list(ex.map(fn, *zip(*tasks)))
+    return [fn(*t) for t in tasks]
 
 
 class FactorizationResult(Value):
@@ -131,11 +131,6 @@ class FactorizationResult(Value):
         self._set(side1, side2, value)
 
 
-def _side_task(task) -> Fraction:
-    solve, g, boundary, a = task
-    return solve(g, boundary, a)
-
-
 def _cut_factorization(d: CutDecomposition, jobs: int, solve) -> FactorizationResult:
     """The factorization combine, shared by every quantity that factors.
 
@@ -149,8 +144,8 @@ def _cut_factorization(d: CutDecomposition, jobs: int, solve) -> FactorizationRe
     from .partitions import all_partitions
 
     states = all_partitions(d.n)
-    tasks = [(solve, g, d.boundary, a) for g in (d.g1, d.g2) for a in states]
-    vals = ordered_parallel_map(_side_task, tasks, jobs)
+    tasks = [(g, d.boundary, a) for g in (d.g1, d.g2) for a in states]
+    vals = ordered_parallel_map(solve, tasks, jobs)
     side1 = dict(zip(states, vals))
     side2 = dict(zip(states, vals[len(states) :]))
     return FactorizationResult(side1=side1, side2=side2, value=inverse_form(side1, side2))

@@ -85,9 +85,7 @@ def fraction_from_str(s: str) -> Fraction:
 
 
 def prob_from_json(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise FormatError(f"probability must be a string or 0/1, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return fraction_from_str(value)

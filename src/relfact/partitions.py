@@ -1,13 +1,13 @@
 """Set partitions of {1..n}: the connectivity states of a cut boundary.
 
 A partition records which boundary nodes end up linked inside one side of
-a decomposition.  This module enumerates the partitions of {1..n}, joins
-two of them, and builds the coherent linear orders that index the printed
-connectivity matrices.  Every route that reads the states of a boundary
-loads it: the cut factorizations (cut), the boundary-state routes (states)
-and the connectivity matrices.  The graph routes, factoring and the counts,
-do not, so the value base, MAX_GROUND_SET and the order variants live in
-base.
+a decomposition.  This module enumerates the partitions of {1..n}, tells
+whether two of them link the boundary into one block, and builds the
+coherent linear orders that index the printed connectivity matrices.
+Every route that reads the states of a boundary loads it: the cut
+factorizations (cut), the boundary-state routes (states) and the
+connectivity matrices.  The graph routes, factoring and the counts, do
+not, so the value base, MAX_GROUND_SET and the order variants live in base.
 """
 
 from __future__ import annotations
@@ -131,11 +131,6 @@ def _merged(a: Partition, b: Partition) -> list[int]:
     return labels
 
 
-def join(a: Partition, b: Partition) -> Partition:
-    """Finest partition coarser than both."""
-    return Partition.from_labels(_merged(a, b))
-
-
 def is_connected_pair(a: Partition, b: Partition) -> bool:
     """True iff merging both partitions links the whole boundary into one block."""
     return len(set(_merged(a, b))) == 1
@@ -162,9 +157,6 @@ class CoherentOrder(Value):
         self, n: int, variant: str, states: tuple[Partition, ...], index: dict[Partition, int]
     ) -> None:
         self._set(n, variant, states, index)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
     def position(self, p: Partition) -> int:
         return self.index[p]

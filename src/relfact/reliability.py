@@ -73,9 +73,11 @@ def relevant_edges(adj: Mapping, terminals: Iterable) -> set[int] | None:
             if not frames:
                 break
             p = frames[-1][0]
-            low[p] = min(low[p], low[u])
+            lu = low[u]
+            if lu < low[p]:
+                low[p] = lu
             below[p] += below[u]
-            if low[u] >= disc[p]:
+            if lu >= disc[p]:
                 if below[u]:
                     relevant.update(pending[start:])
                 del pending[start:]
@@ -239,9 +241,9 @@ def reliability_factoring(g: StochasticGraph) -> Fraction:
     of the edge denominators, as in the enumeration and frontier kernels:
     each subproblem carries an integer weight (see _Subproblem), each leaf
     adds its weight times the masses up + down of the edges it has left,
-    and one Fraction(total, D) is built at the end.  Subproblems (weight,
-    edges, terminals) wait on an explicit stack, so the depth of a graph
-    never meets the interpreter's recursion limit.  Before it branches,
+    and one Fraction(total, D) is built at the end.  Subproblems wait on
+    an explicit stack, so the depth of a graph never meets the
+    interpreter's recursion limit.  Before it branches,
     each subproblem is reduced to a fixpoint by a worklist of exact local
     rules: loops and p = 0 edges are deleted, p = 1 edges contracted,
     parallel edges merged (their downs multiply), non-terminal degree-2
@@ -268,12 +270,13 @@ def conditioned_reliability(
 def _factored(form: tuple) -> Fraction:
     """The factoring loop of reliability_factoring over an integer form,
     which it leaves as it was: the subproblems reduce copies of its edges
-    and terminals in place."""
+    and terminals in place.  At a branch the subproblem itself becomes the
+    child in which the pivot fails, so only the other child is built."""
     _, edges, terms, denom = form
-    stack = [(1, {eid: (u, v, up, down) for eid, u, v, up, down in edges}, set(terms))]
+    stack = [_Subproblem(1, {eid: (u, v, up, down) for eid, u, v, up, down in edges}, set(terms))]
     total = 0
     while stack:
-        sub = _Subproblem(*stack.pop())
+        sub = stack.pop()
         if not sub.reduce():
             continue
         if len(sub.terms) < 2:
@@ -284,10 +287,11 @@ def _factored(form: tuple) -> Fraction:
             continue
         pivot = min(eid for t in sub.terms for eid in sub.adj[t])
         u, v, up, down = sub.edges[pivot]
-        works = dict(sub.edges)
-        works[pivot] = (u, v, up, 0)  # contracted by the p = 1 rule, weight times up
-        del sub.edges[pivot]
-        stack.append((sub.weight * down, sub.edges, sub.terms))
-        stack.append((sub.weight, works, set(sub.terms)))
+        # contracted by the p = 1 rule, weight times up
+        works = _Subproblem(sub.weight, {**sub.edges, pivot: (u, v, up, 0)}, set(sub.terms))
+        sub._drop(pivot)
+        sub.weight *= down
+        stack.append(sub)
+        stack.append(works)
     return Fraction(total, denom)
 

@@ -269,9 +269,7 @@ def joint_reliability(d1: StateDistribution, d2: StateDistribution) -> Fraction:
         raise ValueError(f"boundary sizes differ: {d1.n} vs {d2.n}")
     total = Fraction(0)
     for a, pa in d1.probs.items():
-        if pa == 0:
-            continue
         for b, pb in d2.probs.items():
-            if pb and is_connected_pair(a, b):
+            if is_connected_pair(a, b):
                 total += pa * pb
     return total

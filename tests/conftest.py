@@ -5,14 +5,17 @@ from pathlib import Path
 
 import pytest
 
+import relfact
 from corpus import random_probability
 from lattice import is_loop
 from relfact.graphs import Edge, StochasticGraph
 from relfact.partitions import Partition
 
 # pyproject's pythonpath puts src/ on this process's path only; the tests
-# that spawn `python -m relfact` need it in the environment as well
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+# that spawn `python -m relfact` need it in the environment as well.  The
+# path is that of the package this process imported, so a spawned command
+# runs the same source as the tests in process, wherever it was imported from
+SRC = str(Path(relfact.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 

@@ -1,14 +1,15 @@
 """The partition-lattice and graph helpers that only the tests and scripts
-call, a test reference: Bell numbers, the "13|2" partition syntax, meet and
-the refinement order, the relabeling action of permutations with its
-orbits, the pathset test of one edge state, the diagonal factor C of a
+call, a test reference: Bell numbers, the "13|2" partition syntax, join,
+meet and the refinement order, the relabeling action of permutations with
+its orbits, the pathset test of one edge state, the diagonal factor C of a
 connectivity bundle and the determinant of the connectivity matrix, a
 graph with its boundary nodes identified through a partition, the
 identified complete graphs with the leading term of their polynomials, the
 values of the reliability and cluster polynomials at a point, one state's
 probability, and an edge's endpoints and loop test.
 
-The package reaches none of them: a coherent order sorts the partitions by
+The package reaches none of them: is_connected_pair reads the merged
+labels without building the join, a coherent order sorts the partitions by
 block sizes directly, the factorizations read alpha in closed form, a side
 solve identifies its boundary in the integer form it reads rather than in
 a new graph, and is_k_connected reads the components of the whole graph.
@@ -28,7 +29,7 @@ from relfact.base import Value
 from relfact.cluster import ClusterPolynomial
 from relfact.conmatrix import ConnectivityBundle, _mu
 from relfact.graphs import Edge, GraphError, StochasticGraph, UnionFind
-from relfact.partitions import Partition, _require_same_ground, all_partitions
+from relfact.partitions import Partition, _merged, _require_same_ground, all_partitions
 from relfact.states import ReliabilityPolynomial, StateDistribution
 
 
@@ -52,6 +53,11 @@ def parse_partition(text: str) -> Partition:
     except ValueError:
         raise ValueError(f"bad partition syntax: {text!r}") from None
     return Partition(blocks)
+
+
+def join(a: Partition, b: Partition) -> Partition:
+    """Finest partition coarser than both."""
+    return Partition.from_labels(_merged(a, b))
 
 
 def meet(a: Partition, b: Partition) -> Partition:

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -183,6 +184,20 @@ class TestReliabilityCommand:
         assert proc.returncode == 2
         assert "'id'" in proc.stderr
 
+    @pytest.mark.parametrize("prob", [None, [1]], ids=["null", "list"])
+    def test_probability_neither_string_nor_number_exit_2(self, tmp_path, capsys, prob):
+        doc = {
+            "nodes": ["a", "b"],
+            "edges": [{"id": 1, "u": "a", "v": "b", "p": prob}],
+            "terminals": ["a", "b"],
+        }
+        path = tmp_path / "typed_prob.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["reliability", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"input error: probability must be a string or 0/1, got {prob!r}\n")
+
     @pytest.mark.parametrize("prob", ["1e-100000", "1e-999999999"])
     def test_huge_decimal_exponent_exit_2(self, tmp_path, prob):
         doc = {
@@ -307,6 +322,38 @@ class TestFactorCommand:
         proc = run_cli("factor", "--input", str(path), "--route", "joint", "--verify")
         assert proc.returncode == 0
         assert "reliability = 1913/8192" in proc.stdout
+
+    def test_joint_route_refuses_terminals_off_the_boundary(self):
+        # a spawned process: the boundary-state sum is the reliability only
+        # when every terminal sits on the cut
+        proc = run_cli("factor", "--route", "joint", "--input", str(FIXTURES / "allterm2_0.json"))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert (
+            "validation error: the joint route needs every terminal on the boundary; "
+            "['u1', 'u2', 'v1'] are not\n"
+        ) in proc.stderr
+
+    def test_verify_flag_mismatch_exit_4(self, tmp_path, capsys, monkeypatch):
+        import relfact.cut
+
+        real = relfact.cut.n2_closed_form
+        monkeypatch.setattr(relfact.cut, "n2_closed_form", lambda d: real(d) + 1)
+        path = write_decomposition(tmp_path / "bridge.json", bridge_decomposition())
+        assert cli.main(["factor", "--route", "n2", "--input", path, "--verify"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "verification mismatch: route n2 gave 55/32, enumeration gave 23/32\n" in err
+
+    def test_boundary_of_non_strings_exit_2(self, tmp_path, capsys):
+        doc = decomposition_to_obj(bridge_decomposition())
+        doc["boundary"] = ["u", 1]
+        path = tmp_path / "numbered.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["factor", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: boundary must be a list of node names\n")
 
     @pytest.mark.parametrize("k", [9, 10])
     @pytest.mark.parametrize(
@@ -514,7 +561,50 @@ class TestOtherCommands:
         assert proc.stdout == ""
 
 
+# two boundary nodes that are every node and every terminal of both
+# sides, so verify runs all six of its checks
+TWO_NODE_DOC = {
+    "g1": side_doc(["a", "b"], ["a", "b"], [(1, "a", "b", "1/2")]),
+    "g2": side_doc(["a", "b"], ["a", "b"], [(2, "a", "b", "1/3")]),
+    "boundary": ["a", "b"],
+}
+
+
+def _value_plus_one(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + 1
+
+
+def _result_plus_one(real):
+    return lambda *args, **kwargs: SimpleNamespace(value=real(*args, **kwargs).value + 1)
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "module, name, wrong, failures",
+        [
+            ("reliability", "reliability_factoring", _value_plus_one, ["factoring != enumeration"]),
+            ("cut", "factorization_detail", _result_plus_one, ["factorized != enumeration"]),
+            ("states", "joint_reliability", _value_plus_one, ["joint-state sum != enumeration"]),
+            ("cut", "n2_closed_form", _value_plus_one, ["two-node closed form != enumeration"]),
+            # the direct weight is what the factorized derivative is held to
+            ("cluster", "dq_at_zero", _value_plus_one,
+             ["cluster-model q-linear weight != enumeration", "factorized cluster derivative != direct"]),
+            ("cut", "factorized_dq", _value_plus_one, ["factorized cluster derivative != direct"]),
+        ],
+        ids=["factoring", "factorized", "joint", "n2", "cluster weight", "cluster derivative"],
+    )
+    def test_each_check_reports_its_mismatch(self, tmp_path, capsys, monkeypatch, module, name, wrong, failures):
+        home = __import__(f"relfact.{module}", fromlist=["_"])
+        monkeypatch.setattr(home, name, wrong(getattr(home, name)))
+        path = tmp_path / "two_node.json"
+        path.write_text(json.dumps(TWO_NODE_DOC))
+        assert cli.main(["verify", "--input", str(path), "--output", "json"]) == 4
+        result = json.loads(capsys.readouterr().out)
+        assert result["ok"] is False
+        assert result["results"] == [
+            {"file": "two_node.json", "ok": False, "reliability": "2/3", "failures": failures}
+        ]
+
     def test_fixture_directory(self, tmp_path):
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
@@ -748,9 +838,9 @@ class TestStartup:
         files = {f.removesuffix(".__init__") for f in files} - {"__init__", "__main__"}
         assert files == EVERY_COMMAND.union(*ROUTE_MODULES.values())
         moved = {
-            relfact: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits",
+            relfact: ["bell_number", "join", "meet", "refines", "conjugate", "Orbit", "orbits",
                       "is_k_pathset", "gamma_graph", "corpus", "connectivity_matrix_det", "identify_nodes"],
-            relfact.partitions: ["bell_number", "meet", "refines", "conjugate", "Orbit", "orbits"],
+            relfact.partitions: ["bell_number", "join", "meet", "refines", "conjugate", "Orbit", "orbits"],
             relfact.graphs: ["is_k_pathset", "identify_nodes", "CutDecomposition", "union_graph", "relevant_edges"],
             relfact.states: ["reliability_bruteforce", "_state_masks", "_linked_masks", "_CHUNK",
                              "_add", "_check_bound", "EnumerationBoundError", "DEFAULT_ENUMERATION_BOUND"],
@@ -964,8 +1054,8 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         path = tmp_path / "three.json"

@@ -19,6 +19,7 @@ from lattice import (
     conjugate,
     connectivity_matrix_det,
     diagonal_factor,
+    join,
     meet,
     orbits,
     parse_partition,
@@ -34,7 +35,7 @@ from relfact.conmatrix import (
     pi_vector,
 )
 from relfact.linalg import abelian_signature, diagonal_smith_form
-from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
+from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order
 
 
 def P(text):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice import bell_number, conjugate, meet, orbits, parse_partition, refines
-from relfact.partitions import Partition, all_partitions, coherent_order, is_connected_pair, join
+from lattice import bell_number, conjugate, join, meet, orbits, parse_partition, refines
+from relfact.partitions import Partition, all_partitions, coherent_order, is_connected_pair
 
 
 def P(text):

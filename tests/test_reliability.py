@@ -18,6 +18,7 @@ from lattice import (
     identify_nodes,
     is_k_pathset,
     is_loop,
+    join,
     leading_term,
     parse_partition,
     state_prob,
@@ -28,7 +29,7 @@ from relfact.conmatrix import invert_connectivity_matrix
 from relfact.cut import CutDecomposition, factorization_detail, n2_closed_form, union_graph
 from relfact.enumeration import reliability_bruteforce
 from relfact.graphs import Edge, GraphError, Hypothesis2Error, StochasticGraph, UnionFind, integer_form
-from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order, join
+from relfact.partitions import ORDER_VARIANTS, Partition, all_partitions, coherent_order
 from relfact.reliability import (
     _factored,
     _Subproblem,
