@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""The mutation gate of the kernels and the commands: each entry of MUTANTS
-changes one exact text of one source file, and a test named beside it must
-fail on the change.
+"""The mutation gate of the kernels, the value types and the commands: each
+entry of MUTANTS changes one exact text of one source file, and a test
+named beside it must fail on the change.
 
     python3 scripts/mutants.py
 
@@ -51,6 +51,9 @@ PRUNING = "tests/test_reliability.py::TestPruningContract"
 IRRELEVANT = "tests/test_graphs.py::TestIrrelevantEdges"
 FACTOR = "tests/test_cli.py::TestFactorCommand"
 VERIFY = "tests/test_cli.py::TestVerifyCommand"
+FRONTIER = "tests/test_reliability.py::TestFrontierKernel::test_24_edges_at_the_default_bound"
+DISTRIBUTION = "tests/test_reliability.py::TestStateDistribution"
+INITIALIZER = "tests/test_values.py::TestInitializer"
 
 MUTANTS = [
     # the factoring kernel: pruning, mass factors, and each local rule
@@ -150,6 +153,27 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the cluster counts' digits are one bit too narrow",
+        "relfact/cluster.py",
+        "    b = denom.bit_length()\n",
+        "    b = denom.bit_length() - 1\n",
+        (f"{FRONTIER}[parallel24]", f"{FRONTIER}[loops24]"),
+    ),
+    Mutant(
+        "the polynomial's digits are five bits too narrow",
+        "relfact/states.py",
+        "    b = len(edges) + 1\n",
+        "    b = len(edges) - 4\n",
+        (f"{FRONTIER}[k7+3]", f"{FRONTIER}[parallel24]", f"{FRONTIER}[loops24]"),
+    ),
+    Mutant(
+        "a boundary distribution walks without keeping its boundary on the frontier",
+        "relfact/states.py",
+        "_frontier_walk(index.values(), edges, set(), set(bix))",
+        "_frontier_walk(index.values(), edges, set(), set())",
+        (f"{DISTRIBUTION}::test_bridge_side", f"{DISTRIBUTION}::test_single_edge"),
+    ),
+    Mutant(
         "the Moebius function of a k-block interval changes sign",
         "relfact/conmatrix.py",
         "    return (-1) ** (k - 1) * factorial(k - 1)\n",
@@ -188,6 +212,21 @@ MUTANTS = [
             "tests/test_graphs.py::TestIdentifyNodes::test_integer_form_numbers_in_name_order_and_merges_transitively",
             "tests/test_reliability.py::TestConditionedReliability::test_lemma_sum",
         ),
+    ),
+    # the one initializer of the value types that only store their fields
+    Mutant(
+        "the initializer stores keyword arguments in the order given",
+        "relfact/base.py",
+        "        self._set(*args, *[kwargs[key] for key in rest])\n",
+        "        self._set(*args, *kwargs.values())\n",
+        (f"{INITIALIZER}::test_position_and_keyword_give_equal_values[ConnectivityBundle]",),
+    ),
+    Mutant(
+        "the initializer accepts an unknown keyword",
+        "relfact/base.py",
+        "            if key not in rest:\n",
+        "            if key in names[: len(args)]:\n",
+        (f"{INITIALIZER}::test_a_missing_repeated_or_unknown_argument_raises_type_error[InvariantFactors]",),
     ),
     # the commands: a refusal and the comparisons that decide exit 4
     Mutant(

@@ -8,7 +8,8 @@ It imports nothing from the package, so a module that needs only these
 loads no other module of it: the command line parses argv, prints its help
 and reports a usage error with this module alone.  Value writes out
 comparison, hashing, repr, immutability and pickling once, as plain
-methods, so loading the package generates and compiles no code at run
+methods, with one initializer for the types that only store their
+fields, so loading the package generates and compiles no code at run
 time.
 """
 
@@ -53,15 +54,33 @@ class Value:
     A subclass lists its attributes in __slots__, FIELDS first, and in
     FIELDS the ones that define the value, in constructor order; an
     attribute derived from them (an index, a cached graph) sits in
-    __slots__ only.  Its __init__ stores the slots with _set.  ==, hash and
-    repr read FIELDS: equal values have the same type and equal fields, and
-    the hash is the hash of the field tuple.  Assignment and deletion raise
+    __slots__ only.  __init__ takes every slot, in __slots__ order, by
+    position or by keyword; a subclass that normalises or validates writes
+    its own and stores the slots with _set.  ==, hash and repr read
+    FIELDS: equal values have the same type and equal fields, and the hash
+    is the hash of the field tuple.  Assignment and deletion raise
     AttributeError, and pickling saves and restores every slot without
     running __init__ again.
     """
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Store every slot; a missing, repeated or unknown argument raises
+        TypeError, as a written-out signature does."""
+        kind, names = type(self).__name__, self.__slots__
+        rest = names[len(args) :]
+        if len(args) > len(names):
+            raise TypeError(f"{kind}() takes {len(names)} arguments, {len(args)} given")
+        for key in kwargs:
+            if key not in rest:
+                how = "multiple values for" if key in names else "an unexpected keyword"
+                raise TypeError(f"{kind}() got {how} argument {key!r}")
+        missing = [key for key in rest if key not in kwargs]
+        if missing:
+            raise TypeError(f"{kind}() missing arguments: {', '.join(missing)}")
+        self._set(*args, *[kwargs[key] for key in rest])
 
     def _set(self, *values) -> None:
         """Set the first len(values) slots, in __slots__ order."""

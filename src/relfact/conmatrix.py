@@ -120,15 +120,6 @@ class ConnectivityBundle(Value):
     alpha: tuple[int, ...]
     A_inv: list[list[Fraction]]
 
-    def __init__(
-        self,
-        order: CoherentOrder,
-        A: list[list[int]],
-        alpha: tuple[int, ...],
-        A_inv: list[list[Fraction]],
-    ) -> None:
-        self._set(order, A, alpha, A_inv)
-
     @property
     def n(self) -> int:
         return self.order.n

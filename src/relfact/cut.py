@@ -125,11 +125,6 @@ class FactorizationResult(Value):
     side2: dict[Partition, Fraction]
     value: Fraction
 
-    def __init__(
-        self, side1: dict[Partition, Fraction], side2: dict[Partition, Fraction], value: Fraction
-    ) -> None:
-        self._set(side1, side2, value)
-
 
 def _cut_factorization(d: CutDecomposition, jobs: int, solve) -> FactorizationResult:
     """The factorization combine, shared by every quantity that factors.

@@ -27,11 +27,6 @@ class InvariantFactors(Value):
     snf_diagonal: tuple[int, ...]
     torsion_prime_powers: tuple[tuple[int, int, int], ...]
 
-    def __init__(
-        self, snf_diagonal: tuple[int, ...], torsion_prime_powers: tuple[tuple[int, int, int], ...]
-    ) -> None:
-        self._set(snf_diagonal, torsion_prime_powers)
-
 
 def _prime_power_factors(d: int) -> list[tuple[int, int]]:
     out = []

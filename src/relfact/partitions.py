@@ -153,11 +153,6 @@ class CoherentOrder(Value):
     states: tuple[Partition, ...]
     index: dict[Partition, int]
 
-    def __init__(
-        self, n: int, variant: str, states: tuple[Partition, ...], index: dict[Partition, int]
-    ) -> None:
-        self._set(n, variant, states, index)
-
     def position(self, p: Partition) -> int:
         return self.index[p]
 

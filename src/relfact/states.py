@@ -178,9 +178,6 @@ class ReliabilityPolynomial(base.Value):
     __slots__ = FIELDS = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __init__(self, coefficients: tuple[int, ...]) -> None:
-        self._set(coefficients)
-
     @property
     def edge_count(self) -> int:
         return len(self.coefficients) - 1

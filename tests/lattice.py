@@ -90,11 +90,6 @@ class Orbit(Value):
     block_count: int
     signature: tuple[int, ...]
 
-    def __init__(
-        self, members: tuple[Partition, ...], block_count: int, signature: tuple[int, ...]
-    ) -> None:
-        self._set(members, block_count, signature)
-
     @property
     def size(self) -> int:
         return len(self.members)

@@ -115,14 +115,15 @@ def load_script(name):
     return module
 
 
-def test_mutation_gate_kills_two_mutants_and_refuses_a_stale_one(capsys):
+def test_mutation_gate_kills_three_mutants_and_refuses_a_stale_one(capsys):
     gate = load_script("mutants.py")
     names = (
         "a contraction's loops leave by up, not their mass",
         "the relevance DFS never lowers low on an edge to an ancestor",
+        "the polynomial's digits are five bits too narrow",
     )
     picked = [m for m in gate.MUTANTS if m.name in names]
-    assert len(picked) == 2
+    assert len(picked) == 3
     assert gate.check(picked) == 0
     killed = capsys.readouterr().out.splitlines()
     assert [line.split(": ")[1] for line in killed] == [f"killed by {m.tests[0]}" for m in picked]

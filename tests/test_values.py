@@ -3,7 +3,8 @@
 Each type compares and hashes by the fields that define it; attributes
 derived from those fields (a decomposition's union, an order's position
 index) take no part.  Assignment raises AttributeError, and the types the
-process pool ships pickle.
+process pool ships pickle.  The types that only store their fields take
+them by position or by keyword, through one initializer.
 """
 
 import pickle
@@ -77,6 +78,44 @@ class TestValueContract:
         else:
             assert hash(a) == hash(b)
         assert a != object()
+
+
+# the types that only store their fields, through Value's one initializer
+DECLARED = (FactorizationResult, InvariantFactors, ConnectivityBundle, CoherentOrder, ReliabilityPolynomial)
+
+
+def slot_values(kind):
+    """Each slot of a fresh value of kind, in __slots__ order."""
+    value = VALUES[kind][0]()
+    return {name: getattr(value, name) for name in kind.__slots__}
+
+
+@pytest.mark.parametrize("kind", DECLARED, ids=type_name)
+class TestInitializer:
+    def test_position_and_keyword_give_equal_values(self, kind):
+        fields = slot_values(kind)
+        by_position = kind(*fields.values())
+        # keywords given last slot first, so each must find its own slot
+        by_keyword = kind(**dict(reversed(fields.items())))
+        assert by_position == by_keyword == VALUES[kind][0]()
+        for name, field in fields.items():
+            assert getattr(by_position, name) is field
+            assert getattr(by_keyword, name) is field
+
+    def test_a_missing_repeated_or_unknown_argument_raises_type_error(self, kind):
+        fields = slot_values(kind)
+        values = list(fields.values())
+        first, last = next(iter(fields)), list(fields)[-1]
+        with pytest.raises(TypeError, match=f"missing arguments: {last}$"):
+            kind(*values[:-1])
+        with pytest.raises(TypeError, match=f"missing arguments: {first}$"):
+            kind(**{name: field for name, field in fields.items() if name != first})
+        with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+            kind(*values, **{first: values[0]})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            kind(*values, extra=0)
+        with pytest.raises(TypeError, match=f"takes {len(values)} arguments, {len(values) + 1} given"):
+            kind(*values, 0)
 
 
 class TestDerivedAttributesStayOutOfEquality:
