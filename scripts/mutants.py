@@ -54,6 +54,8 @@ VERIFY = "tests/test_cli.py::TestVerifyCommand"
 FRONTIER = "tests/test_reliability.py::TestFrontierKernel::test_24_edges_at_the_default_bound"
 DISTRIBUTION = "tests/test_reliability.py::TestStateDistribution"
 INITIALIZER = "tests/test_values.py::TestInitializer"
+BUNDLE = "tests/test_conmatrix.py::TestBundle"
+MISMATCH = f"{VERIFY}::test_each_check_reports_its_mismatch"
 
 MUTANTS = [
     # the factoring kernel: pruning, mass factors, and each local rule
@@ -184,6 +186,28 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the bundle skips its one check, A * M = L * I",
+        "relfact/conmatrix.py",
+        "        if any(acc):\n",
+        "        if False:\n",
+        (
+            f"{BUNDLE}::test_corrupted_factor_raises[pi_vector]",
+            f"{BUNDLE}::test_corrupted_matrix_raises",
+            "tests/test_conmatrix.py::TestXiVector::test_pi_short_of_its_top_term_fails_the_inverse_check",
+        ),
+    ),
+    Mutant(
+        "the inverse's terms are weighted by L / |alpha|",
+        "relfact/conmatrix.py",
+        "        yield pi_vector(a), L // connectivity_number(a)\n",
+        "        yield pi_vector(a), L // abs(connectivity_number(a))\n",
+        (
+            f"{BUNDLE}::test_n2_inverse_reference",
+            "tests/test_reliability.py::TestFactorizedRoute::test_three_boundary_glued_complete_graphs",
+            "tests/test_reliability.py::TestFactorizedRoute::test_interior_terminals_supported",
+        ),
+    ),
+    Mutant(
         "a high edge of the oracle stays operative when it is down",
         "relfact/enumeration.py",
         "for is_up, w in ((False, down), (True, up)) if w]",
@@ -236,12 +260,22 @@ MUTANTS = [
         "        if False:\n",
         (f"{FACTOR}::test_joint_route_refuses_terminals_off_the_boundary",),
     ),
-    Mutant(
-        "verify reports a joint-state sum that agrees",
-        "relfact/commands/verify.py",
-        "        if joint_reliability(d1, d2) != brute:\n",
-        "        if joint_reliability(d1, d2) == brute:\n",
-        (f"{VERIFY}::test_each_check_reports_its_mismatch[joint]", f"{VERIFY}::test_fixture_directory"),
+    *(
+        Mutant(
+            f"verify reports {what} that agrees",
+            "relfact/commands/verify.py",
+            text,
+            text.replace(" != ", " == "),
+            (f"{MISMATCH}[{case}]", f"{VERIFY}::test_fixture_directory"),
+        )
+        for what, text, case in (
+            ("a factoring value", "    if factored != brute:\n", "factoring"),
+            ("a factorized value", "    if cut.factorization_detail(d, jobs=jobs).value != brute:\n", "factorized"),
+            ("a joint-state sum", "        if joint_reliability(d1, d2) != brute:\n", "joint"),
+            ("a two-node closed form", "    if d.n == 2 and cut.n2_closed_form(d) != brute:\n", "n2"),
+            ("a cluster weight", "        if w1 != brute:\n", "cluster weight"),
+            ("a cluster derivative", "        if cut.factorized_dq(d, jobs=jobs, bound=bound) != w1:\n", "cluster derivative"),
+        )
     ),
     Mutant(
         "factor --verify reports a value that agrees",

@@ -5,26 +5,8 @@ from __future__ import annotations
 import sys
 from math import prod
 
-from typing import TYPE_CHECKING
-
 from ..cli import EXIT_FORMAT, EXIT_OK
 from . import _emit, _matrix_text
-
-if TYPE_CHECKING:
-    from ..conmatrix import ConnectivityBundle
-    from ..linalg import InvariantFactors
-
-
-def conmatrix_to_obj(bundle: ConnectivityBundle, det: int, factors: InvariantFactors) -> dict:
-    return {
-        "n": bundle.n,
-        "order": [str(p) for p in bundle.order.states],
-        "A": [list(row) for row in bundle.A],
-        "A_inv": _matrix_text(bundle.A_inv),
-        "det": str(det),
-        "invariant_factors": [str(d) for d in factors.snf_diagonal],
-        "torsion_prime_powers": [list(t) for t in factors.torsion_prime_powers],
-    }
 
 
 def run(args) -> int:
@@ -41,7 +23,15 @@ def run(args) -> int:
     # of A are those of the diagonal
     det = prod(bundle.alpha)
     factors = diagonal_smith_form([abs(a) for a in bundle.alpha])
-    payload = conmatrix_to_obj(bundle, det, factors)
+    payload = {
+        "n": args.n,
+        "order": [str(p) for p in order.states],
+        "A": bundle.A,
+        "A_inv": _matrix_text(bundle.A_inv),
+        "det": str(det),
+        "invariant_factors": [str(d) for d in factors.snf_diagonal],
+        "torsion_prime_powers": [list(t) for t in factors.torsion_prime_powers],
+    }
     lines = [
         f"n = {args.n}  states = {len(order.states)}  order = {args.order}",
         "order: " + " ".join(str(p) for p in order.states),

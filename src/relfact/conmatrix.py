@@ -18,13 +18,14 @@ D = B^T, the matrix of the paper's xi(a) = sum over c <= a of mu(c, a) * c
 the alphas, and, B being unimodular, A has the Smith normal form of
 diag(|alpha|).
 
-inverse_form reads r1^T * A^-1 * r2 off that diagonal, with no order and
-no dense matrix.  A bundle, which the CLI prints, stores alpha and the
-dense inverse; B and D are built only when read.  Every |alpha| =
-(blocks - 1)! divides L = (n - 1)!, so L * A^-1 is the integer matrix
-sum_k (L / alpha_k) * B[:, k] * B[:, k]^T, summed over the nonzeros of pi
-alone.  The build checks A * (L * A^-1) = L * I and symmetry in integers
-before it returns.
+Every |alpha| = (blocks - 1)! divides L = (n - 1)!, so L * A^-1 is the
+integer matrix sum over a of (L / alpha(a)) * pi(a) * pi(a)^T, summed over
+the nonzeros of pi alone.  _inverse_terms yields those terms, and both
+readers of A^-1 sum over it: inverse_form reads r1^T * A^-1 * r2 off it,
+with no order and no dense matrix, and the bundle, which the CLI prints,
+builds the dense inverse from it and checks A * (L * A^-1) = L * I in
+integers before it returns.  The bundle stores alpha and the inverse; B
+and D are built only when read.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
+from typing import Iterable, Iterator
 
 from .base import Value
 from .partitions import CoherentOrder, Partition, all_partitions, is_connected_pair
@@ -75,23 +77,29 @@ def connectivity_number(a: Partition) -> int:
     return _mu(a.block_count)
 
 
+def _inverse_terms(states: Iterable[Partition], L: int) -> Iterator[tuple[AlgebraVector, int]]:
+    """pi(a) and the integer L / alpha(a) for each state a, L = (n - 1)!:
+    the terms of L * A^-1 = B * diag(L / alpha) * B^T, yielded one by one."""
+    for a in states:
+        yield pi_vector(a), L // connectivity_number(a)
+
+
 def inverse_form(r1: dict[Partition, Fraction], r2: dict[Partition, Fraction]) -> Fraction:
     """r1^T * A^-1 * r2 for two vectors over every partition of {1..n}:
     as A^-1 = B * diag(1 / alpha) * B^T, the sum over a of
     <pi(a), r1> * <pi(a), r2> / alpha(a), the same in every coherent order.
     It is summed in integers, each vector over its common denominator and
-    each term times L / alpha(a), L = (n - 1)!; one Fraction is built."""
+    each term times L / alpha(a); one Fraction is built."""
     d1 = lcm(*(x.denominator for x in r1.values()))
     d2 = lcm(*(x.denominator for x in r2.values()))
     n1 = {a: x.numerator * (d1 // x.denominator) for a, x in r1.items()}
     n2 = {a: x.numerator * (d2 // x.denominator) for a, x in r2.items()}
     L = factorial(next(iter(r1)).n - 1)
     total = 0
-    for a in r1:
-        pv = pi_vector(a).items()
-        x = sum([c * n1[s] for s, c in pv])
+    for pv, w in _inverse_terms(r1, L):
+        x = sum([c * n1[s] for s, c in pv.items()])
         if x:
-            total += x * sum([c * n2[s] for s, c in pv]) * (L // connectivity_number(a))
+            total += x * sum([c * n2[s] for s, c in pv.items()]) * w
     return Fraction(total, L * d1 * d2)
 
 
@@ -141,11 +149,6 @@ class ConnectivityBundle(Value):
         return [list(col) for col in zip(*self.B)]
 
 
-def is_symmetric(m: list[list[int]]) -> bool:
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 # n = 6 (Bell(6) = 203 states) builds in ~0.2 s in process (Python 3.11, 2-core
 # Xeon); at n = 7 (877 states) the check A * M = L * I alone is ~675M multiply-adds.
 MAX_BUNDLE_GROUND_SET = 6
@@ -154,14 +157,12 @@ MAX_BUNDLE_GROUND_SET = 6
 def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
     """Assemble A and its exact inverse over the given coherent order.
 
-    Column k of B is the pi expansion of the k-th state, and alpha_k its
-    coefficient of the one-block state.  With L = (n - 1)!, each
-    w_k = L / alpha_k is an integer, so the inverse is A_inv = M / L for the
-    integer matrix M = sum_k w_k * B[:, k] * B[:, k]^T, accumulated over the
-    nonzeros of the pi expansions only.  Before anything is returned, M is
-    checked in integers: A * M must equal L * I (each entry a sum of the
-    entries of M picked out by the ones of A), and M must be symmetric;
-    either failure raises RuntimeError.  Boundaries larger than
+    The inverse is A_inv = M / L for the integer matrix M summed over
+    _inverse_terms, accumulated over the nonzeros of the pi expansions
+    only.  Before anything is returned, M is checked in integers: A * M
+    must equal L * I (each entry a sum of the entries of M picked out by
+    the ones of A), else RuntimeError.  That one check suffices: A is
+    symmetric, so its unique inverse M / L is too.  Boundaries larger than
     MAX_BUNDLE_GROUND_SET raise ValueError before any work.
     """
     n = order.n
@@ -174,16 +175,8 @@ def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
     m = len(states)
     A = connectivity_matrix(order)
     L = factorial(n - 1)
-    top = Partition.top(n)
-    alphas = []
     M = [[0] * m for _ in range(m)]
-    for a in states:
-        pv = pi_vector(a)
-        alpha = pv.get(top, 0)
-        if alpha == 0 or L % alpha:
-            raise RuntimeError(f"connectivity number {alpha} of {a} does not divide {L}")
-        alphas.append(alpha)
-        w = L // alpha
+    for pv, w in _inverse_terms(states, L):
         col = [(order.position(s), c) for s, c in pv.items()]
         for i, b in col:
             Mi = M[i]
@@ -196,9 +189,7 @@ def invert_connectivity_matrix(order: CoherentOrder) -> ConnectivityBundle:
         acc[i] -= L
         if any(acc):
             raise RuntimeError("B*C*D failed to invert the connectivity matrix")
-    if not is_symmetric(M):
-        raise RuntimeError("inverse of the connectivity matrix must be symmetric")
     entries = {x: Fraction(x, L) for x in set().union(*M)}  # few distinct values
     A_inv = [[entries[x] for x in row] for row in M]
-    return ConnectivityBundle(order=order, A=A, alpha=tuple(alphas), A_inv=A_inv)
+    return ConnectivityBundle(order=order, A=A, alpha=tuple(map(connectivity_number, states)), A_inv=A_inv)
 

@@ -849,7 +849,7 @@ class TestStartup:
                                   "_cut_factorization", "factorization_detail", "n2_closed_form",
                                   "EnumerationBoundError", "_check_bound", "DEFAULT_ENUMERATION_BOUND"],
             relfact.cluster: ["factorized_dq"],
-            relfact.conmatrix: ["connectivity_matrix_det"],
+            relfact.conmatrix: ["connectivity_matrix_det", "is_symmetric"],
             jsonio: ["graph_to_obj", "decomposition_to_obj", "conmatrix_to_obj"],
             cli: ["build_parser", "_listing", "_verify_one", *(f"cmd_{c}" for c in cli.COMMANDS)],
             relfact.ConnectivityBundle: ["C"],

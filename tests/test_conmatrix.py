@@ -31,7 +31,6 @@ from relfact.conmatrix import (
     connectivity_number,
     inverse_form,
     invert_connectivity_matrix,
-    is_symmetric,
     pi_vector,
 )
 from relfact.linalg import abelian_signature, diagonal_smith_form
@@ -304,6 +303,25 @@ class TestXiVector:
         conjugated = {conjugate(sigma, s): c for s, c in xi_vector(a).items()}
         assert xi_vector(conjugate(sigma, a)) == conjugated
 
+    def test_pi_short_of_its_top_term_fails_the_inverse_check(self, monkeypatch):
+        # alpha comes from the Moebius function, not from pi's one-block
+        # coefficient, so the one check A * M = L * I must see the loss
+        real = conmatrix.pi_vector
+        top = Partition.top(3)
+        dropped = []
+
+        def top_term_dropped(a):
+            v = real(a)
+            if not dropped:
+                dropped.append(a)
+                del v[top]
+            return v
+
+        monkeypatch.setattr(conmatrix, "pi_vector", top_term_dropped)
+        with pytest.raises(RuntimeError, match="failed to invert"):
+            invert_connectivity_matrix(coherent_order(3))
+        assert dropped
+
 
 class TestConnectivityMatrix:
     def test_n2_reference(self):
@@ -395,7 +413,7 @@ class TestBundle:
     @pytest.mark.parametrize("which", ["pi_vector"])
     def test_corrupted_factor_raises(self, monkeypatch, which):
         real = getattr(conmatrix, which)
-        keep = {Partition.top(3)}  # dropping alpha would trip a different check
+        keep = {Partition.top(3)}  # TestXiVector drops the top term
         dropped = []
 
         def one_term_short(a):
@@ -434,7 +452,7 @@ class TestBundle:
     def test_n6_builds_symmetric(self):
         b = invert_connectivity_matrix(coherent_order(6))
         assert len(b.A_inv) == bell_number(6)
-        assert is_symmetric(b.A_inv)
+        assert b.A_inv == [list(c) for c in zip(*b.A_inv)]
         assert all((x * math.factorial(5)).denominator == 1 for row in b.A_inv for x in row)
 
     @pytest.mark.parametrize("n", [7, 8])

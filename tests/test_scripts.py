@@ -133,6 +133,15 @@ def test_mutation_gate_kills_three_mutants_and_refuses_a_stale_one(capsys):
     assert "stale: its text occurs 0 times in src/relfact/reliability.py" in capsys.readouterr().out
 
 
+def test_every_mutation_gate_text_occurs_once_in_its_file():
+    # the gate's own check, without running a mutant: a refactor that moves
+    # or rewrites a mutated text fails here, not only in a gate run
+    gate = load_script("mutants.py")
+    counts = {m.name: (ROOT / "src" / m.file).read_text().count(m.text) for m in gate.MUTANTS}
+    assert len(counts) == len(gate.MUTANTS)  # every entry has its own name
+    assert {name: count for name, count in counts.items() if count != 1} == {}
+
+
 def test_startup_report_refuses_no_repetitions():
     proc = run_script("startup_report.py", "--repeat", "0")
     assert proc.returncode == 2
